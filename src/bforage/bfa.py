@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .engines import EngineConfig, StochasticEngine, make_engine
-from .errors import BudgetError, ConfigError
+from .errors import BudgetError, ConfigError, DomainError
 from .problem import (
     DecisionVector,
     ObjectiveVector,
@@ -69,7 +69,6 @@ class BfaParams:
     n_swim: int = 5           # extra same-direction moves allowed per tumble
     n_chemo: int = 10         # generations between reproduction events
     n_repro: int = 5          # reproduction events between dispersal events
-    n_elim: int = 5           # dispersal-event limit; the generation cap governs termination
     w_rep: float = 10.0       # repellent signal width
     w_att: float = 0.2        # attractant signal width
     h_rep: float = 0.1        # repellent signal height
@@ -81,12 +80,15 @@ class BfaParams:
     def __post_init__(self):
         if not (isinstance(self.n_total, int) and self.n_total >= 1):
             raise BudgetError(f"n_total must be >= 1, got {self.n_total!r}")
-        for name in ("pop_size", "n_swim", "n_chemo", "n_repro", "n_elim"):
+        for name in ("pop_size", "n_swim", "n_chemo", "n_repro"):
             value = getattr(self, name)
             if not (isinstance(value, int) and value >= 0):
                 raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
-        if self.pop_size < 1 or self.n_chemo < 1 or self.n_repro < 1 or self.n_elim < 1:
-            raise ConfigError("pop_size, n_chemo, n_repro and n_elim must all be >= 1")
+        if self.pop_size < 1 or self.n_chemo < 1 or self.n_repro < 1:
+            raise ConfigError("pop_size, n_chemo and n_repro must all be >= 1")
+        for name in ("step_size", "w_rep", "w_att", "h_rep", "h_att"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.step_size > 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
         if not 0.0 <= self.p_elim <= 1.0:
@@ -135,10 +137,6 @@ class RunResult:
     trace: tuple[float, ...]
     evaluations: int
     seed: int
-    aer: Optional[float] = None
-
-    def with_aer(self, value: float) -> "RunResult":
-        return replace(self, aer=value)
 
 
 def tumble_direction(engine: StochasticEngine) -> np.ndarray:
@@ -307,9 +305,15 @@ def run_custom(
     engine_config: EngineConfig,
     observer: Optional[Observer] = None,
 ) -> RunResult:
-    """Run the optimizer on an arbitrary unit-cube objective (maximized)."""
+    """Run the optimizer on an arbitrary unit-cube objective (maximized).
+
+    Raises :class:`DomainError` when the run ends without a finite best
+    value, so a broken objective never yields a plausible-looking result.
+    """
     engine = make_engine(engine_config)
     swarm = _run_loop(score, params, engine, observer)
+    if not math.isfinite(swarm.best_f):
+        raise DomainError(f"run ended with a non-finite best value {swarm.best_f!r}")
     return RunResult(
         best_theta=tuple(float(v) for v in swarm.best_theta),
         best_decision=None,
@@ -337,16 +341,6 @@ def run_bfa(
     def score(u: np.ndarray) -> float:
         return aggregate(evaluate(to_physical(u)), weights)
 
-    engine = make_engine(engine_config)
-    swarm = _run_loop(score, params, engine, observer)
-    decision = to_physical(swarm.best_theta)
-    objectives = evaluate(decision)
-    return RunResult(
-        best_theta=tuple(float(v) for v in swarm.best_theta),
-        best_decision=decision,
-        best_objectives=objectives,
-        best_f=swarm.best_f,
-        trace=tuple(swarm.trace),
-        evaluations=swarm.evaluations,
-        seed=engine_config.seed,
-    )
+    result = run_custom(score, params, engine_config, observer)
+    decision = to_physical(result.best_theta)
+    return replace(result, best_decision=decision, best_objectives=evaluate(decision))

@@ -34,38 +34,37 @@ from .problem import WeightVector, aggregate, evaluate
 
 __all__ = ["dispatch", "main", "read_config_file"]
 
+# config key -> (dataclass field, parser, help text); each field's default
+# is read from its dataclass, and int fields accept any integral number
 _BFA_KEYS = {
-    # config key -> (BfaParams field, parser)
-    "nt": ("n_total", int),
-    "pop": ("pop_size", int),
-    "ns": ("n_swim", int),
-    "nc": ("n_chemo", int),
-    "nr": ("n_repro", int),
-    "ned": ("n_elim", int),
-    "step": ("step_size", float),
-    "ped": ("p_elim", float),
-    "swarming": ("swarming", None),  # bool, parsed specially
-    "wrep": ("w_rep", float),
-    "watt": ("w_att", float),
-    "hrep": ("h_rep", float),
-    "hatt": ("h_att", float),
+    "nt": ("n_total", int, "chemotactic-generation budget"),
+    "pop": ("pop_size", int, "population size"),
+    "ns": ("n_swim", int, "swim-loop limit"),
+    "nc": ("n_chemo", int, "generations per reproduction"),
+    "nr": ("n_repro", int, "reproductions per dispersal"),
+    "step": ("step_size", float, "chemotactic step, normalized units"),
+    "ped": ("p_elim", float, "per-bacterium dispersal probability"),
+    "swarming": ("swarming", bool, "drop the cell-to-cell term from fitness"),
+    "wrep": ("w_rep", float, "repellent signal width"),
+    "watt": ("w_att", float, "attractant signal width"),
+    "hrep": ("h_rep", float, "repellent signal height"),
+    "hatt": ("h_att", float, "attractant signal height"),
 }
 
 _ENGINE_PARAM_KEYS = {
-    # engine-param key -> (EngineConfig field, parser)
-    "mu": ("mu", float),
-    "sigma": ("sigma", float),
-    "lambda": ("lam", float),
-    "k": ("k", float),
-    "alpha": ("alpha", int),
-    "beta": ("beta", float),
-    "psi0": ("psi0", float),
-    "r0": ("r0", float),
-    "dr": ("dr", float),
-    "warmup": ("warmup", int),
+    "mu": ("mu", float, "gaussian mean"),
+    "sigma": ("sigma", float, "gaussian standard deviation"),
+    "lambda": ("lam", float, "weibull scale"),
+    "k": ("k", float, "weibull shape"),
+    "alpha": ("alpha", int, "gamma shape, integral"),
+    "beta": ("beta", float, "gamma rate"),
+    "psi0": ("psi0", float, "chaotic initial state"),
+    "r0": ("r0", float, "chaotic initial growth rate"),
+    "dr": ("dr", float, "chaotic per-step rate increment"),
+    "warmup": ("warmup", int, "chaotic iterates discarded at start"),
 }
 
-_ALL_ENGINES = "gaussian,weibull,gamma,chaotic"
+_ALL_ENGINES = ",".join(kind.value for kind in EngineKind)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,7 +76,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_int_exact(text: str) -> int:
     value = float(text)
-    if value != int(value):
+    if not value.is_integer():  # also rejects inf and nan
         raise ValueError(f"expected an integer, got {text!r}")
     return int(value)
 
@@ -89,6 +88,18 @@ def _parse_bool(text: str) -> bool:
     if lowered in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+# how a table type reads a config-file or --engine-param value
+_TEXT_PARSERS = {int: _parse_int_exact, float: float, bool: _parse_bool}
+
+
+def _default(cls, field: str):
+    return cls.__dataclass_fields__[field].default
+
+
+_RUNS_DEFAULT = _default(xp.ExperimentConfig, "runs_per_weight")
+_AER_THRESHOLD_DEFAULT = _default(xp.ExperimentConfig, "aer_threshold")
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -157,51 +168,46 @@ def _engine_param_overrides(pairs) -> dict:
         if not sep or key not in _ENGINE_PARAM_KEYS:
             valid = ", ".join(_ENGINE_PARAM_KEYS)
             raise UsageError(f"--engine-param expects key=value with key in: {valid}")
-        field, parse = _ENGINE_PARAM_KEYS[key]
+        _, parse, _ = _ENGINE_PARAM_KEYS[key]
         try:
-            overrides[field] = _parse_int_exact(value) if parse is int else parse(value)
+            overrides[key] = _TEXT_PARSERS[parse](value)
         except ValueError:
             raise UsageError(f"--engine-param {key}: bad value {value!r}") from None
     return overrides
 
 
-def _resolve_engine_fields(resolver: _Resolver, flag_overrides: dict) -> dict:
-    fields = {}
-    for key, (field, parse) in _ENGINE_PARAM_KEYS.items():
-        default = EngineConfig.__dataclass_fields__[field].default
-        file_parse = _parse_int_exact if parse is int else parse
-        fields[field] = resolver.take(key, flag_overrides.get(field), default, file_parse)
-    return fields
+def _resolve_table(resolver: _Resolver, table: dict, cls, flags: dict) -> dict:
+    """Field values of ``cls`` for every key of ``table``: flag, file or default."""
+    return {
+        field: resolver.take(key, flags.get(key), _default(cls, field), _TEXT_PARSERS[parse])
+        for key, (field, parse, _) in table.items()
+    }
 
 
-def _resolve_bfa(resolver: _Resolver, args) -> BfaParams:
-    values = {}
-    for key, (field, parse) in _BFA_KEYS.items():
-        default = BfaParams.__dataclass_fields__[field].default
-        if key == "swarming":
-            flag = False if getattr(args, "no_swarming", False) else None
-            values[field] = resolver.take(key, flag, default, _parse_bool)
-        else:
-            values[field] = resolver.take(key, getattr(args, key, None), default, parse)
-    return BfaParams(**values)
+def _resolve_shared(args):
+    """The config file, BFA parameters and engine fields that ``run`` and ``sweep`` share."""
+    file_entries = read_config_file(args.config) if args.config else {}
+    resolver = _Resolver(file_entries, args.config)
+    params = BfaParams(**_resolve_table(resolver, _BFA_KEYS, BfaParams, vars(args)))
+    engine_fields = _resolve_table(resolver, _ENGINE_PARAM_KEYS, EngineConfig,
+                                   _engine_param_overrides(args.engine_param))
+    return resolver, params, engine_fields
+
+
+def _format_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _echo_config(items: list[tuple[str, object]]) -> None:
     print("# resolved configuration", file=sys.stderr)
     for key, value in items:
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        print(f"{key} = {value}", file=sys.stderr)
+        print(f"{key} = {_format_value(value)}", file=sys.stderr)
 
 
-def _bfa_echo_items(params: BfaParams) -> list[tuple[str, object]]:
-    return [(key, getattr(params, field)) for key, (field, _) in _BFA_KEYS.items()]
-
-
-def _engine_echo_items(fields: dict) -> list[tuple[str, object]]:
-    return [(key, fields[field]) for key, (field, _) in _ENGINE_PARAM_KEYS.items()]
+def _table_echo_items(table: dict, values: dict) -> list[tuple[str, object]]:
+    return [(key, values[field]) for key, (field, *_) in table.items()]
 
 
 def _write_gnuplot_stubs(out_dir: Path, reports) -> None:
@@ -248,15 +254,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _run_single(args):
-    file_entries = read_config_file(args.config) if args.config else {}
-    resolver = _Resolver(file_entries, args.config)
-
-    params = _resolve_bfa(resolver, args)
-    engine_fields = _resolve_engine_fields(resolver, _engine_param_overrides(args.engine_param))
+    resolver, params, engine_fields = _resolve_shared(args)
     kind = EngineKind.from_string(resolver.take("engine", args.engine, "gaussian", str))
     seed = resolver.take("seed", args.seed, None, lambda t: int(t, 0))
     weights_text = resolver.take("weights", args.weights, "0.25,0.25,0.25,0.25", str)
-    threshold = resolver.take("aer_threshold", args.aer_threshold, 0.01, float)
+    threshold = resolver.take("aer_threshold", args.aer_threshold, _AER_THRESHOLD_DEFAULT, float)
     resolver.reject_unknown()
     if seed is None:
         raise UsageError("--seed is required; runs never take an implicit time-based seed")
@@ -266,8 +268,8 @@ def _run_single(args):
     _echo_config(
         [("engine", kind.value), ("seed", seed), ("weights", weights_text),
          ("aer_threshold", threshold)]
-        + _bfa_echo_items(params)
-        + _engine_echo_items(engine_fields)
+        + _table_echo_items(_BFA_KEYS, vars(params))
+        + _table_echo_items(_ENGINE_PARAM_KEYS, engine_fields)
     )
     result = run_bfa(weights, params, engine_config)
     rate = compute_aer(result.trace, threshold)
@@ -294,19 +296,15 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.plot and not args.out:
         raise UsageError("--plot requires --out")
-    file_entries = read_config_file(args.config) if args.config else {}
-    resolver = _Resolver(file_entries, args.config)
-
-    params = _resolve_bfa(resolver, args)
-    engine_fields = _resolve_engine_fields(resolver, _engine_param_overrides(args.engine_param))
+    resolver, params, engine_fields = _resolve_shared(args)
     engines_text = resolver.take("engines", args.engines, _ALL_ENGINES, str)
     master_seed = resolver.take("seed", args.seed, None, lambda t: int(t, 0))
-    runs = resolver.take("runs", args.runs, 10, int)
-    threshold = resolver.take("aer_threshold", args.aer_threshold, 0.01, float)
+    runs = resolver.take("runs", args.runs, _RUNS_DEFAULT, _parse_int_exact)
+    threshold = resolver.take("aer_threshold", args.aer_threshold, _AER_THRESHOLD_DEFAULT, float)
     weights_file = resolver.take("weights_file", args.weights_file, None, str)
     weight_step = resolver.take("weight_step", args.weight_step, 0.1, float)
     weight_min = resolver.take("weight_min", args.weight_min, 0.1, float)
-    jobs = resolver.take("jobs", args.jobs, 1, int)
+    jobs = resolver.take("jobs", args.jobs, 1, _parse_int_exact)
     resolver.reject_unknown()
     if master_seed is None:
         raise UsageError("--seed is required; sweeps never take an implicit time-based seed")
@@ -327,8 +325,8 @@ def _cmd_sweep(args) -> int:
         [("engines", ",".join(k.value for k in kinds)), ("seed", master_seed),
          ("runs", runs), ("jobs", jobs), ("aer_threshold", threshold)]
         + weight_items
-        + _bfa_echo_items(params)
-        + _engine_echo_items(engine_fields)
+        + _table_echo_items(_BFA_KEYS, vars(params))
+        + _table_echo_items(_ENGINE_PARAM_KEYS, engine_fields)
     )
 
     config = xp.ExperimentConfig(
@@ -420,27 +418,22 @@ def _cmd_compare(args) -> int:
 
 
 def _add_bfa_flags(parser) -> None:
-    parser.add_argument("--nt", type=int, help="chemotactic-generation budget (default: 200)")
-    parser.add_argument("--pop", type=int, help="population size (default: 25)")
-    parser.add_argument("--ns", type=int, help="swim-loop limit (default: 5)")
-    parser.add_argument("--nc", type=int, help="generations per reproduction (default: 10)")
-    parser.add_argument("--nr", type=int, help="reproductions per dispersal (default: 5)")
-    parser.add_argument("--ned", type=int, help="dispersal-event limit (default: 5)")
-    parser.add_argument("--step", type=float, help="chemotactic step, normalized units (default: 0.05)")
-    parser.add_argument("--ped", type=float, help="per-bacterium dispersal probability (default: 0.25)")
-    parser.add_argument("--no-swarming", action="store_true",
-                        help="drop the cell-to-cell term from fitness (default: swarming on)")
-    parser.add_argument("--wrep", type=float, help="repellent signal width (default: 10)")
-    parser.add_argument("--watt", type=float, help="attractant signal width (default: 0.2)")
-    parser.add_argument("--hrep", type=float, help="repellent signal height (default: 0.1)")
-    parser.add_argument("--hatt", type=float, help="attractant signal height (default: 0.1)")
+    for key, (field, parse, text) in _BFA_KEYS.items():
+        default = _format_value(_default(BfaParams, field))
+        if parse is bool:
+            parser.add_argument(f"--no-{key}", dest=key, action="store_const", const=False,
+                                help=f"{text} (default: {key} = {default})")
+        else:
+            parser.add_argument(f"--{key}", type=parse, help=f"{text} (default: {default})")
 
 
 def _add_engine_flags(parser) -> None:
+    keys = ", ".join(
+        f"{key}={_format_value(_default(EngineConfig, field))} ({text})"
+        for key, (field, _, text) in _ENGINE_PARAM_KEYS.items()
+    )
     parser.add_argument("--engine-param", action="append", metavar="KEY=VALUE",
-                        help="distribution parameter (mu, sigma, lambda, k, alpha, beta, "
-                             "psi0, r0, dr, warmup); repeatable (defaults: mu=0 sigma=1 "
-                             "lambda=1 k=1 alpha=2 beta=1 psi0=0.3 r0=3.9 dr=0.01 warmup=10)")
+                        help=f"distribution parameter, repeatable; keys with defaults: {keys}")
 
 
 def build_parser() -> _Parser:
@@ -463,7 +456,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", help="engine seed, unsigned 64-bit; required")
     p.add_argument("--weights", help="w1,w2,w3,w4 (default: 0.25,0.25,0.25,0.25)")
     p.add_argument("--config", help="key = value config file (flags win; default: none)")
-    p.add_argument("--aer-threshold", type=float, help="AER deviation threshold (default: 0.01)")
+    p.add_argument("--aer-threshold", type=float,
+                   help=f"AER deviation threshold (default: {_AER_THRESHOLD_DEFAULT})")
     p.add_argument("--out", help="directory for solution.csv and trace.csv (default: none)")
     _add_bfa_flags(p)
     p.set_defaults(handler=_cmd_run, seed=None)
@@ -473,11 +467,13 @@ def build_parser() -> _Parser:
     p.add_argument("--engines", help=f"comma list of engine kinds (default: {_ALL_ENGINES})")
     _add_engine_flags(p)
     p.add_argument("--seed", help="master seed, unsigned 64-bit; required")
-    p.add_argument("--runs", type=int, help="independent runs per weight vector (default: 10)")
+    p.add_argument("--runs", type=int,
+                   help=f"independent runs per weight vector (default: {_RUNS_DEFAULT})")
     p.add_argument("--weights-file", help="CSV of weight vectors; overrides the lattice (default: none)")
     p.add_argument("--weight-step", type=float, help="lattice step (default: 0.1)")
     p.add_argument("--weight-min", type=float, help="lattice minimum weight (default: 0.1)")
-    p.add_argument("--aer-threshold", type=float, help="AER deviation threshold (default: 0.01)")
+    p.add_argument("--aer-threshold", type=float,
+                   help=f"AER deviation threshold (default: {_AER_THRESHOLD_DEFAULT})")
     p.add_argument("--jobs", type=int, help="worker processes (default: 1)")
     p.add_argument("--config", help="key = value config file (flags win; default: none)")
     p.add_argument("--out", help="directory for frontier CSVs and report.json (default: none)")
@@ -497,8 +493,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("aer", help="average explorative rate of a trace CSV")
     p.add_argument("--input", required=True, help="trace CSV path")
-    p.add_argument("--threshold", type=float, default=0.01,
-                   help="relative-deviation threshold (default: 0.01)")
+    p.add_argument("--threshold", type=float, default=_AER_THRESHOLD_DEFAULT,
+                   help=f"relative-deviation threshold (default: {_AER_THRESHOLD_DEFAULT})")
     p.set_defaults(handler=_cmd_aer)
 
     p = sub.add_parser("weights", help="emit a weight-vector lattice")

@@ -79,7 +79,8 @@ class EngineConfig:
     alpha: int = 2           # gamma shape, integral
     beta: float = 1.0        # gamma rate
     psi0: float = 0.3        # chaotic initial state, strictly inside (0,1)
-    r0: float = 3.9          # chaotic initial growth rate, in [0,5]
+    r0: float = 3.9          # chaotic initial growth rate, in [0,5]; above 4 (with dr >= 0)
+                             # every step re-seeds, so the engine emits i.i.d. uniforms
     dr: float = 0.01         # chaotic per-step rate increment
     warmup: int = 10         # chaotic iterates discarded at construction
 
@@ -88,6 +89,9 @@ class EngineConfig:
             object.__setattr__(self, "kind", EngineKind.from_string(str(self.kind)))
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        for name in ("mu", "sigma", "lam", "k", "beta", "dr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if not self.lam > 0:

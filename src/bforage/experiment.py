@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -127,9 +128,9 @@ def generate_weights(step: float, minimum: float) -> list[WeightVector]:
     """All weight 4-tuples on the lattice ``{minimum, minimum+step, ...}``
     that sum to one, in lexicographic order.
     """
-    if step <= 0:
-        raise LatticeError(f"step must be positive, got {step}")
-    if minimum < 0:
+    if not 0 < step < math.inf:
+        raise LatticeError(f"step must be positive and finite, got {step}")
+    if not minimum >= 0:
         raise LatticeError(f"minimum must be non-negative, got {minimum}")
     resolution = 1.0 / step
     if abs(resolution - round(resolution)) > 1e-9:
@@ -319,138 +320,114 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def _format_row(values: Iterable) -> str:
-    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+    # float() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
+    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
 
 
-def frontier_row(r: SolutionRecord) -> str:
-    """One CSV data line for a record, floats at round-trip precision."""
-    return _format_row([
-        r.engine.value, *r.weights.as_tuple(), r.run_id, r.seed,
-        *r.decision, *r.objectives, r.F, r.aer,
-    ])
-
-
-def write_frontier_csv(records: Sequence[SolutionRecord], path) -> None:
-    """Persist records; floats keep full round-trip precision."""
-    lines = [",".join(FRONTIER_HEADER)]
-    lines.extend(frontier_row(r) for r in records)
+def _write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    lines = [",".join(header)]
+    lines.extend(_format_row(row) for row in rows)
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_frontier_csv(path) -> list[SolutionRecord]:
-    """Load and audit records: header, field types, bounds, aggregate identity."""
+def _read_csv(path, header: Sequence[str], parse_row) -> list:
+    """Parse every data row of a CSV whose first line must be ``header``.
+
+    Blank rows are skipped. ``parse_row(row, count)`` gets the fields of one
+    row and the number of rows parsed before it; a ``ValueError`` or
+    ``ConfigError`` it raises becomes a :class:`SchemaError` at that line.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise SchemaError("empty file", line=1)
-    if rows[0] != FRONTIER_HEADER:
-        missing = [c for c in FRONTIER_HEADER if c not in rows[0]]
+    if rows[0] != header:
+        missing = [c for c in header if c not in rows[0]]
         if missing:
             raise SchemaError(f"missing column {missing[0]!r}", line=1)
         raise SchemaError(f"unexpected header {rows[0]!r}", line=1)
-    records = []
+    parsed = []
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
-        if len(row) != len(FRONTIER_HEADER):
-            raise SchemaError(f"expected {len(FRONTIER_HEADER)} fields, got {len(row)}", line=line_no)
+        if len(row) != len(header):
+            raise SchemaError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
         try:
-            record = SolutionRecord(
-                engine=EngineKind(row[0]),
-                weights=WeightVector(*(float(v) for v in row[1:5])),
-                run_id=int(row[5]),
-                seed=int(row[6]),
-                decision=DecisionVector(*(float(v) for v in row[7:11])),
-                objectives=ObjectiveVector(*(float(v) for v in row[11:15])),
-                F=float(row[15]),
-                aer=float(row[16]),
-            )
+            parsed.append(parse_row(row, len(parsed)))
         except (ValueError, ConfigError) as exc:
             raise SchemaError(str(exc), line=line_no) from exc
-        _audit_record(record, line_no)
-        records.append(record)
-    return records
+    return parsed
 
 
-def _audit_record(record: SolutionRecord, line_no: int) -> None:
+def _record_fields(r: SolutionRecord) -> list:
+    """A record's values in ``FRONTIER_HEADER`` order."""
+    return [r.engine.value, *r.weights.as_tuple(), r.run_id, r.seed,
+            *r.decision, *r.objectives, r.F, r.aer]
+
+
+def frontier_row(r: SolutionRecord) -> str:
+    """One CSV data line for a record, floats at round-trip precision."""
+    return _format_row(_record_fields(r))
+
+
+def write_frontier_csv(records: Sequence[SolutionRecord], path) -> None:
+    """Persist records; floats keep full round-trip precision."""
+    _write_csv(path, FRONTIER_HEADER, map(_record_fields, records))
+
+
+def _frontier_record(row: list[str], _count: int) -> SolutionRecord:
+    record = SolutionRecord(
+        engine=EngineKind(row[0]),
+        weights=WeightVector(*(float(v) for v in row[1:5])),
+        run_id=int(row[5]),
+        seed=int(row[6]),
+        decision=DecisionVector(*(float(v) for v in row[7:11])),
+        objectives=ObjectiveVector(*(float(v) for v in row[11:15])),
+        F=float(row[15]),
+        aer=float(row[16]),
+    )
+    # negated comparisons, so that NaN fails them too
     recomputed = aggregate(record.objectives, record.weights)
-    if abs(recomputed - record.F) > 1e-9:
-        raise SchemaError(
-            f"aggregate mismatch: stored F={record.F!r}, recomputed {recomputed!r}",
-            line=line_no,
-        )
+    if not abs(recomputed - record.F) <= 1e-9:
+        raise ValueError(f"aggregate mismatch: stored F={record.F!r}, recomputed {recomputed!r}")
+    if not 0.0 <= record.aer <= 1.0:
+        raise ValueError(f"aer={record.aer!r} outside [0, 1]")
     for value, lo, hi, name in zip(record.decision, LOWER_BOUNDS, UPPER_BOUNDS, "ABCD"):
         if not lo <= value <= hi:
-            raise SchemaError(f"decision {name}={value} outside [{lo}, {hi}]", line=line_no)
+            raise ValueError(f"decision {name}={value} outside [{lo}, {hi}]")
+    return record
+
+
+def read_frontier_csv(path) -> list[SolutionRecord]:
+    """Load and audit records: header, field types, bounds, aggregate identity."""
+    return _read_csv(path, FRONTIER_HEADER, _frontier_record)
 
 
 def write_trace_csv(trace: Sequence[float], path) -> None:
-    lines = [",".join(TRACE_HEADER)]
-    for generation, value in enumerate(trace, start=1):
-        lines.append(f"{generation},{value!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, TRACE_HEADER, enumerate(trace, start=1))
+
+
+def _trace_value(row: list[str], count: int) -> float:
+    generation, value = int(row[0]), float(row[1])
+    if generation != count + 1:
+        raise ValueError(f"generations must run 1..N, got {generation}")
+    return value
 
 
 def read_trace_csv(path) -> list[float]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != TRACE_HEADER:
-        missing = [c for c in TRACE_HEADER if not rows or c not in rows[0]]
-        raise SchemaError(f"missing column {missing[0]!r}" if missing else "bad header", line=1)
-    values = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 2:
-            raise SchemaError(f"expected 2 fields, got {len(row)}", line=line_no)
-        try:
-            generation, value = int(row[0]), float(row[1])
-        except ValueError as exc:
-            raise SchemaError(str(exc), line=line_no) from exc
-        if generation != len(values) + 1:
-            raise SchemaError(f"generations must run 1..N, got {generation}", line=line_no)
-        values.append(value)
-    return values
+    return _read_csv(path, TRACE_HEADER, _trace_value)
 
 
 def write_weights_csv(weights: Sequence[WeightVector], path) -> None:
-    lines = [",".join(WEIGHTS_HEADER)]
-    for w in weights:
-        lines.append(_format_row(w.as_tuple()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, WEIGHTS_HEADER, (w.as_tuple() for w in weights))
 
 
 def read_weights_csv(path) -> list[WeightVector]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != WEIGHTS_HEADER:
-        missing = [c for c in WEIGHTS_HEADER if not rows or c not in rows[0]]
-        raise SchemaError(f"missing column {missing[0]!r}" if missing else "bad header", line=1)
-    weights = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != 4:
-            raise SchemaError(f"expected 4 fields, got {len(row)}", line=line_no)
-        try:
-            weights.append(WeightVector(*(float(v) for v in row)))
-        except (ValueError, ConfigError) as exc:
-            raise SchemaError(str(exc), line=line_no) from exc
-    return weights
+    return _read_csv(path, WEIGHTS_HEADER, lambda row, _count: WeightVector(*map(float, row)))
 
 
 def _record_to_dict(record: SolutionRecord) -> dict:
-    return {
-        "engine": record.engine.value,
-        "w1": record.weights.w1, "w2": record.weights.w2,
-        "w3": record.weights.w3, "w4": record.weights.w4,
-        "run_id": record.run_id, "seed": record.seed,
-        "A": record.decision.A, "B": record.decision.B,
-        "C": record.decision.C, "D": record.decision.D,
-        "f1": record.objectives.f1, "f2": record.objectives.f2,
-        "f3": record.objectives.f3, "f4": record.objectives.f4,
-        "F": record.F, "aer": record.aer,
-    }
+    return dict(zip(FRONTIER_HEADER, _record_fields(record)))
 
 
 def report_to_dict(report: FrontierReport) -> dict:

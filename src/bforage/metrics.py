@@ -11,6 +11,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -160,15 +161,17 @@ def aer(trace: Sequence[float], threshold: float) -> float:
     The deviation at step ``n`` is ``|f[n+1] - f[n]| / |f[n]|``; each step
     whose deviation reaches ``threshold`` counts. The result lies in
     [0, 1]. A trace shorter than two values, or one containing an exact
-    zero, has no defined rate.
+    zero or a non-finite value, has no defined rate.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ConfigError(f"threshold must be non-negative, got {threshold}")
     values = [float(v) for v in trace]
     if len(values) < 2:
         raise DegenerateTraceError("at least two trace values are needed")
     if any(v == 0.0 for v in values):
         raise DegenerateTraceError("trace contains an exact zero; relative deviation undefined")
+    if not all(map(math.isfinite, values)):
+        raise DegenerateTraceError("trace contains a non-finite value")
     steps = len(values) - 1
     hits = 0
     for current, following in zip(values, values[1:]):

@@ -89,7 +89,7 @@ class WeightVector:
 
     def __post_init__(self):
         for name, value in zip(("w1", "w2", "w3", "w4"), self):
-            if value < 0:
+            if not value >= 0:  # NaN fails too
                 raise ConfigError(f"{name} must be non-negative, got {value}")
         total = self.w1 + self.w2 + self.w3 + self.w4
         if abs(total - 1.0) > 1e-9:

@@ -19,7 +19,7 @@ from bforage.bfa import (
     tumble_direction,
 )
 from bforage.engines import EngineConfig, EngineKind, make_engine
-from bforage.errors import BudgetError, ConfigError
+from bforage.errors import BudgetError, ConfigError, DomainError
 from bforage.problem import WeightVector
 
 WEIGHTS = WeightVector(0.1, 0.7, 0.1, 0.1)
@@ -56,7 +56,7 @@ def small_swarm(positions, params, score=sphere_score):
 
 def test_default_parameters():
     p = BfaParams()
-    assert (p.n_total, p.pop_size, p.n_swim, p.n_repro, p.n_elim) == (200, 25, 5, 5, 5)
+    assert (p.n_total, p.pop_size, p.n_swim, p.n_repro) == (200, 25, 5, 5)
     assert (p.w_rep, p.w_att, p.h_rep, p.h_att) == (10.0, 0.2, 0.1, 0.1)
     assert (p.n_chemo, p.step_size, p.p_elim, p.swarming) == (10, 0.05, 0.25, True)
 
@@ -70,6 +70,9 @@ def test_parameter_validation():
         BfaParams(p_elim=1.5)
     with pytest.raises(ConfigError):
         BfaParams(step_size=0.0)
+    for bad in (dict(step_size=math.inf), dict(w_rep=math.nan), dict(h_att=-math.inf)):
+        with pytest.raises(ConfigError):
+            BfaParams(**bad)
     BfaParams(n_swim=0)  # swim loop may be disabled entirely
 
 
@@ -404,3 +407,9 @@ def test_custom_objective_hill_climb():
         result = run_custom(sphere_score, params, EngineConfig(kind=kind, seed=1))
         assert result.best_f >= -0.01
         assert result.best_decision is None and result.best_objectives is None
+
+
+def test_run_without_a_finite_best_value_is_a_domain_error():
+    with pytest.raises(DomainError):
+        run_custom(lambda u: math.nan, BfaParams(n_total=3, pop_size=4),
+                   EngineConfig(kind=EngineKind.GAUSSIAN, seed=1))

@@ -1,8 +1,12 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
-from bforage.cli import dispatch
+from bforage.bfa import BfaParams
+from bforage.cli import _BFA_KEYS, _ENGINE_PARAM_KEYS, dispatch
+from bforage.engines import EngineConfig
 from bforage.experiment import read_frontier_csv, read_trace_csv, write_frontier_csv, write_trace_csv
 from bforage.metrics import hvi_exact
 from bforage.problem import WeightVector, aggregate, evaluate
@@ -63,9 +67,10 @@ def test_run_without_seed_is_a_usage_error(capsys):
     assert "seed" in err
 
 
-def test_help_lists_flags_and_defaults(capsys):
+def test_help_lists_flags_and_defaults(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "400")  # one help line per flag
     for verb, expected_flags in [
-        ("run", ["--nt", "--pop", "--ns", "--nc", "--nr", "--ned", "--step", "--ped",
+        ("run", ["--nt", "--pop", "--ns", "--nc", "--nr", "--step", "--ped",
                  "--no-swarming", "--wrep", "--watt", "--hrep", "--hatt",
                  "--engine-param", "--seed", "--weights", "--config", "--out"]),
         ("sweep", ["--engines", "--runs", "--weights-file", "--weight-step",
@@ -81,6 +86,27 @@ def test_help_lists_flags_and_defaults(capsys):
         for flag in expected_flags:
             assert flag in out, f"{verb} --help must document {flag}"
         assert "default" in out
+
+    # the key tables are the only source: one key per dataclass field, and
+    # every flag's help shows that field's dataclass default
+    for cls, table, own_flags in [(BfaParams, _BFA_KEYS, ()),
+                                  (EngineConfig, _ENGINE_PARAM_KEYS, ("kind", "seed"))]:
+        fields = [f.name for f in dataclasses.fields(cls) if f.name not in own_flags]
+        assert sorted(field for field, *_ in table.values()) == sorted(fields)
+    for verb in ("run", "sweep"):
+        _, out, _ = run_cli(capsys, verb, "--help")
+        lines = [line.strip() for line in out.splitlines()]
+        for key, (field, parse, _) in _BFA_KEYS.items():
+            default = getattr(BfaParams(), field)
+            if parse is bool:
+                line = next(l for l in lines if l.startswith(f"--no-{key} "))
+                assert line.endswith(f"(default: {key} = {str(default).lower()})"), line
+            else:
+                line = next(l for l in lines if l.startswith(f"--{key} "))
+                assert line.endswith(f"(default: {default})"), line
+        for key, (field, _, _) in _ENGINE_PARAM_KEYS.items():
+            default = getattr(EngineConfig(kind="gaussian", seed=0), field)
+            assert f" {key}={default} (" in out, key
 
 
 # -- run ---------------------------------------------------------------------------
@@ -128,7 +154,7 @@ def test_empty_config_file_resolves_to_pure_defaults(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--config", str(config), "--seed", "1",
                            "--nt", "2", "--pop", "4")
     assert code == 0
-    for line in ("pop = 4", "ns = 5", "nc = 10", "nr = 5", "ned = 5",
+    for line in ("pop = 4", "ns = 5", "nc = 10", "nr = 5",
                  "step = 0.05", "ped = 0.25", "swarming = true",
                  "wrep = 10.0", "watt = 0.2", "hrep = 0.1", "hatt = 0.1"):
         assert line in err
@@ -147,6 +173,33 @@ def test_config_file_bad_value_reports_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--config", str(config))
     assert code == 2
     assert "p_elim" in err or "ped" in err
+    for key in ("warmup", "nt"):
+        config.write_text(f"nt = 5\n{key} = inf\nseed = 1\n")
+        code, _, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == 2
+        assert f":2: bad value for {key!r}" in err
+
+
+def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
+    # BFA and engine integer keys parse alike in a config file
+    config = tmp_path / "run.conf"
+    config.write_text("nt = 3.0\npop = 4\nalpha = 2.0\nseed = 1\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 0
+    assert "nt = 3" in err.splitlines() and "alpha = 2" in err.splitlines()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--engine-param", "alpha=inf"], 1),
+    (["--engine-param", "warmup=nan"], 1),
+    (["--weights", "nan,0.3,0.3,0.4"], 2),
+    (["--engine-param", "mu=nan"], 2),
+    (["--engine-param", "dr=inf"], 2),
+    (["--wrep", "nan"], 2),
+    (["--step", "inf"], 2),
+])
+def test_run_rejects_non_finite_input(capsys, argv, code):
+    assert run_cli(capsys, "run", "--seed", "1", "--nt", "2", "--pop", "4", *argv)[0] == code
 
 
 def test_config_file_unknown_key_reports_line(capsys, tmp_path):
@@ -188,8 +241,9 @@ def test_weights_stdout_lattice(capsys):
 
 
 def test_weights_lattice_error_exit_code(capsys):
-    code, _, _ = run_cli(capsys, "weights", "--step", "0.1", "--min", "0.3")
-    assert code == 2
+    for step, minimum in [("0.1", "0.3"), ("nan", "0.1"), ("0.1", "nan")]:
+        code, _, _ = run_cli(capsys, "weights", "--step", step, "--min", minimum)
+        assert code == 2
 
 
 # -- hvi / aer ------------------------------------------------------------------------
@@ -252,9 +306,21 @@ def test_aer_command(capsys, tmp_path):
 
 def test_aer_zero_value_trace_is_metric_error(capsys, tmp_path):
     path = tmp_path / "trace.csv"
-    write_trace_csv([0.0, 1.0], path)
-    code, _, _ = run_cli(capsys, "aer", "--input", str(path))
-    assert code == 3
+    for trace in ([0.0, 1.0], [1.0, math.nan, 2.0], [1.0, -math.inf]):
+        write_trace_csv(trace, path)
+        code, _, _ = run_cli(capsys, "aer", "--input", str(path))
+        assert code == 3
+
+
+def test_non_finite_frontier_value_is_schema_error_exit_2(capsys, tmp_path):
+    from test_experiment import make_record
+
+    record = make_record((500.0, 700.0, 300.0, 400.0))
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv([dataclasses.replace(record, F=math.nan, aer=math.nan)], path)
+    code, _, err = run_cli(capsys, "hvi", "--input", str(path))
+    assert code == 2
+    assert "line 2" in err
 
 
 def test_malformed_csv_is_schema_error_exit_2(capsys, tmp_path):

@@ -57,6 +57,10 @@ def test_chaotic_construction_echoes_config():
     dict(warmup=-1),
     dict(seed=-1),
     dict(seed=2**64),
+    dict(mu=math.nan),
+    dict(sigma=math.inf),
+    dict(dr=math.nan),
+    dict(dr=-math.inf),
 ])
 def test_invalid_config_rejected(bad):
     with pytest.raises(ConfigError):
@@ -143,14 +147,16 @@ def test_chaotic_stays_in_open_interval_even_past_rate_four():
     assert all(0.0 < v < 1.0 for v in values)
 
 
-@pytest.mark.parametrize("r0", [0.0, 5.0])
+@pytest.mark.parametrize("r0", [0.0, 4.5, 5.0])
 def test_chaotic_rate_extremes_keep_emitting(r0):
-    # rate 0 collapses the map, rate 5 exceeds the stable region: both fall
-    # back to uniform re-seeds every step and stay inside (0, 1)
+    # rate 0 collapses the map, any rate in (4, 5] exceeds the stable region:
+    # all fall back to uniform re-seeds every step and stay inside (0, 1)
     e = engine(EngineKind.CHAOTIC, seed=9, psi0=0.5, r0=r0, warmup=0)
     values = [e.sample_raw() for _ in range(2_000)]
     assert all(0.0 < v < 1.0 for v in values)
     assert len(set(values)) > 1_900  # re-seeded draws, not a stuck state
+    uniforms = random.Random(9)
+    assert values == [uniforms.random() for _ in range(2_000)]  # i.i.d. uniforms
 
 
 def test_config_accepts_kind_as_string():

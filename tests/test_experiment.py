@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bforage.bfa import BfaParams, run_bfa
@@ -98,6 +99,9 @@ def test_lattice_errors():
         generate_weights(0.3, 0.0)      # 1/0.3 is not an integer
     with pytest.raises(LatticeError):
         generate_weights(0.5, 0.1)      # leftover budget of 1.2 steps misses the lattice
+    for step, minimum in ((math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan)):
+        with pytest.raises(LatticeError):
+            generate_weights(step, minimum)
 
 
 def test_lattice_zero_minimum_includes_one_hot_corners():
@@ -311,6 +315,16 @@ def test_frontier_aggregate_audit_on_load(tmp_path):
     assert "aggregate mismatch" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["F", "aer"])
+def test_frontier_non_finite_value_fails_audit(tmp_path, field):
+    record = make_record((100.0, 200.0, 300.0, 400.0))
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv([dataclasses.replace(record, **{field: math.nan})], path)
+    with pytest.raises(SchemaError) as err:
+        read_frontier_csv(path)
+    assert "line 2" in str(err.value)
+
+
 def test_frontier_bounds_audit_on_load(tmp_path):
     record = make_record((100.0, 200.0, 300.0, 400.0))
     bad = dataclasses.replace(record, decision=DecisionVector(9.0, 40.0, 4.0, 80.0))
@@ -323,8 +337,9 @@ def test_frontier_bounds_audit_on_load(tmp_path):
 def test_trace_round_trip(tmp_path):
     trace = [100.0, 101.5, 101.5, 230.0 / 7.0]
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    assert read_trace_csv(path) == trace
+    for values in (trace, np.array(trace)):  # run_custom traces hold numpy floats
+        write_trace_csv(list(values), path)
+        assert read_trace_csv(path) == trace
 
 
 def test_trace_rejects_gap_in_generations(tmp_path):

@@ -1,0 +1,117 @@
+"""Golden outputs: run results and every file the CLI writes stay byte-identical.
+
+The digests were recorded from the program as it stood before the
+persistence, CLI-table and run-entry-point merges, so a refactor that
+changes any written byte, or any field of a run result, fails here. A
+declared numerics change must re-record them and say why in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from bforage.bfa import BfaParams, run_bfa
+from bforage.cli import dispatch
+from bforage.engines import EngineConfig, EngineKind
+from bforage.problem import WeightVector
+
+WEIGHTS = WeightVector(0.7, 0.1, 0.1, 0.1)
+PARAMS = BfaParams(n_total=12, pop_size=6, n_chemo=3, n_repro=2)
+
+RUN_DIGESTS = {
+    ("gaussian", 1): "09138c4eee72c388a47c09771af1ee64bab17ca2810fd7c3dedfc2ba4c360da5",
+    ("gaussian", 2): "300f69d10eaf84744ba3c5355643104a700a2615ef21e7f095f8025bfe0457b9",
+    ("weibull", 1): "a9f6cc287dada3c4c4bb8d608fc3628847019d8aadbe8ab6693c8e8701bf6d61",
+    ("weibull", 2): "12a1f2f720f80593dae041fdd998345d98fc288332fde27e3c46ef5458ca9b93",
+    ("gamma", 1): "4e45b1b7e7e4f4dc16c880464b4dd52df43025f1b8949503a1ef2ecb5165d222",
+    ("gamma", 2): "d610e4fd4ae3b5ede441a9f9dd18dcee86de0513357a62a3e2ff4976d4e34356",
+    ("chaotic", 1): "848224ca30cb9fcd402a79360680c04ee79bcc337f96b357a6f37bb8aa1c26ff",
+    ("chaotic", 2): "3453c2a76644738b3e54111ac9d299f9b8db7ff939bc0b51a60895cfe5315bc1",
+}
+
+RUN_ARGV = {
+    "gaussian": ["--engine-param", "mu=0.5", "--engine-param", "sigma=2"],
+    "weibull": ["--engine-param", "lambda=1.5", "--engine-param", "k=2"],
+    "gamma": ["--engine-param", "alpha=3", "--engine-param", "beta=2"],
+    "chaotic": ["--engine-param", "r0=3.7", "--engine-param", "warmup=4", "--no-swarming"],
+}
+
+RUN_FILE_DIGESTS = {
+    "gaussian": {
+        "solution.csv": "b1dc38544d0236ab3e394835975b390bf8a87862064cbacf13cf78a0bb37f07c",
+        "trace.csv": "24f589bad27875128c4319ce8155980fcda69ec284e9d53ddf2880481545cb78",
+    },
+    "weibull": {
+        "solution.csv": "0b82a4f6612bd1552c6e9044378f2c6764131cc57ea45ddee281b5e57bac5f22",
+        "trace.csv": "860373cecaf33f26c6b02cb87566130fcd204ca0ba9fc99efeb7a97870855949",
+    },
+    "gamma": {
+        "solution.csv": "4de5dd93e168f6a21d9e9efda37d2c3207c5cc367c5bd165634e832ac018a9c9",
+        "trace.csv": "239d1416a5a732e764e0efbe708d3e5d57b41fa40745c98f99d1e616c14adef9",
+    },
+    "chaotic": {
+        "solution.csv": "2cfb3ee7d33de9619edd643e67a5297b2c07a8511a25e99ccc2575a751fa3cd1",
+        "trace.csv": "1c618e768d66bbe6f307e5bfd88506643e36db936dbda358b1edb2feaa51c423",
+    },
+}
+
+SWEEP_ARGV = [
+    "sweep", "--engines", "gaussian,weibull,gamma,chaotic", "--seed", "2024", "--runs", "2",
+    "--weight-step", "0.5", "--weight-min", "0.0", "--pop", "4", "--nc", "2", "--nr", "2",
+    "--nt", "5", "--aer-threshold", "0.001",
+]
+
+SWEEP_FILE_DIGESTS = {
+    "frontier_chaotic.csv": "61418c0339327e4089a2e272c115e51a2d2caedc82a493336b3edd334e539992",
+    "frontier_chaotic.dat": "5d83276a1adb6ba0f0db7deacaa5df30793950b0422ccfe8ec3102a7332f60da",
+    "frontier_gamma.csv": "a68d2510f28ee108ca1b2a638786d981e4cc514225dbeb9f42428f5e9adf5eab",
+    "frontier_gamma.dat": "36839534d3839f9b7308a8684c3643c0973243ef05f95906d1b759a5c553d5e4",
+    "frontier_gaussian.csv": "3733a77a5f1808467cd958229102ee62160d4383da0e0e2b82f0da670328505e",
+    "frontier_gaussian.dat": "df3312180c3977462f4b2bbd6378d6170c8a92ef074ebad655f65669a8630e75",
+    "frontier_weibull.csv": "035f03d7d12a9826894ee2570ebe4d05bf955fa146cdaebf07fca7e2fc600fc3",
+    "frontier_weibull.dat": "a9f0119c97885a3f2c343d1f2619566a8bc076847312eb283341973b52f6bd29",
+    "metrics.dat": "fe50e6828ea8afd93ffc6cb3940b5070baecaad71e0f1f45f476bc34802014e6",
+    "plot_frontiers.gp": "1bb9d4c849ac379fcf138a5f2615ce238013ec71c403cdd77d2ac7e026647abe",
+    "plot_metrics.gp": "126b93bd9112171d48c9228e848b3e6df750e30e27b13a14433e37b014908887",
+    "report.json": "dfc52fa22b37738d5e053c0feae98622608c3818bb1e43fb3258265d3bde22fe",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def result_digest(result) -> str:
+    fields = (
+        result.best_theta, result.best_f, result.trace, result.evaluations,
+        result.seed, result.best_decision, result.best_objectives,
+    )
+    return sha256(repr(fields).encode())
+
+
+def dir_digests(out_dir) -> dict:
+    return {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
+
+
+@pytest.mark.parametrize("kind,seed", sorted(RUN_DIGESTS))
+def test_run_bfa_fields_match_golden(kind, seed):
+    result = run_bfa(WEIGHTS, PARAMS, EngineConfig(kind=EngineKind(kind), seed=seed))
+    assert result_digest(result) == RUN_DIGESTS[(kind, seed)]
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_FILE_DIGESTS))
+def test_run_out_files_match_golden(kind, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("nt = 7\npop = 5\nwrep = 9.5\nweights = 0.2,0.3,0.4,0.1\n")
+    out_dir = tmp_path / "out"
+    code = dispatch(["run", "--engine", kind, "--seed", "31", "--config", str(config),
+                     "--out", str(out_dir), *RUN_ARGV[kind]])
+    assert code == 0
+    assert dir_digests(out_dir) == RUN_FILE_DIGESTS[kind]
+
+
+def test_sweep_out_and_plot_files_match_golden(tmp_path):
+    out_dir = tmp_path / "sweep"
+    code = dispatch([*SWEEP_ARGV, "--out", str(out_dir), "--plot"])
+    assert code == 0
+    assert dir_digests(out_dir) == SWEEP_FILE_DIGESTS

@@ -196,8 +196,13 @@ def test_aer_error_cases():
         aer([5.0], 0.01)
     with pytest.raises(DegenerateTraceError):
         aer([5.0, 0.0, 6.0], 0.01)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateTraceError):
+            aer([1.0, bad, 2.0], 0.01)
     with pytest.raises(ConfigError):
         aer([1.0, 2.0], -0.1)
+    with pytest.raises(ConfigError):
+        aer([1.0, 2.0], math.nan)
 
 
 @given(st.lists(st.floats(0.001, 1e5), min_size=1, max_size=40),

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -158,6 +159,9 @@ def test_weight_vector_validation():
         WeightVector(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ConfigError):
         WeightVector(0.3, 0.3, 0.3, 0.3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            WeightVector(bad, 0.3, 0.3, 0.4)
 
 
 def test_weight_vector_tolerates_float_noise_in_the_sum():
