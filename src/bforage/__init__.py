@@ -6,7 +6,6 @@ exact hypervolume indicator and an average-explorative-rate metric.
 """
 
 from .bfa import (
-    Bacterium,
     BfaParams,
     RunResult,
     SwarmState,

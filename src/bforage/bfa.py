@@ -36,7 +36,6 @@ from .problem import (
 
 __all__ = [
     "BfaParams",
-    "Bacterium",
     "SwarmState",
     "RunResult",
     "initialize_swarm",
@@ -96,25 +95,21 @@ class BfaParams:
 
 
 @dataclass
-class Bacterium:
-    """One swarm member.
+class SwarmState:
+    """Mutable run state: the population as arrays plus the best-so-far archive.
 
-    ``health`` is the running sum of every augmented cost evaluated for
-    this bacterium since the last reproduction event (the initial placement
-    and dispersal re-evaluations included); reproduction resets it to zero.
+    Row ``i`` of ``theta`` (unit-cube position), ``f_plain`` (weighted
+    objective there, no swarming term), ``cost`` (augmented fitness at the
+    last evaluation) and ``health`` is bacterium ``i``. ``health`` is the
+    running sum of every augmented cost evaluated for that bacterium since
+    the last reproduction event (the initial placement and dispersal
+    re-evaluations included); reproduction resets it to zero.
     """
 
-    theta: np.ndarray     # position, unit cube
-    f_plain: float        # weighted objective at theta, no swarming term
-    cost: float           # augmented fitness at the last evaluation
-    health: float
-
-
-@dataclass
-class SwarmState:
-    """Mutable run state: the population plus the best-so-far archive."""
-
-    bacteria: list[Bacterium]
+    theta: np.ndarray      # (S, 4)
+    f_plain: np.ndarray    # (S,)
+    cost: np.ndarray       # (S,)
+    health: np.ndarray     # (S,)
     best_theta: np.ndarray
     best_f: float
     trace: list[float] = field(default_factory=list)
@@ -123,7 +118,7 @@ class SwarmState:
 
     @property
     def size(self) -> int:
-        return len(self.bacteria)
+        return len(self.theta)
 
 
 @dataclass(frozen=True)
@@ -155,8 +150,7 @@ def swarming_term(theta: np.ndarray, swarm: SwarmState, params: BfaParams) -> fl
     distance the two contributions cancel when the heights are equal).
     Distances are squared Euclidean over the normalized coordinates.
     """
-    positions = np.stack([b.theta for b in swarm.bacteria])
-    d = np.sum((positions - theta) ** 2, axis=1)
+    d = np.sum((swarm.theta - theta) ** 2, axis=1)
     attract = -params.h_att * np.exp(-params.w_att * d)
     repel = params.h_rep * np.exp(-params.w_rep * d)
     return float(np.sum(attract) + np.sum(repel))
@@ -168,27 +162,31 @@ def _augmented(f_plain: float, theta: np.ndarray, swarm: SwarmState, params: Bfa
     return f_plain - swarming_term(theta, swarm, params)
 
 
-def _evaluate_at(b: Bacterium, swarm: SwarmState, score: ScoreFn, params: BfaParams) -> None:
-    b.f_plain = score(b.theta)
+def _evaluate_at(i: int, swarm: SwarmState, score: ScoreFn, params: BfaParams) -> float:
+    """Score bacterium ``i`` where it stands; returns its augmented cost."""
+    theta = swarm.theta[i]
+    f_plain = score(theta)
     swarm.evaluations += 1
-    b.cost = _augmented(b.f_plain, b.theta, swarm, params)
-    b.health += b.cost
-    if b.f_plain > swarm.best_f:
-        swarm.best_f = b.f_plain
-        swarm.best_theta = b.theta.copy()
+    cost = _augmented(f_plain, theta, swarm, params)
+    swarm.f_plain[i] = f_plain
+    swarm.cost[i] = cost
+    swarm.health[i] += cost
+    if f_plain > swarm.best_f:
+        swarm.best_f = f_plain
+        swarm.best_theta = theta.copy()
+    return cost
 
 
 def chemotaxis_move(
-    b: Bacterium,
+    i: int,
     direction: np.ndarray,
     swarm: SwarmState,
     score: ScoreFn,
     params: BfaParams,
 ) -> float:
-    """Step ``b`` along ``direction``, clamp, re-evaluate; returns the new cost."""
-    b.theta = clamp_unit(b.theta + params.step_size * direction)
-    _evaluate_at(b, swarm, score, params)
-    return b.cost
+    """Step bacterium ``i`` along ``direction``, clamp, re-evaluate; returns the new cost."""
+    swarm.theta[i] = clamp_unit(swarm.theta[i] + params.step_size * direction)
+    return _evaluate_at(i, swarm, score, params)
 
 
 def initialize_swarm(engine: StochasticEngine, params: BfaParams, score: ScoreFn) -> SwarmState:
@@ -198,13 +196,13 @@ def initialize_swarm(engine: StochasticEngine, params: BfaParams, score: ScoreFn
     unit draw per component), then every cost is evaluated against the
     complete initial swarm.
     """
-    bacteria = []
-    for _ in range(params.pop_size):
-        theta = np.array([engine.sample_unit() for _ in range(N_DIMENSIONS)])
-        bacteria.append(Bacterium(theta=theta, f_plain=0.0, cost=0.0, health=0.0))
-    swarm = SwarmState(bacteria=bacteria, best_theta=bacteria[0].theta.copy(), best_f=-math.inf)
-    for b in swarm.bacteria:
-        _evaluate_at(b, swarm, score, params)
+    theta = np.array([[engine.sample_unit() for _ in range(N_DIMENSIONS)]
+                      for _ in range(params.pop_size)])
+    zeros = np.zeros(params.pop_size)
+    swarm = SwarmState(theta=theta, f_plain=zeros.copy(), cost=zeros.copy(), health=zeros,
+                       best_theta=theta[0].copy(), best_f=-math.inf)
+    for i in range(swarm.size):
+        _evaluate_at(i, swarm, score, params)
     return swarm
 
 
@@ -221,14 +219,14 @@ def chemotaxis_generation(
     follows. Appends the best-so-far value to the trace.
     """
     moves = []
-    for b in swarm.bacteria:
-        previous = _augmented(b.f_plain, b.theta, swarm, params)
+    for i in range(swarm.size):
+        previous = _augmented(swarm.f_plain[i], swarm.theta[i], swarm, params)
         direction = tumble_direction(engine)
-        current = chemotaxis_move(b, direction, swarm, score, params)
+        current = chemotaxis_move(i, direction, swarm, score, params)
         taken = 1
         while taken <= params.n_swim and current > previous:
             previous = current
-            current = chemotaxis_move(b, direction, swarm, score, params)
+            current = chemotaxis_move(i, direction, swarm, score, params)
             taken += 1
         moves.append(taken)
     swarm.last_moves = moves
@@ -239,22 +237,19 @@ def chemotaxis_generation(
 def reproduce(swarm: SwarmState, params: BfaParams) -> SwarmState:
     """Health-ranked cloning: the healthier half survives and splits.
 
-    With population S the top ``ceil(S/2)`` (ties broken by list position)
+    With population S the top ``ceil(S/2)`` (ties broken by row index)
     are kept in rank order and the leading ``S - ceil(S/2)`` of them are
     cloned, so the size is exactly S again. Health resets to zero for
     everyone.
     """
     size = swarm.size
-    order = sorted(range(size), key=lambda i: (-swarm.bacteria[i].health, i))
+    order = np.argsort(-swarm.health, kind="stable")
     keep = (size + 1) // 2
-    survivors = [swarm.bacteria[i] for i in order[:keep]]
-    for b in survivors:
-        b.health = 0.0
-    clones = [
-        Bacterium(theta=b.theta.copy(), f_plain=b.f_plain, cost=b.cost, health=0.0)
-        for b in survivors[: size - keep]
-    ]
-    swarm.bacteria = survivors + clones
+    rows = np.concatenate([order[:keep], order[: size - keep]])
+    swarm.theta = swarm.theta[rows]
+    swarm.f_plain = swarm.f_plain[rows]
+    swarm.cost = swarm.cost[rows]
+    swarm.health = np.zeros(size)
     return swarm
 
 
@@ -269,10 +264,10 @@ def eliminate_disperse(
     One unit draw decides; a dispersed bacterium gets a fresh engine-drawn
     position and is re-evaluated. The best-so-far archive is never erased.
     """
-    for b in swarm.bacteria:
+    for i in range(swarm.size):
         if engine.sample_unit() < params.p_elim:
-            b.theta = np.array([engine.sample_unit() for _ in range(N_DIMENSIONS)])
-            _evaluate_at(b, swarm, score, params)
+            swarm.theta[i] = [engine.sample_unit() for _ in range(N_DIMENSIONS)]
+            _evaluate_at(i, swarm, score, params)
     return swarm
 
 

@@ -75,7 +75,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int_exact(text: str) -> int:
-    value = float(text)
+    try:
+        return int(text)  # exact at any size
+    except ValueError:
+        value = float(text)  # integral decimals such as "3.0" or "1e3"
     if not value.is_integer():  # also rejects inf and nan
         raise ValueError(f"expected an integer, got {text!r}")
     return int(value)
@@ -116,7 +119,7 @@ def read_config_file(path) -> dict[str, tuple[str, int]]:
     """Parse ``key = value`` lines; ``#`` starts a comment.
 
     Returns each value with its line number so later validation can point
-    back at the offending line.
+    back at the offending line. A key given twice is an error.
     """
     entries: dict[str, tuple[str, int]] = {}
     with open(path) as fh:
@@ -130,6 +133,9 @@ def read_config_file(path) -> dict[str, tuple[str, int]]:
             key, value = key.strip().lower(), value.strip()
             if not key or not value:
                 raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
+            if key in entries:
+                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}, "
+                                  f"first given on line {entries[key][1]}")
             entries[key] = (value, line_no)
     return entries
 

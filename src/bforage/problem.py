@@ -74,9 +74,6 @@ class ObjectiveVector(NamedTuple):
     f3: float  # tensile strength
     f4: float  # shear strength
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
-
 
 @dataclass(frozen=True)
 class WeightVector:

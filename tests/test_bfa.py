@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from bforage.bfa import (
-    Bacterium,
     BfaParams,
     SwarmState,
     chemotaxis_generation,
@@ -43,12 +42,10 @@ def sphere_score(u):
 
 
 def small_swarm(positions, params, score=sphere_score):
-    bacteria = [Bacterium(theta=np.array(p, dtype=float), f_plain=0.0, cost=0.0, health=0.0)
-                for p in positions]
-    swarm = SwarmState(bacteria=bacteria, best_theta=bacteria[0].theta.copy(), best_f=-math.inf)
-    for b in bacteria:
-        b.f_plain = score(b.theta)
-    return swarm
+    theta = np.array(positions, dtype=float)
+    return SwarmState(theta=theta, f_plain=np.array([score(t) for t in theta]),
+                      cost=np.zeros(len(theta)), health=np.zeros(len(theta)),
+                      best_theta=theta[0].copy(), best_f=-math.inf)
 
 
 # -- parameters ---------------------------------------------------------------
@@ -93,17 +90,16 @@ def test_initialize_is_deterministic():
     cfg = EngineConfig(kind=EngineKind.WEIBULL, seed=4)
     a = initialize_swarm(make_engine(cfg), params, sphere_score)
     b = initialize_swarm(make_engine(cfg), params, sphere_score)
-    for x, y in zip(a.bacteria, b.bacteria):
-        assert np.array_equal(x.theta, y.theta)
-        assert (x.f_plain, x.cost, x.health) == (y.f_plain, y.cost, y.health)
+    for name in ("theta", "f_plain", "cost", "health"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_initialize_singleton_best_is_sole_member():
     params = BfaParams(pop_size=1)
     swarm = initialize_swarm(make_engine(EngineConfig(kind=EngineKind.GAMMA, seed=2)),
                              params, sphere_score)
-    assert swarm.best_f == swarm.bacteria[0].f_plain
-    assert np.array_equal(swarm.best_theta, swarm.bacteria[0].theta)
+    assert swarm.best_f == swarm.f_plain[0]
+    assert np.array_equal(swarm.best_theta, swarm.theta[0])
 
 
 # -- tumble -------------------------------------------------------------------
@@ -137,18 +133,16 @@ def test_tumble_is_unit_length():
 def test_move_steps_along_the_axis():
     params = BfaParams(step_size=0.1, swarming=False)
     swarm = small_swarm([(0.5, 0.5, 0.5, 0.5)], params)
-    b = swarm.bacteria[0]
-    chemotaxis_move(b, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
-    assert b.theta.tolist() == pytest.approx([0.6, 0.5, 0.5, 0.5], abs=1e-15)
+    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
+    assert swarm.theta[0].tolist() == pytest.approx([0.6, 0.5, 0.5, 0.5], abs=1e-15)
     assert swarm.evaluations == 1
 
 
 def test_move_clamps_at_the_boundary():
     params = BfaParams(step_size=0.1, swarming=False)
     swarm = small_swarm([(0.98, 0.5, 0.5, 0.5)], params)
-    b = swarm.bacteria[0]
-    chemotaxis_move(b, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
-    assert b.theta.tolist() == [1.0, 0.5, 0.5, 0.5]
+    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
+    assert swarm.theta[0].tolist() == [1.0, 0.5, 0.5, 0.5]
 
 
 def test_zero_step_leaves_position_and_cost_unchanged():
@@ -156,21 +150,19 @@ def test_zero_step_leaves_position_and_cost_unchanged():
     params = SimpleNamespace(step_size=0.0, swarming=False,
                              w_rep=10.0, w_att=0.2, h_rep=0.1, h_att=0.1)
     swarm = small_swarm([(0.25, 0.5, 0.5, 0.5)], params)
-    b = swarm.bacteria[0]
-    before_cost = sphere_score(b.theta)
-    chemotaxis_move(b, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
-    assert b.theta.tolist() == [0.25, 0.5, 0.5, 0.5]
-    assert b.cost == before_cost
+    before_cost = sphere_score(swarm.theta[0])
+    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
+    assert swarm.theta[0].tolist() == [0.25, 0.5, 0.5, 0.5]
+    assert swarm.cost[0] == before_cost
 
 
 def test_move_accumulates_health():
     params = BfaParams(step_size=0.05, swarming=False)
     swarm = small_swarm([(0.5, 0.5, 0.5, 0.5)], params)
-    b = swarm.bacteria[0]
-    chemotaxis_move(b, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere_score, params)
-    first = b.cost
-    chemotaxis_move(b, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere_score, params)
-    assert b.health == first + b.cost
+    chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere_score, params)
+    first = swarm.cost[0]
+    chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere_score, params)
+    assert swarm.health[0] == first + swarm.cost[0]
 
 
 # -- swarming term ---------------------------------------------------------------
@@ -179,7 +171,7 @@ def test_move_accumulates_health():
 def test_swarming_cancels_when_all_bacteria_coincide():
     params = BfaParams()
     swarm = small_swarm([(0.3, 0.3, 0.3, 0.3)] * 7, params)
-    assert swarming_term(swarm.bacteria[0].theta, swarm, params) == 0.0
+    assert swarming_term(swarm.theta[0], swarm, params) == 0.0
 
 
 def test_swarming_single_member_hand_value():
@@ -249,24 +241,23 @@ def test_trace_grows_by_one_per_generation():
 def test_reproduce_even_population():
     params = BfaParams(pop_size=4)
     swarm = small_swarm([(0.1,) * 4, (0.2,) * 4, (0.3,) * 4, (0.4,) * 4], params)
-    for b, h in zip(swarm.bacteria, (10.0, 9.0, 1.0, 0.0)):
-        b.health = h
+    swarm.health[:] = (10.0, 9.0, 1.0, 0.0)
     reproduce(swarm, params)
     assert swarm.size == 4
-    thetas = [tuple(b.theta) for b in swarm.bacteria]
+    thetas = [tuple(t) for t in swarm.theta]
     assert thetas == [(0.1,) * 4, (0.2,) * 4, (0.1,) * 4, (0.2,) * 4]
-    assert all(b.health == 0.0 for b in swarm.bacteria)
+    assert swarm.f_plain.tolist() == [sphere_score(t) for t in swarm.theta]
+    assert swarm.health.tolist() == [0.0] * 4
 
 
 def test_reproduce_odd_population_keeps_ceil_half():
     params = BfaParams(pop_size=25)
     swarm = small_swarm([(i / 25.0,) * 4 for i in range(25)], params)
-    for i, b in enumerate(swarm.bacteria):
-        b.health = float(i)  # bacterium 24 is healthiest
+    swarm.health[:] = np.arange(25.0)  # bacterium 24 is healthiest
     reproduce(swarm, params)
     assert swarm.size == 25
-    survivors = [tuple(b.theta) for b in swarm.bacteria[:13]]
-    clones = [tuple(b.theta) for b in swarm.bacteria[13:]]
+    survivors = [tuple(t) for t in swarm.theta[:13]]
+    clones = [tuple(t) for t in swarm.theta[13:]]
     assert survivors == [((24 - i) / 25.0,) * 4 for i in range(13)]
     assert clones == survivors[:12]
 
@@ -274,20 +265,30 @@ def test_reproduce_odd_population_keeps_ceil_half():
 def test_reproduce_breaks_ties_by_position():
     params = BfaParams(pop_size=4)
     swarm = small_swarm([(0.1,) * 4, (0.2,) * 4, (0.3,) * 4, (0.4,) * 4], params)
-    for b in swarm.bacteria:
-        b.health = 5.0
+    swarm.health[:] = 5.0
     reproduce(swarm, params)
-    thetas = [tuple(b.theta) for b in swarm.bacteria]
+    thetas = [tuple(t) for t in swarm.theta]
     assert thetas == [(0.1,) * 4, (0.2,) * 4, (0.1,) * 4, (0.2,) * 4]
+    # mixed ties at odd sizes rank as a sort on (-health, position) does
+    health = [2.0, -1.0, 2.0, 0.0, -1.0, 2.0, 0.0]
+    for size in (5, 7):
+        params = BfaParams(pop_size=size)
+        swarm = small_swarm([(i / 10.0,) * 4 for i in range(size)], params)
+        swarm.health[:] = health[:size]
+        reproduce(swarm, params)
+        ranked = sorted(range(size), key=lambda i: (-health[i], i))
+        keep = (size + 1) // 2
+        rows = ranked[:keep] + ranked[: size - keep]
+        assert [t[0] for t in swarm.theta] == [i / 10.0 for i in rows]
 
 
 def test_clones_are_independent_copies():
     params = BfaParams(pop_size=2)
     swarm = small_swarm([(0.5,) * 4, (0.6,) * 4], params)
-    swarm.bacteria[0].health = 1.0
+    swarm.health[0] = 1.0
     reproduce(swarm, params)
-    swarm.bacteria[0].theta[0] = 0.123
-    assert swarm.bacteria[1].theta[0] != 0.123
+    swarm.theta[0, 0] = 0.123
+    assert swarm.theta[1, 0] != 0.123
 
 
 # -- elimination-dispersal ---------------------------------------------------------
@@ -297,10 +298,10 @@ def test_dispersal_probability_zero_is_a_no_op():
     params = BfaParams(pop_size=5, p_elim=0.0, swarming=False)
     engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
     swarm = initialize_swarm(engine, params, sphere_score)
-    before = [b.theta.copy() for b in swarm.bacteria]
+    before = swarm.theta.copy()
     evals = swarm.evaluations
     eliminate_disperse(swarm, engine, sphere_score, params)
-    assert all(np.array_equal(a, b.theta) for a, b in zip(before, swarm.bacteria))
+    assert np.array_equal(before, swarm.theta)
     assert swarm.evaluations == evals
 
 
@@ -308,12 +309,12 @@ def test_dispersal_probability_one_redraws_everyone():
     params = BfaParams(pop_size=5, p_elim=1.0, swarming=False)
     engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
     swarm = initialize_swarm(engine, params, sphere_score)
-    before = [b.theta.copy() for b in swarm.bacteria]
+    before = swarm.theta.copy()
     evals = swarm.evaluations
     eliminate_disperse(swarm, engine, sphere_score, params)
     assert swarm.size == 5
     assert swarm.evaluations == evals + 5
-    assert all(not np.array_equal(a, b.theta) for a, b in zip(before, swarm.bacteria))
+    assert all(not np.array_equal(a, t) for a, t in zip(before, swarm.theta))
 
 
 def test_dispersal_never_erases_the_archive():
@@ -355,15 +356,15 @@ def test_population_and_feasibility_invariants_throughout_a_run():
     sizes, thetas_ok = [], []
 
     def watch(_, swarm):
-        sizes.append(swarm.size)
+        sizes.append((swarm.size, *(len(a) for a in (swarm.f_plain, swarm.cost, swarm.health))))
         thetas_ok.append(all(
-            float(b.theta.min()) >= 0.0 and float(b.theta.max()) <= 1.0
-            for b in swarm.bacteria
+            float(t.min()) >= 0.0 and float(t.max()) <= 1.0
+            for t in swarm.theta
         ))
 
     run_bfa(WEIGHTS, BfaParams(n_total=30, pop_size=9),
             EngineConfig(kind=EngineKind.WEIBULL, seed=55), observer=watch)
-    assert sizes == [9] * 30
+    assert sizes == [(9, 9, 9, 9)] * 30
     assert all(thetas_ok)
 
 
@@ -384,7 +385,7 @@ def test_swarming_disabled_means_cost_equals_plain_objective():
     costs_match = []
 
     def watch(_, swarm):
-        costs_match.append(all(b.cost == b.f_plain for b in swarm.bacteria))
+        costs_match.append(bool(np.all(swarm.cost == swarm.f_plain)))
 
     run_bfa(WEIGHTS, BfaParams(n_total=10, pop_size=6, swarming=False),
             EngineConfig(kind=EngineKind.GAUSSIAN, seed=10), observer=watch)

@@ -174,10 +174,14 @@ def test_config_file_bad_value_reports_line(capsys, tmp_path):
     assert code == 2
     assert "p_elim" in err or "ped" in err
     for key in ("warmup", "nt"):
-        config.write_text(f"nt = 5\n{key} = inf\nseed = 1\n")
+        config.write_text(f"pop = 4\n{key} = inf\nseed = 1\n")
         code, _, err = run_cli(capsys, "run", "--config", str(config))
         assert code == 2
         assert f":2: bad value for {key!r}" in err
+    config.write_text("nt = 5\npop = 4\nNT = 3\nseed = 1\n")
+    code, _, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 2
+    assert ":3: duplicate key 'nt', first given on line 1" in err
 
 
 def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
@@ -187,6 +191,11 @@ def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--config", str(config))
     assert code == 0
     assert "nt = 3" in err.splitlines() and "alpha = 2" in err.splitlines()
+    # integer literals parse exactly, beyond float precision (warmup is inert off chaotic)
+    config.write_text("nt = 2\npop = 2\nwarmup = 9007199254740993\nseed = 1\n")
+    code, _, err = run_cli(capsys, "run", "--engine", "gaussian", "--config", str(config))
+    assert code == 0
+    assert "warmup = 9007199254740993" in err.splitlines()
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -1,12 +1,14 @@
 """Golden outputs: run results and every file the CLI writes stay byte-identical.
 
 The digests were recorded from the program as it stood before the
-persistence, CLI-table and run-entry-point merges, so a refactor that
-changes any written byte, or any field of a run result, fails here. A
+persistence, CLI-table and run-entry-point merges (the odd-population run
+before the swarm moved from a list of objects to arrays), so a refactor
+that changes any written byte, or any field of a run result, fails here. A
 declared numerics change must re-record them and say why in CHANGES.md.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -18,16 +20,22 @@ from bforage.problem import WeightVector
 WEIGHTS = WeightVector(0.7, 0.1, 0.1, 0.1)
 PARAMS = BfaParams(n_total=12, pop_size=6, n_chemo=3, n_repro=2)
 
+# (engine, seed, pop_size): an odd swarm keeps ceil(S/2) bacteria at each
+# reproduction and clones only the first floor(S/2) of them
 RUN_DIGESTS = {
-    ("gaussian", 1): "09138c4eee72c388a47c09771af1ee64bab17ca2810fd7c3dedfc2ba4c360da5",
-    ("gaussian", 2): "300f69d10eaf84744ba3c5355643104a700a2615ef21e7f095f8025bfe0457b9",
-    ("weibull", 1): "a9f6cc287dada3c4c4bb8d608fc3628847019d8aadbe8ab6693c8e8701bf6d61",
-    ("weibull", 2): "12a1f2f720f80593dae041fdd998345d98fc288332fde27e3c46ef5458ca9b93",
-    ("gamma", 1): "4e45b1b7e7e4f4dc16c880464b4dd52df43025f1b8949503a1ef2ecb5165d222",
-    ("gamma", 2): "d610e4fd4ae3b5ede441a9f9dd18dcee86de0513357a62a3e2ff4976d4e34356",
-    ("chaotic", 1): "848224ca30cb9fcd402a79360680c04ee79bcc337f96b357a6f37bb8aa1c26ff",
-    ("chaotic", 2): "3453c2a76644738b3e54111ac9d299f9b8db7ff939bc0b51a60895cfe5315bc1",
+    ("gaussian", 1, 6): "09138c4eee72c388a47c09771af1ee64bab17ca2810fd7c3dedfc2ba4c360da5",
+    ("gaussian", 2, 6): "300f69d10eaf84744ba3c5355643104a700a2615ef21e7f095f8025bfe0457b9",
+    ("weibull", 1, 6): "a9f6cc287dada3c4c4bb8d608fc3628847019d8aadbe8ab6693c8e8701bf6d61",
+    ("weibull", 2, 6): "12a1f2f720f80593dae041fdd998345d98fc288332fde27e3c46ef5458ca9b93",
+    ("gamma", 1, 6): "4e45b1b7e7e4f4dc16c880464b4dd52df43025f1b8949503a1ef2ecb5165d222",
+    ("gamma", 2, 6): "d610e4fd4ae3b5ede441a9f9dd18dcee86de0513357a62a3e2ff4976d4e34356",
+    ("chaotic", 1, 6): "848224ca30cb9fcd402a79360680c04ee79bcc337f96b357a6f37bb8aa1c26ff",
+    ("chaotic", 2, 6): "3453c2a76644738b3e54111ac9d299f9b8db7ff939bc0b51a60895cfe5315bc1",
+    ("gaussian", 3, 5): "9f268caa8994a5c0db257042f71766efb543e7622098e6ebfea10277d33d1d4b",
 }
+RUN_CASES = sorted(RUN_DIGESTS)
+RUN_CASE_IDS = [f"{kind}-{seed}" + ("" if pop == PARAMS.pop_size else f"-pop{pop}")
+                for kind, seed, pop in RUN_CASES]
 
 RUN_ARGV = {
     "gaussian": ["--engine-param", "mu=0.5", "--engine-param", "sigma=2"],
@@ -93,10 +101,11 @@ def dir_digests(out_dir) -> dict:
     return {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("kind,seed", sorted(RUN_DIGESTS))
-def test_run_bfa_fields_match_golden(kind, seed):
-    result = run_bfa(WEIGHTS, PARAMS, EngineConfig(kind=EngineKind(kind), seed=seed))
-    assert result_digest(result) == RUN_DIGESTS[(kind, seed)]
+@pytest.mark.parametrize("kind,seed,pop", RUN_CASES, ids=RUN_CASE_IDS)
+def test_run_bfa_fields_match_golden(kind, seed, pop):
+    params = replace(PARAMS, pop_size=pop)
+    result = run_bfa(WEIGHTS, params, EngineConfig(kind=EngineKind(kind), seed=seed))
+    assert result_digest(result) == RUN_DIGESTS[(kind, seed, pop)]
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_FILE_DIGESTS))
