@@ -302,6 +302,20 @@ def test_hvi_bad_reference_is_metric_error(capsys, tmp_path):
     assert code == 3
 
 
+def test_hvi_non_finite_reference_or_bad_seed_is_config_error(capsys, tmp_path):
+    from test_experiment import make_record
+
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
+    for ref in ("0,0,0,-inf", "0,nan,0,0", "inf,0,0,0"):
+        for method in (["--method", "exact"], ["--method", "mc", "--seed", "1"]):
+            code, out, err = run_cli(capsys, "hvi", "--input", str(path), f"--ref={ref}", *method)
+            assert code == 2 and out == "" and "finite" in err
+    code, out, err = run_cli(capsys, "hvi", "--input", str(path), "--method", "mc",
+                             "--seed", "-1")
+    assert code == 2 and out == "" and "seed" in err
+
+
 def test_aer_command(capsys, tmp_path):
     path = tmp_path / "trace.csv"
     write_trace_csv([100.0, 102.0, 102.5, 112.75, 112.75], path)

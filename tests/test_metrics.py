@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bforage.errors import ConfigError, DegenerateTraceError, ReferencePointError
-from bforage.metrics import aer, hvi_exact, hvi_monte_carlo, hvi_percent_gap, pareto_filter
+from bforage.metrics import (
+    _MC_CHUNK,
+    aer,
+    hvi_exact,
+    hvi_monte_carlo,
+    hvi_percent_gap,
+    pareto_filter,
+)
+from hypervolume_oracle import recursive_sweep_volume, unchunked_monte_carlo
 
 
 def union_volume_by_inclusion_exclusion(points, ref):
@@ -21,6 +30,14 @@ def union_volume_by_inclusion_exclusion(points, ref):
             volume = math.prod(max(s, 0.0) for s in sides)
             total += volume if r % 2 == 1 else -volume
     return total
+
+
+def sphere_front(seed, n, dim=4):
+    """``n`` mutually nondominated points: positive-orthant sphere directions, scaled per axis."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    directions = np.abs(rng.standard_normal((n, dim)))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    return 100.0 + directions * rng.uniform(300.0, 900.0, size=dim)
 
 
 # -- pareto filter ------------------------------------------------------------
@@ -71,8 +88,20 @@ def test_hvi_empty_set_is_zero():
 
 
 def test_hvi_rejects_points_below_reference():
-    with pytest.raises(ReferencePointError):
+    message = r"^point \(2\.0, -0\.5\) does not weakly dominate the reference \(0\.0, 0\.0\)$"
+    with pytest.raises(ReferencePointError, match=message):
         hvi_exact([(1.0, 2.0), (2.0, -0.5)], (0.0, 0.0))
+    with pytest.raises(ReferencePointError, match=message):
+        hvi_monte_carlo([(1.0, 2.0), (2.0, -0.5)], np.zeros(2), samples=10, seed=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hvi_rejects_non_finite_reference(bad):
+    for points in ([(1.0, 2.0, 3.0)], []):
+        with pytest.raises(ConfigError, match="finite"):
+            hvi_exact(points, (0.0, 0.0, bad))
+        with pytest.raises(ConfigError, match="finite"):
+            hvi_monte_carlo(points, (bad, 0.0, 0.0), samples=10, seed=1)
 
 
 def test_hvi_rejects_dimension_mismatch_and_too_many_dims():
@@ -89,7 +118,7 @@ def test_hvi_duplicates_and_dominated_points_contribute_nothing():
     assert hvi_exact(padded, ref) == hvi_exact(base, ref)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_hvi_matches_inclusion_exclusion_oracle(dim):
     rng = np.random.Generator(np.random.PCG64(2718))
     for _ in range(100):
@@ -99,6 +128,28 @@ def test_hvi_matches_inclusion_exclusion_oracle(dim):
         want = union_volume_by_inclusion_exclusion(pts, ref)
         got = hvi_exact(pts, ref)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+@given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+    st.tuples(*[st.integers(0, 4)] * dim), min_size=1, max_size=9)))
+@settings(max_examples=200, deadline=None)
+def test_hvi_integer_grid_fronts_are_exact(raw):
+    # small integers tie often; a duplicate and a dominated copy ride along,
+    # and every volume is an integer the oracles also compute without rounding
+    pts = np.array(raw, dtype=float)
+    pts = np.vstack([pts, pts[:1], np.maximum(pts[-1:] - 1.0, 0.0)])
+    ref = np.zeros(pts.shape[1])
+    want = union_volume_by_inclusion_exclusion(pts, ref)
+    assert hvi_exact(pts, ref) == want
+    assert recursive_sweep_volume(pts, ref) == want
+
+
+@pytest.mark.parametrize("n", [84, 200])
+def test_hvi_agrees_with_recursive_sweep_on_sphere_fronts(n):
+    pts = sphere_front(n, n)
+    ref = np.full(4, 50.0)
+    want = recursive_sweep_volume(pts, ref)
+    assert abs(hvi_exact(pts, ref) - want) <= 1e-12 * want
 
 
 def test_hvi_monotone_under_point_addition():
@@ -169,10 +220,36 @@ def test_monte_carlo_agrees_with_exact_on_random_sets():
 
 
 def test_monte_carlo_validates_inputs():
-    with pytest.raises(ConfigError):
-        hvi_monte_carlo([(1.0, 1.0)], (0.0, 0.0), samples=0, seed=1)
+    for samples in (0, -3, 2.5, 10.0, True, "10"):
+        with pytest.raises(ConfigError, match="samples"):
+            hvi_monte_carlo([(1.0, 1.0)], (0.0, 0.0), samples=samples, seed=1)
+    for seed in (-1, 1.5, 1.0, True, None, "1"):
+        with pytest.raises(ConfigError, match="seed"):
+            hvi_monte_carlo([(1.0, 1.0)], (0.0, 0.0), samples=10, seed=seed)
     with pytest.raises(ReferencePointError):
         hvi_monte_carlo([(-1.0, 1.0)], (0.0, 0.0), samples=10, seed=1)
+    # numpy integers are integers
+    assert hvi_monte_carlo([(1.0, 1.0)], (0.0, 0.0), samples=np.int64(10), seed=np.uint64(1)) == 1.0
+
+
+@pytest.mark.parametrize("samples", [1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 7])
+def test_monte_carlo_chunks_match_unchunked_reference(samples):
+    assert _MC_CHUNK == 2**16
+    for dim, seed in ((4, samples), (2, samples + 1)):
+        pts = sphere_front(seed, 30, dim)
+        ref = np.full(dim, 50.0)
+        assert hvi_monte_carlo(pts, ref, samples, seed) == unchunked_monte_carlo(pts, ref, samples, seed)
+
+
+def test_monte_carlo_memory_is_bounded():
+    pts = sphere_front(7, 84)
+    tracemalloc.start()
+    try:
+        hvi_monte_carlo(pts, np.zeros(4), samples=1_000_000, seed=7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # -- average explorative rate ----------------------------------------------------
