@@ -143,6 +143,31 @@ def tumble_direction(engine: StochasticEngine) -> np.ndarray:
             return delta / norm
 
 
+def _potentials(points: np.ndarray, swarm: SwarmState, params: BfaParams,
+                i: Optional[int] = None) -> np.ndarray:
+    """Cell-to-cell potential at each row of ``points`` (K, 4), as a (K,) array.
+
+    With ``i`` given, bacterium ``i`` stands at each point in turn, so its
+    distance is zero there whatever ``swarm.theta[i]`` holds. The result is
+    bit-identical to scoring each point alone: the squared distances are
+    summed over the leading axis of a (4, K, S) array, which adds the
+    coordinates in order, ``((d0 + d1) + d2) + d3``, as ``np.sum(..., axis=1)``
+    does over four columns, and numpy's ``exp`` gives the same value for an
+    element whatever the shape of the array around it.
+    """
+    squares = np.subtract(swarm.theta.T[:, None, :], points.T[:, :, None], order="C")
+    squares *= squares
+    d = np.add.reduce(squares, axis=0)
+    if i is not None:
+        d[:, i] = 0.0
+    signals = np.multiply.outer((-params.w_att, -params.w_rep), d)
+    np.exp(signals, out=signals)
+    signals[0] *= -params.h_att  # attractant wells
+    signals[1] *= params.h_rep   # repellent hills
+    attract, repel = np.add.reduce(signals, axis=2)
+    return attract + repel
+
+
 def swarming_term(theta: np.ndarray, swarm: SwarmState, params: BfaParams) -> float:
     """Cell-to-cell potential at ``theta``: attractant wells plus repellent hills.
 
@@ -150,24 +175,29 @@ def swarming_term(theta: np.ndarray, swarm: SwarmState, params: BfaParams) -> fl
     distance the two contributions cancel when the heights are equal).
     Distances are squared Euclidean over the normalized coordinates.
     """
-    d = np.sum((swarm.theta - theta) ** 2, axis=1)
-    attract = -params.h_att * np.exp(-params.w_att * d)
-    repel = params.h_rep * np.exp(-params.w_rep * d)
-    return float(np.sum(attract) + np.sum(repel))
+    return float(_potentials(np.reshape(theta, (1, N_DIMENSIONS)), swarm, params)[0])
 
 
-def _augmented(f_plain: float, theta: np.ndarray, swarm: SwarmState, params: BfaParams) -> float:
-    if not params.swarming:
-        return f_plain
-    return f_plain - swarming_term(theta, swarm, params)
+def _evaluate_at(
+    i: int,
+    swarm: SwarmState,
+    score: ScoreFn,
+    params: BfaParams,
+    potential: Optional[float] = None,
+) -> float:
+    """Score bacterium ``i`` where it stands; returns its augmented cost.
 
-
-def _evaluate_at(i: int, swarm: SwarmState, score: ScoreFn, params: BfaParams) -> float:
-    """Score bacterium ``i`` where it stands; returns its augmented cost."""
+    ``potential`` is the swarming term there when the caller has computed
+    it already; without swarming the cost is the plain objective.
+    """
     theta = swarm.theta[i]
     f_plain = score(theta)
     swarm.evaluations += 1
-    cost = _augmented(f_plain, theta, swarm, params)
+    cost = f_plain
+    if params.swarming:
+        if potential is None:
+            potential = _potentials(swarm.theta[i : i + 1], swarm, params, i)[0]
+        cost = f_plain - potential
     swarm.f_plain[i] = f_plain
     swarm.cost[i] = cost
     swarm.health[i] += cost
@@ -206,6 +236,22 @@ def initialize_swarm(engine: StochasticEngine, params: BfaParams, score: ScoreFn
     return swarm
 
 
+def _swim_path(start: np.ndarray, direction: np.ndarray, params: BfaParams) -> np.ndarray:
+    """``start`` and the ``n_swim + 1`` positions one tumble can reach, as rows.
+
+    Each axis moves in one fixed direction for the whole swim, so once a
+    coordinate is clamped at a face of the cube the running sum stays past
+    that face: clipping the cumulative sum once equals clamping after every
+    step, bit for bit.
+    """
+    steps = np.empty((params.n_swim + 2, N_DIMENSIONS))
+    steps[0] = start
+    steps[1:] = params.step_size * direction
+    path = np.add.accumulate(steps, axis=0)
+    path[1:].clip(0.0, 1.0, out=path[1:])
+    return path
+
+
 def chemotaxis_generation(
     swarm: SwarmState,
     engine: StochasticEngine,
@@ -216,18 +262,24 @@ def chemotaxis_generation(
 
     The swim gate compares augmented fitness before and after each move; a
     move is always committed, the gate only decides whether another one
-    follows. Appends the best-so-far value to the trace.
+    follows. The other bacteria stand still during a swim, so the swarming
+    term along the whole reachable path comes from one batched call per
+    tumble, while ``score`` is called only at committed positions, in
+    order. Appends the best-so-far value to the trace.
     """
     moves = []
     for i in range(swarm.size):
-        previous = _augmented(swarm.f_plain[i], swarm.theta[i], swarm, params)
         direction = tumble_direction(engine)
-        current = chemotaxis_move(i, direction, swarm, score, params)
-        taken = 1
-        while taken <= params.n_swim and current > previous:
+        path = _swim_path(swarm.theta[i], direction, params)
+        # without swarming the potentials are ignored and previous is f_plain exactly
+        potentials = _potentials(path, swarm, params, i) if params.swarming else np.zeros(len(path))
+        previous = swarm.f_plain[i] - potentials[0]
+        for taken in range(1, len(path)):
+            swarm.theta[i] = path[taken]
+            current = _evaluate_at(i, swarm, score, params, potentials[taken])
+            if not current > previous:
+                break
             previous = current
-            current = chemotaxis_move(i, direction, swarm, score, params)
-            taken += 1
         moves.append(taken)
     swarm.last_moves = moves
     swarm.trace.append(swarm.best_f)

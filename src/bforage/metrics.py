@@ -47,6 +47,7 @@ __all__ = [
 
 _MAX_DIMENSION = 4
 _MC_CHUNK = 1 << 16  # Monte Carlo samples drawn and tested at a time
+_PARETO_BLOCK = 256  # rows the Pareto mask compares with every point at a time
 
 
 def _as_point_matrix(points) -> np.ndarray:
@@ -63,13 +64,24 @@ def _as_point_matrix(points) -> np.ndarray:
 
 
 def _nondominated_mask(pts: np.ndarray) -> np.ndarray:
-    # ge[i, j]: point j is >= point i in every coordinate
-    ge = (pts[None, :, :] >= pts[:, None, :]).all(axis=-1)
-    gt = (pts[None, :, :] > pts[:, None, :]).any(axis=-1)
-    dominated = (ge & gt).any(axis=1)
-    equal = ge & ge.T
-    duplicate = np.triu(equal, k=1).any(axis=0)  # keep the first of equal rows
-    return ~dominated & ~duplicate
+    # rows are compared with every point a block at a time, one coordinate
+    # at a time, so the temporaries are _PARETO_BLOCK x n booleans
+    n = len(pts)
+    keep = np.empty(n, dtype=bool)
+    for start in range(0, n, _PARETO_BLOCK):
+        rows = pts[start : start + _PARETO_BLOCK]
+        # ge[r, j]: point j is >= row r in every coordinate; eq: equal in every one
+        ge = np.ones((len(rows), n), dtype=bool)
+        eq = np.ones((len(rows), n), dtype=bool)
+        for column, values in zip(pts.T, rows.T):
+            ge &= column >= values[:, None]
+            eq &= column == values[:, None]
+        dominated = (ge & ~eq).any(axis=1)
+        # keep the first of equal rows
+        earlier = np.arange(n) < np.arange(start, start + len(rows))[:, None]
+        duplicate = (eq & earlier).any(axis=1)
+        keep[start : start + len(rows)] = ~dominated & ~duplicate
+    return keep
 
 
 def pareto_filter(points) -> np.ndarray:

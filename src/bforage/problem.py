@@ -115,7 +115,7 @@ def evaluate(x: DecisionVector | Sequence[float]) -> ObjectiveVector:
         a * a, b * b, c * c, d * d,
         a * b, a * c, a * d, b * c, b * d, c * d,
     ])
-    return ObjectiveVector(*(float(v) for v in COEFFICIENTS @ terms))
+    return ObjectiveVector._make((COEFFICIENTS @ terms).tolist())
 
 
 def aggregate(f: ObjectiveVector | Sequence[float], w: WeightVector) -> float:
@@ -127,7 +127,7 @@ def aggregate(f: ObjectiveVector | Sequence[float], w: WeightVector) -> float:
 def to_physical(u: Sequence[float] | np.ndarray) -> DecisionVector:
     """Map unit-cube coordinates onto the variable box (affine, per axis)."""
     values = LOWER_BOUNDS + np.asarray(u, dtype=float) * _SPAN
-    return DecisionVector(*(float(v) for v in values))
+    return DecisionVector._make(values.tolist())
 
 
 def to_unit(x: DecisionVector | Sequence[float]) -> np.ndarray:

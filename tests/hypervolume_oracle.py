@@ -5,9 +5,11 @@ grid dimension sweep: it sorts on the last objective and recomputes the
 volume of every nondominated slab one dimension down, so it costs about
 n^2.5 on 4-D fronts. ``unchunked_monte_carlo`` is the sampling estimator
 before chunking: it holds every sample at once and re-indexes the
-uncovered ones after each point. Both are kept here, free of imports from
-the package, as oracles: the exact one agrees with the package to rounding,
-the sampling one to the last bit.
+uncovered ones after each point. ``nondominated_mask`` is the Pareto mask
+before it compared rows a block at a time: it builds every n x n x d
+comparison at once. All are kept here, free of imports from the package, as
+oracles: the exact volume agrees with the package to rounding, the sampling
+estimate and the mask to the last bit.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from bforage import bfa
 from bforage.bfa import (
     BfaParams,
     SwarmState,
@@ -17,9 +18,10 @@ from bforage.bfa import (
     swarming_term,
     tumble_direction,
 )
+from bforage.bfa import _potentials, _swim_path
 from bforage.engines import EngineConfig, EngineKind, make_engine
 from bforage.errors import BudgetError, ConfigError, DomainError
-from bforage.problem import WeightVector
+from bforage.problem import WeightVector, clamp_unit
 
 WEIGHTS = WeightVector(0.1, 0.7, 0.1, 0.1)
 
@@ -46,6 +48,26 @@ def small_swarm(positions, params, score=sphere_score):
     return SwarmState(theta=theta, f_plain=np.array([score(t) for t in theta]),
                       cost=np.zeros(len(theta)), health=np.zeros(len(theta)),
                       best_theta=theta[0].copy(), best_f=-math.inf)
+
+
+def stepwise_generation(swarm, engine, score, params):
+    """The swim as it ran before batching: one move and one swarming term at a time."""
+    moves = []
+    for i in range(swarm.size):
+        previous = swarm.f_plain[i]
+        if params.swarming:
+            previous = previous - swarming_term(swarm.theta[i], swarm, params)
+        direction = tumble_direction(engine)
+        current = chemotaxis_move(i, direction, swarm, score, params)
+        taken = 1
+        while taken <= params.n_swim and current > previous:
+            previous = current
+            current = chemotaxis_move(i, direction, swarm, score, params)
+            taken += 1
+        moves.append(taken)
+    swarm.last_moves = moves
+    swarm.trace.append(swarm.best_f)
+    return swarm
 
 
 # -- parameters ---------------------------------------------------------------
@@ -188,6 +210,43 @@ def test_swarming_zero_heights_zero_term():
     assert swarming_term(np.array([0.5, 0.5, 0.5, 0.5]), swarm, params) == 0.0
 
 
+@pytest.mark.parametrize("size", [1, 2, 5, 8, 9, 25])
+def test_path_potentials_equal_swarming_term_at_each_point(size):
+    # the batch stands bacterium i at each path point in turn; numpy sums 8
+    # or more values pairwise, so sizes on both sides of 8 are covered
+    params = BfaParams(step_size=0.3, n_swim=6)
+    rng = np.random.default_rng(size)
+    swarm = small_swarm(rng.random((size, 4)), params)
+    engine = make_engine(EngineConfig(kind=EngineKind.GAMMA, seed=size))
+    for i in range(size):
+        path = _swim_path(swarm.theta[i], tumble_direction(engine), params)
+        assert ((path[1:] == 0.0) | (path[1:] == 1.0)).any()  # the swim reaches a face
+        potentials = _potentials(path, swarm, params, i)
+        assert potentials.shape == (len(path),)
+        for point, potential in zip(path, potentials):
+            moved = small_swarm(swarm.theta, params)
+            moved.theta[i] = point
+            assert potential == swarming_term(point, moved, params)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.3, 0.9])
+def test_swim_path_equals_iterated_clamp(step):
+    params = BfaParams(step_size=step, n_swim=12)
+    rng = np.random.default_rng(int(step * 100))
+    engine = make_engine(EngineConfig(kind=EngineKind.WEIBULL, seed=2))
+    starts = [rng.random(4) for _ in range(40)] + [np.array([0.0, 1.0, 0.98, 0.02])]
+    faces = 0
+    for start in starts:
+        direction = tumble_direction(engine)
+        path = _swim_path(start, direction, params)
+        expected = [start]
+        for _ in range(params.n_swim + 1):
+            expected.append(clamp_unit(expected[-1] + params.step_size * direction))
+        assert np.array_equal(path, np.array(expected))
+        faces += bool(((path == 0.0) | (path == 1.0)).any())
+    assert faces > 0
+
+
 # -- generation ------------------------------------------------------------------
 
 
@@ -215,6 +274,32 @@ def test_swim_stops_after_a_worsening_first_move():
     swarm = initialize_swarm(engine, params, decreasing_score)
     chemotaxis_generation(swarm, engine, decreasing_score, params)
     assert swarm.last_moves == [1]
+    assert calls["n"] == 2  # the rest of the swim path is never scored
+
+
+@pytest.mark.parametrize("swarming", [True, False])
+def test_score_calls_match_the_stepwise_swim(monkeypatch, swarming):
+    # the batched swim scores exactly the positions the one-move-at-a-time
+    # swim commits, in the same order, once per counted evaluation
+    params = BfaParams(n_total=12, pop_size=9, n_chemo=4, n_repro=2, step_size=0.2,
+                       swarming=swarming)
+    config = EngineConfig(kind=EngineKind.WEIBULL, seed=4)
+
+    def recorded_run():
+        scored = []
+
+        def score(u):  # linear with its maximum at a vertex, so swims run into faces
+            scored.append(tuple(u.tolist()))
+            return float(u[0] + 2.0 * u[1] - u[2] + 0.5 * u[3])
+
+        return run_custom(score, params, config), scored
+
+    batched, batched_calls = recorded_run()
+    monkeypatch.setattr(bfa, "chemotaxis_generation", stepwise_generation)
+    stepwise, stepwise_calls = recorded_run()
+    assert len(batched_calls) == batched.evaluations
+    assert batched_calls == stepwise_calls
+    assert batched == stepwise
 
 
 def test_swim_bound_is_never_exceeded():

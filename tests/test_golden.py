@@ -2,7 +2,8 @@
 
 The digests were recorded from the program as it stood before the
 persistence, CLI-table and run-entry-point merges (the odd-population run
-before the swarm moved from a list of objects to arrays), so a refactor
+before the swarm moved from a list of objects to arrays, the default-size
+runs before the swim path was batched), so a refactor
 that changes any written byte, or any field of a run result, fails here. A
 declared numerics change must re-record them and say why in CHANGES.md.
 """
@@ -20,22 +21,32 @@ from bforage.problem import WeightVector
 WEIGHTS = WeightVector(0.7, 0.1, 0.1, 0.1)
 PARAMS = BfaParams(n_total=12, pop_size=6, n_chemo=3, n_repro=2)
 
-# (engine, seed, pop_size): an odd swarm keeps ceil(S/2) bacteria at each
-# reproduction and clones only the first floor(S/2) of them
+# (engine, seed, pop_size, n_total): an odd swarm keeps ceil(S/2) bacteria
+# at each reproduction and clones only the first floor(S/2) of them; at the
+# default size of 25, numpy sums the swarming potential over the bacteria by
+# 8-way pairwise accumulation instead of one sequential loop
 RUN_DIGESTS = {
-    ("gaussian", 1, 6): "09138c4eee72c388a47c09771af1ee64bab17ca2810fd7c3dedfc2ba4c360da5",
-    ("gaussian", 2, 6): "300f69d10eaf84744ba3c5355643104a700a2615ef21e7f095f8025bfe0457b9",
-    ("weibull", 1, 6): "a9f6cc287dada3c4c4bb8d608fc3628847019d8aadbe8ab6693c8e8701bf6d61",
-    ("weibull", 2, 6): "12a1f2f720f80593dae041fdd998345d98fc288332fde27e3c46ef5458ca9b93",
-    ("gamma", 1, 6): "4e45b1b7e7e4f4dc16c880464b4dd52df43025f1b8949503a1ef2ecb5165d222",
-    ("gamma", 2, 6): "d610e4fd4ae3b5ede441a9f9dd18dcee86de0513357a62a3e2ff4976d4e34356",
-    ("chaotic", 1, 6): "848224ca30cb9fcd402a79360680c04ee79bcc337f96b357a6f37bb8aa1c26ff",
-    ("chaotic", 2, 6): "3453c2a76644738b3e54111ac9d299f9b8db7ff939bc0b51a60895cfe5315bc1",
-    ("gaussian", 3, 5): "9f268caa8994a5c0db257042f71766efb543e7622098e6ebfea10277d33d1d4b",
+    ("gaussian", 1, 6, 12): "09138c4eee72c388a47c09771af1ee64bab17ca2810fd7c3dedfc2ba4c360da5",
+    ("gaussian", 2, 6, 12): "300f69d10eaf84744ba3c5355643104a700a2615ef21e7f095f8025bfe0457b9",
+    ("weibull", 1, 6, 12): "a9f6cc287dada3c4c4bb8d608fc3628847019d8aadbe8ab6693c8e8701bf6d61",
+    ("weibull", 2, 6, 12): "12a1f2f720f80593dae041fdd998345d98fc288332fde27e3c46ef5458ca9b93",
+    ("gamma", 1, 6, 12): "4e45b1b7e7e4f4dc16c880464b4dd52df43025f1b8949503a1ef2ecb5165d222",
+    ("gamma", 2, 6, 12): "d610e4fd4ae3b5ede441a9f9dd18dcee86de0513357a62a3e2ff4976d4e34356",
+    ("chaotic", 1, 6, 12): "848224ca30cb9fcd402a79360680c04ee79bcc337f96b357a6f37bb8aa1c26ff",
+    ("chaotic", 2, 6, 12): "3453c2a76644738b3e54111ac9d299f9b8db7ff939bc0b51a60895cfe5315bc1",
+    ("gaussian", 3, 5, 12): "9f268caa8994a5c0db257042f71766efb543e7622098e6ebfea10277d33d1d4b",
+    ("gaussian", 1, 25, 30): "008461063a5913f371768874c485012a4483ca1de825405bc4bed0243c77150a",
+    ("weibull", 1, 25, 30): "064eba6a165ec0e688dfa1301784f8321ebef697e9216cd48665fccb06e57ffa",
+    ("gamma", 1, 25, 30): "5dac0c2bf8024f667c62fa7ddcd1da4f9665b317fb093e73afcbd2feb4165b7a",
+    ("chaotic", 1, 25, 30): "cf4deae46cefa97e045106fbada98147375c93e06af6772450aa38d690b5b99b",
 }
 RUN_CASES = sorted(RUN_DIGESTS)
-RUN_CASE_IDS = [f"{kind}-{seed}" + ("" if pop == PARAMS.pop_size else f"-pop{pop}")
-                for kind, seed, pop in RUN_CASES]
+RUN_CASE_IDS = [
+    f"{kind}-{seed}"
+    + ("" if pop == PARAMS.pop_size else f"-pop{pop}")
+    + ("" if nt == PARAMS.n_total else f"-nt{nt}")
+    for kind, seed, pop, nt in RUN_CASES
+]
 
 RUN_ARGV = {
     "gaussian": ["--engine-param", "mu=0.5", "--engine-param", "sigma=2"],
@@ -104,11 +115,11 @@ def dir_digests(out_dir) -> dict:
     return {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("kind,seed,pop", RUN_CASES, ids=RUN_CASE_IDS)
-def test_run_bfa_fields_match_golden(kind, seed, pop):
-    params = replace(PARAMS, pop_size=pop)
+@pytest.mark.parametrize("kind,seed,pop,nt", RUN_CASES, ids=RUN_CASE_IDS)
+def test_run_bfa_fields_match_golden(kind, seed, pop, nt):
+    params = replace(PARAMS, pop_size=pop, n_total=nt)
     result = run_bfa(WEIGHTS, params, EngineConfig(kind=EngineKind(kind), seed=seed))
-    assert result_digest(result) == RUN_DIGESTS[(kind, seed, pop)]
+    assert result_digest(result) == RUN_DIGESTS[(kind, seed, pop, nt)]
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_FILE_DIGESTS))

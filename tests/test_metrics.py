@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from bforage.errors import ConfigError, DegenerateTraceError, ReferencePointError
 from bforage.metrics import (
     _MC_CHUNK,
+    _PARETO_BLOCK,
+    _nondominated_mask,
     aer,
     hvi_exact,
     hvi_monte_carlo,
     hvi_percent_gap,
     pareto_filter,
 )
-from hypervolume_oracle import recursive_sweep_volume, unchunked_monte_carlo
+from hypervolume_oracle import nondominated_mask, recursive_sweep_volume, unchunked_monte_carlo
 
 
 def union_volume_by_inclusion_exclusion(points, ref):
@@ -68,6 +70,33 @@ def test_pareto_filter_properties(raw):
     for q in pts:
         if tuple(q) not in kept_set:
             assert any(np.all(p >= q) for p in kept)
+
+
+@pytest.mark.parametrize("n", [1, 84, 200, _PARETO_BLOCK, _PARETO_BLOCK + 1, 3 * _PARETO_BLOCK + 5])
+def test_pareto_mask_matches_the_unblocked_reference(n):
+    # integer grids tie in every coordinate and repeat whole rows, across
+    # block boundaries too; the first of equal rows is the one kept
+    rng = np.random.default_rng(n)
+    for dim in (1, 2, 3, 4):
+        pts = rng.integers(0, 5, size=(n, dim)).astype(float)
+        assert np.array_equal(_nondominated_mask(pts), nondominated_mask(pts))
+    front = sphere_front(n, n)
+    pts = np.vstack([front, front[rng.permutation(n)[: n // 2 + 1]]])[rng.permutation(n + n // 2 + 1)]
+    assert np.array_equal(_nondominated_mask(pts), nondominated_mask(pts))
+
+
+def test_pareto_mask_memory_is_bounded():
+    # the unblocked mask peaked at 49 MB on this front (n x n x 4 booleans)
+    assert _PARETO_BLOCK >= 200  # frontier-sized fronts stay one block
+    pts = sphere_front(3, 2925)
+    tracemalloc.start()
+    try:
+        kept = pareto_filter(pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 2925
+    assert peak < 8 * 2**20
 
 
 # -- exact hypervolume ---------------------------------------------------------
