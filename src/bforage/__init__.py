@@ -16,7 +16,6 @@ from .bfa import (
     reproduce,
     run_bfa,
     run_custom,
-    swarming_term,
     tumble_direction,
 )
 from .engines import (
@@ -25,7 +24,6 @@ from .engines import (
     StochasticEngine,
     gamma_cdf,
     gaussian_cdf,
-    make_engine,
     weibull_cdf,
     weibull_inverse_cdf,
 )
@@ -67,10 +65,8 @@ from .problem import (
     UPPER_BOUNDS,
     WeightVector,
     aggregate,
-    clamp_unit,
     evaluate,
     to_physical,
-    to_unit,
 )
 
 __version__ = "0.1.0"

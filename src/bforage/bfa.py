@@ -22,14 +22,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .engines import EngineConfig, StochasticEngine, make_engine
+from .engines import EngineConfig, StochasticEngine
 from .errors import BudgetError, ConfigError, DomainError
 from .problem import (
     DecisionVector,
     ObjectiveVector,
     WeightVector,
     aggregate,
-    clamp_unit,
     evaluate,
     to_physical,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "initialize_swarm",
     "tumble_direction",
     "chemotaxis_move",
-    "swarming_term",
     "chemotaxis_generation",
     "reproduce",
     "eliminate_disperse",
@@ -135,9 +133,9 @@ class RunResult:
 
 
 def tumble_direction(engine: StochasticEngine) -> np.ndarray:
-    """Unit-length random direction; redraws in the all-zero corner case."""
+    """Unit-length random direction from unit draws mapped onto [-1, 1]; redraws a zero vector."""
     while True:
-        delta = np.array([engine.sample_signed() for _ in range(N_DIMENSIONS)])
+        delta = np.array([2.0 * engine.sample_unit() - 1.0 for _ in range(N_DIMENSIONS)])
         norm = math.sqrt(float(delta @ delta))
         if norm > 0.0:
             return delta / norm
@@ -147,13 +145,16 @@ def _potentials(points: np.ndarray, swarm: SwarmState, params: BfaParams,
                 i: Optional[int] = None) -> np.ndarray:
     """Cell-to-cell potential at each row of ``points`` (K, 4), as a (K,) array.
 
-    With ``i`` given, bacterium ``i`` stands at each point in turn, so its
-    distance is zero there whatever ``swarm.theta[i]`` holds. The result is
-    bit-identical to scoring each point alone: the squared distances are
-    summed over the leading axis of a (4, K, S) array, which adds the
-    coordinates in order, ``((d0 + d1) + d2) + d3``, as ``np.sum(..., axis=1)``
-    does over four columns, and numpy's ``exp`` gives the same value for an
-    element whatever the shape of the array around it.
+    The swarming term: attractant wells plus repellent hills of every member
+    (itself included; at zero distance the two cancel at equal heights), over
+    squared distances in unit coordinates. With ``i`` given, bacterium ``i``
+    stands at each point in turn, so its distance is zero there whatever
+    ``swarm.theta[i]`` holds. The result is bit-identical to scoring each
+    point alone: the squared distances are summed over the leading axis of
+    a (4, K, S) array, which adds the coordinates in order,
+    ``((d0 + d1) + d2) + d3``, as ``np.sum(..., axis=1)`` does over four
+    columns, and numpy's ``exp`` gives the same value for an element
+    whatever the shape of the array around it.
     """
     squares = np.subtract(swarm.theta.T[:, None, :], points.T[:, :, None], order="C")
     squares *= squares
@@ -166,16 +167,6 @@ def _potentials(points: np.ndarray, swarm: SwarmState, params: BfaParams,
     signals[1] *= params.h_rep   # repellent hills
     attract, repel = np.add.reduce(signals, axis=2)
     return attract + repel
-
-
-def swarming_term(theta: np.ndarray, swarm: SwarmState, params: BfaParams) -> float:
-    """Cell-to-cell potential at ``theta``: attractant wells plus repellent hills.
-
-    Summed over every swarm member (the bacterium itself included; at zero
-    distance the two contributions cancel when the heights are equal).
-    Distances are squared Euclidean over the normalized coordinates.
-    """
-    return float(_potentials(np.reshape(theta, (1, N_DIMENSIONS)), swarm, params)[0])
 
 
 def _evaluate_at(
@@ -215,7 +206,7 @@ def chemotaxis_move(
     params: BfaParams,
 ) -> float:
     """Step bacterium ``i`` along ``direction``, clamp, re-evaluate; returns the new cost."""
-    swarm.theta[i] = clamp_unit(swarm.theta[i] + params.step_size * direction)
+    swarm.theta[i] = np.clip(swarm.theta[i] + params.step_size * direction, 0.0, 1.0)
     return _evaluate_at(i, swarm, score, params)
 
 
@@ -357,7 +348,7 @@ def run_custom(
     Raises :class:`DomainError` when the run ends without a finite best
     value, so a broken objective never yields a plausible-looking result.
     """
-    engine = make_engine(engine_config)
+    engine = StochasticEngine(engine_config)
     swarm = _run_loop(score, params, engine, observer)
     if not math.isfinite(swarm.best_f):
         raise DomainError(f"run ended with a non-finite best value {swarm.best_f!r}")

@@ -268,6 +268,8 @@ def _run_single(args):
     resolver.reject_unknown()
     if seed is None:
         raise UsageError("--seed is required; runs never take an implicit time-based seed")
+    if not threshold >= 0:  # NaN fails too; checked before the run, not after it
+        raise ConfigError(f"aer_threshold must be non-negative, got {threshold}")
 
     weights = WeightVector(*_parse_floats(weights_text, 4, "--weights"))
     engine_config = EngineConfig(kind=kind, seed=seed, **engine_fields)

@@ -6,7 +6,10 @@ owns an isolated seeded uniform stream, so the emitted variate sequence is
 a pure function of its :class:`EngineConfig` -- bit-identical across
 processes and replays.
 
-Sampling methods, fixed per kind:
+Each kind is one row of the table ``_SAMPLERS``, looked up once at
+construction: a raw sampler, and a map of its variates into [0, 1] -- the
+kind's own CDF at the config's parameters, or for the chaotic state,
+which already lies in (0, 1), the identity. Raw samplers:
 
 * gaussian -- Marsaglia polar transform of the uniform stream (the spare
   deviate is cached, so draws alternate between computing a pair and
@@ -33,7 +36,6 @@ __all__ = [
     "EngineKind",
     "EngineConfig",
     "StochasticEngine",
-    "make_engine",
     "gaussian_cdf",
     "weibull_cdf",
     "weibull_inverse_cdf",
@@ -41,6 +43,9 @@ __all__ = [
 ]
 
 _SQRT2 = math.sqrt(2.0)
+# random.random() is at most 1 - 2**-53, where -log1p(-u) peaks at 53 ln 2
+_LARGEST_UNIFORM = 1.0 - 2.0**-53
+_LARGEST_EXPONENTIAL = -math.log1p(-_LARGEST_UNIFORM)
 
 
 class EngineKind(str, Enum):
@@ -67,7 +72,8 @@ class EngineConfig:
     Only the parameters of the configured ``kind`` matter; the rest are
     inert. ``warmup`` applies to the chaotic kind only and counts map
     iterates discarded at construction time so emitted values do not echo
-    ``psi0``.
+    ``psi0``. A weibull or gamma config whose largest variate overflows
+    a float, ``lam * (53 ln 2)**(1/k)`` or ``alpha * 53 ln 2 / beta``, is rejected.
     """
 
     kind: EngineKind
@@ -108,15 +114,29 @@ class EngineConfig:
             raise ConfigError(f"r0 must lie in [0, 5], got {self.r0}")
         if not (isinstance(self.warmup, int) and self.warmup >= 0):
             raise ConfigError(f"warmup must be a non-negative integer, got {self.warmup!r}")
+        if self.kind is EngineKind.WEIBULL and not _finite(
+                lambda: weibull_inverse_cdf(_LARGEST_UNIFORM, self.lam, self.k)):
+            raise ConfigError(f"the largest weibull variate overflows at lambda={self.lam}, k={self.k}")
+        if self.kind is EngineKind.GAMMA and not _finite(
+                lambda: self.alpha * _LARGEST_EXPONENTIAL / self.beta):
+            raise ConfigError(f"the largest gamma variate overflows at alpha={self.alpha}, beta={self.beta}")
+
+
+def _finite(compute) -> bool:
+    """Whether ``compute()`` returns a finite float rather than overflowing."""
+    try:
+        return math.isfinite(compute())
+    except OverflowError:
+        return False
 
 
 class StochasticEngine:
     """Stateful, single-threaded variate source for one :class:`EngineConfig`.
 
-    One logical step per emitted variate: each call to :meth:`sample_raw`,
-    :meth:`sample_unit` or :meth:`sample_signed` advances the state exactly
-    once and increments :attr:`draws`. Instances must not be shared between
-    threads; parallel work takes independent engines with distinct seeds.
+    One logical step per emitted variate: each call to :meth:`sample_raw`
+    or :meth:`sample_unit` advances the state exactly once and increments
+    :attr:`draws`. Instances must not be shared between threads; parallel
+    work takes independent engines with distinct seeds.
     """
 
     def __init__(self, config: EngineConfig):
@@ -124,61 +144,23 @@ class StochasticEngine:
         self.draws = 0
         self._uniform = random.Random(config.seed)
         self._spare: float | None = None  # cached second polar deviate
+        self._raw, self._unit, fields = _SAMPLERS[config.kind]
+        self._unit_params = tuple(getattr(config, name) for name in fields)
         if config.kind is EngineKind.CHAOTIC:
             self._psi = config.psi0
             self._rate = config.r0
             for _ in range(config.warmup):
                 self._chaotic_step()
 
-    # -- raw sampling -------------------------------------------------
-
     def sample_raw(self) -> float:
         """Draw one variate from the configured distribution."""
-        kind = self.config.kind
-        if kind is EngineKind.GAUSSIAN:
-            value = self._gaussian_raw()
-        elif kind is EngineKind.WEIBULL:
-            value = weibull_inverse_cdf(self._uniform.random(), self.config.lam, self.config.k)
-        elif kind is EngineKind.GAMMA:
-            value = self._gamma_raw()
-        else:
-            value = self._chaotic_step()
+        value = self._raw(self)
         self.draws += 1
         return value
 
     def sample_unit(self) -> float:
-        """Draw one variate mapped into [0, 1].
-
-        Gaussian, Weibull and Gamma values pass through their own CDF
-        (probability integral transform); the chaotic state is already a
-        unit value and is returned as is.
-        """
-        raw = self.sample_raw()
-        kind = self.config.kind
-        if kind is EngineKind.GAUSSIAN:
-            return gaussian_cdf(raw, self.config.mu, self.config.sigma)
-        if kind is EngineKind.WEIBULL:
-            return weibull_cdf(raw, self.config.lam, self.config.k)
-        if kind is EngineKind.GAMMA:
-            return gamma_cdf(raw, self.config.alpha, self.config.beta)
-        return raw
-
-    def sample_signed(self) -> float:
-        """Draw one variate mapped into [-1, 1]."""
-        return 2.0 * self.sample_unit() - 1.0
-
-    def cdf(self, x: float) -> float:
-        """Cumulative probability of ``x`` under the configured distribution."""
-        kind = self.config.kind
-        if kind is EngineKind.GAUSSIAN:
-            return gaussian_cdf(x, self.config.mu, self.config.sigma)
-        if kind is EngineKind.WEIBULL:
-            return weibull_cdf(x, self.config.lam, self.config.k)
-        if kind is EngineKind.GAMMA:
-            return gamma_cdf(x, self.config.alpha, self.config.beta)
-        raise DomainError("the chaotic engine has no distribution function")
-
-    # -- per-kind internals --------------------------------------------
+        """Draw one variate mapped into [0, 1]."""
+        return self._unit(self.sample_raw(), *self._unit_params)
 
     def _gaussian_raw(self) -> float:
         if self._spare is not None:
@@ -194,6 +176,9 @@ class StochasticEngine:
             z = u * factor
             self._spare = v * factor
         return self.config.mu + self.config.sigma * z
+
+    def _weibull_raw(self) -> float:
+        return weibull_inverse_cdf(self._uniform.random(), self.config.lam, self.config.k)
 
     def _gamma_raw(self) -> float:
         total = 0.0
@@ -213,11 +198,6 @@ class StochasticEngine:
         self._psi = psi
         self._rate = rate
         return psi
-
-
-def make_engine(config: EngineConfig) -> StochasticEngine:
-    """Build an engine; raises :class:`ConfigError` on invalid parameters."""
-    return StochasticEngine(config)
 
 
 # -- distribution functions ------------------------------------------------
@@ -259,3 +239,16 @@ def gamma_cdf(x: float, alpha: int, beta: float) -> float:
         term *= bx / i
         total += term
     return 1.0 - total * math.exp(-bx)
+
+
+def _identity(x: float) -> float:
+    return x
+
+
+# kind -> (raw sampler, map into [0, 1], config fields the map takes); named functions pickle
+_SAMPLERS = {
+    EngineKind.GAUSSIAN: (StochasticEngine._gaussian_raw, gaussian_cdf, ("mu", "sigma")),
+    EngineKind.WEIBULL: (StochasticEngine._weibull_raw, weibull_cdf, ("lam", "k")),
+    EngineKind.GAMMA: (StochasticEngine._gamma_raw, gamma_cdf, ("alpha", "beta")),
+    EngineKind.CHAOTIC: (StochasticEngine._chaotic_step, _identity, ()),
+}

@@ -103,7 +103,7 @@ class ExperimentConfig:
             raise ConfigError(f"runs_per_weight must be >= 1, got {self.runs_per_weight}")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
             raise ConfigError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
-        if self.aer_threshold < 0:
+        if not self.aer_threshold >= 0:  # NaN fails too
             raise ConfigError(f"aer_threshold must be non-negative, got {self.aer_threshold}")
 
 

@@ -7,8 +7,7 @@ strength, tensile strength, shear strength) are quadratic regression
 polynomials with pairwise interaction terms; all four are maximized.
 
 The optimizer works in the unit hypercube; :func:`to_physical` maps unit
-coordinates onto the variable box and :func:`clamp_unit` keeps iterates
-inside it.
+coordinates onto the variable box.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "evaluate",
     "aggregate",
     "to_physical",
-    "to_unit",
-    "clamp_unit",
 ]
 
 VARIABLE_NAMES = ("A", "B", "C", "D")
@@ -128,13 +125,3 @@ def to_physical(u: Sequence[float] | np.ndarray) -> DecisionVector:
     """Map unit-cube coordinates onto the variable box (affine, per axis)."""
     values = LOWER_BOUNDS + np.asarray(u, dtype=float) * _SPAN
     return DecisionVector._make(values.tolist())
-
-
-def to_unit(x: DecisionVector | Sequence[float]) -> np.ndarray:
-    """Inverse of :func:`to_physical`."""
-    return (np.asarray(x, dtype=float) - LOWER_BOUNDS) / _SPAN
-
-
-def clamp_unit(u: Sequence[float] | np.ndarray) -> np.ndarray:
-    """Clip every component into [0, 1]."""
-    return np.clip(np.asarray(u, dtype=float), 0.0, 1.0)

@@ -17,7 +17,7 @@ import pytest
 
 from bforage.bfa import BfaParams, run_bfa, run_custom
 from bforage.cli import dispatch
-from bforage.engines import EngineConfig, EngineKind, gamma_cdf, make_engine
+from bforage.engines import EngineConfig, EngineKind, StochasticEngine, gamma_cdf
 from bforage.experiment import generate_weights, read_frontier_csv, write_weights_csv
 from bforage.metrics import aer, hvi_exact, hvi_monte_carlo
 from bforage.problem import (
@@ -120,17 +120,17 @@ def test_criterion_4_aer_correctness():
 
 def test_criterion_5_sampler_statistics():
     with criterion(5, "sampler statistics at fixed seeds, 1e5 draws each"):
-        e = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=2024))
+        e = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=2024))
         xs = [e.sample_raw() for _ in range(100_000)]
         mean = sum(xs) / len(xs)
         var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
         assert abs(mean) <= 0.01 and abs(var - 1.0) <= 0.02
 
-        e = make_engine(EngineConfig(kind=EngineKind.WEIBULL, seed=2024))
+        e = StochasticEngine(EngineConfig(kind=EngineKind.WEIBULL, seed=2024))
         xs = [e.sample_raw() for _ in range(100_000)]
         assert abs(sum(xs) / len(xs) - 1.0) <= 0.02
 
-        e = make_engine(EngineConfig(kind=EngineKind.GAMMA, seed=2024, alpha=2, beta=1.0))
+        e = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2024, alpha=2, beta=1.0))
         xs = [e.sample_raw() for _ in range(100_000)]
         mean = sum(xs) / len(xs)
         var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
@@ -143,7 +143,7 @@ def test_criterion_5_sampler_statistics():
                  float((cdf - np.arange(0, n) / n).max()))
         assert ks <= 0.01
 
-        e = make_engine(EngineConfig(kind=EngineKind.CHAOTIC, seed=1,
+        e = StochasticEngine(EngineConfig(kind=EngineKind.CHAOTIC, seed=1,
                                      psi0=0.3, r0=3.9, warmup=0))
         assert e.sample_raw() == 0.819
 

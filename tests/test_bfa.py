@@ -15,13 +15,12 @@ from bforage.bfa import (
     reproduce,
     run_bfa,
     run_custom,
-    swarming_term,
     tumble_direction,
 )
 from bforage.bfa import _potentials, _swim_path
-from bforage.engines import EngineConfig, EngineKind, make_engine
+from bforage.engines import EngineConfig, EngineKind, StochasticEngine
 from bforage.errors import BudgetError, ConfigError, DomainError
-from bforage.problem import WeightVector, clamp_unit
+from bforage.problem import WeightVector
 
 WEIGHTS = WeightVector(0.1, 0.7, 0.1, 0.1)
 
@@ -35,12 +34,14 @@ class ScriptedEngine:
     def sample_unit(self):
         return self.units.pop(0)
 
-    def sample_signed(self):
-        return 2.0 * self.sample_unit() - 1.0
-
 
 def sphere_score(u):
     return -float(np.sum((np.asarray(u) - 0.5) ** 2))
+
+
+def potential_at(theta, swarm, params):
+    """The swarming term at one point, with every bacterium where it stands."""
+    return float(_potentials(np.reshape(theta, (1, 4)), swarm, params)[0])
 
 
 def small_swarm(positions, params, score=sphere_score):
@@ -56,7 +57,7 @@ def stepwise_generation(swarm, engine, score, params):
     for i in range(swarm.size):
         previous = swarm.f_plain[i]
         if params.swarming:
-            previous = previous - swarming_term(swarm.theta[i], swarm, params)
+            previous = previous - potential_at(swarm.theta[i], swarm, params)
         direction = tumble_direction(engine)
         current = chemotaxis_move(i, direction, swarm, score, params)
         taken = 1
@@ -100,7 +101,7 @@ def test_parameter_validation():
 
 def test_initialize_draws_four_units_per_bacterium():
     params = BfaParams(pop_size=25)
-    engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=9))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=9))
     swarm = initialize_swarm(engine, params, sphere_score)
     assert swarm.size == 25
     assert engine.draws == 100
@@ -110,15 +111,15 @@ def test_initialize_draws_four_units_per_bacterium():
 def test_initialize_is_deterministic():
     params = BfaParams(pop_size=6)
     cfg = EngineConfig(kind=EngineKind.WEIBULL, seed=4)
-    a = initialize_swarm(make_engine(cfg), params, sphere_score)
-    b = initialize_swarm(make_engine(cfg), params, sphere_score)
+    a = initialize_swarm(StochasticEngine(cfg), params, sphere_score)
+    b = initialize_swarm(StochasticEngine(cfg), params, sphere_score)
     for name in ("theta", "f_plain", "cost", "health"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_initialize_singleton_best_is_sole_member():
     params = BfaParams(pop_size=1)
-    swarm = initialize_swarm(make_engine(EngineConfig(kind=EngineKind.GAMMA, seed=2)),
+    swarm = initialize_swarm(StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2)),
                              params, sphere_score)
     assert swarm.best_f == swarm.f_plain[0]
     assert np.array_equal(swarm.best_theta, swarm.theta[0])
@@ -144,7 +145,7 @@ def test_tumble_redraws_on_the_zero_vector():
 
 
 def test_tumble_is_unit_length():
-    engine = make_engine(EngineConfig(kind=EngineKind.CHAOTIC, seed=6))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.CHAOTIC, seed=6))
     for _ in range(500):
         assert abs(float(np.linalg.norm(tumble_direction(engine))) - 1.0) <= 1e-12
 
@@ -193,7 +194,7 @@ def test_move_accumulates_health():
 def test_swarming_cancels_when_all_bacteria_coincide():
     params = BfaParams()
     swarm = small_swarm([(0.3, 0.3, 0.3, 0.3)] * 7, params)
-    assert swarming_term(swarm.theta[0], swarm, params) == 0.0
+    assert potential_at(swarm.theta[0], swarm, params) == 0.0
 
 
 def test_swarming_single_member_hand_value():
@@ -201,13 +202,13 @@ def test_swarming_single_member_hand_value():
     swarm = small_swarm([(0.0, 0.0, 0.0, 0.0)], params)
     theta = np.array([1.0, 0.0, 0.0, 0.0])  # squared distance 1
     expected = -0.1 * math.exp(-0.2) + 0.1 * math.exp(-10.0)
-    assert swarming_term(theta, swarm, params) == pytest.approx(expected, rel=1e-12)
+    assert potential_at(theta, swarm, params) == pytest.approx(expected, rel=1e-12)
 
 
 def test_swarming_zero_heights_zero_term():
     params = BfaParams(h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.1, 0.2, 0.3, 0.4), (0.9, 0.8, 0.7, 0.6)], params)
-    assert swarming_term(np.array([0.5, 0.5, 0.5, 0.5]), swarm, params) == 0.0
+    assert potential_at(np.array([0.5, 0.5, 0.5, 0.5]), swarm, params) == 0.0
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 8, 9, 25])
@@ -217,7 +218,7 @@ def test_path_potentials_equal_swarming_term_at_each_point(size):
     params = BfaParams(step_size=0.3, n_swim=6)
     rng = np.random.default_rng(size)
     swarm = small_swarm(rng.random((size, 4)), params)
-    engine = make_engine(EngineConfig(kind=EngineKind.GAMMA, seed=size))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=size))
     for i in range(size):
         path = _swim_path(swarm.theta[i], tumble_direction(engine), params)
         assert ((path[1:] == 0.0) | (path[1:] == 1.0)).any()  # the swim reaches a face
@@ -226,14 +227,14 @@ def test_path_potentials_equal_swarming_term_at_each_point(size):
         for point, potential in zip(path, potentials):
             moved = small_swarm(swarm.theta, params)
             moved.theta[i] = point
-            assert potential == swarming_term(point, moved, params)
+            assert potential == potential_at(point, moved, params)
 
 
 @pytest.mark.parametrize("step", [0.05, 0.3, 0.9])
 def test_swim_path_equals_iterated_clamp(step):
     params = BfaParams(step_size=step, n_swim=12)
     rng = np.random.default_rng(int(step * 100))
-    engine = make_engine(EngineConfig(kind=EngineKind.WEIBULL, seed=2))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.WEIBULL, seed=2))
     starts = [rng.random(4) for _ in range(40)] + [np.array([0.0, 1.0, 0.98, 0.02])]
     faces = 0
     for start in starts:
@@ -241,7 +242,7 @@ def test_swim_path_equals_iterated_clamp(step):
         path = _swim_path(start, direction, params)
         expected = [start]
         for _ in range(params.n_swim + 1):
-            expected.append(clamp_unit(expected[-1] + params.step_size * direction))
+            expected.append(np.clip(expected[-1] + params.step_size * direction, 0.0, 1.0))
         assert np.array_equal(path, np.array(expected))
         faces += bool(((path == 0.0) | (path == 1.0)).any())
     assert faces > 0
@@ -252,7 +253,7 @@ def test_swim_path_equals_iterated_clamp(step):
 
 def test_generation_with_swim_disabled_takes_one_move_each():
     params = BfaParams(pop_size=5, n_swim=0, swarming=False)
-    engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
     swarm = initialize_swarm(engine, params, sphere_score)
     evals_before = swarm.evaluations
     chemotaxis_generation(swarm, engine, sphere_score, params)
@@ -263,7 +264,7 @@ def test_generation_with_swim_disabled_takes_one_move_each():
 
 def test_swim_stops_after_a_worsening_first_move():
     params = BfaParams(pop_size=1, n_swim=5, swarming=False)
-    engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
 
     calls = {"n": 0}
 
@@ -304,7 +305,7 @@ def test_score_calls_match_the_stepwise_swim(monkeypatch, swarming):
 
 def test_swim_bound_is_never_exceeded():
     params = BfaParams(pop_size=8, n_swim=3, swarming=False)
-    engine = make_engine(EngineConfig(kind=EngineKind.WEIBULL, seed=12))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.WEIBULL, seed=12))
     swarm = initialize_swarm(engine, params, sphere_score)
     for _ in range(20):
         chemotaxis_generation(swarm, engine, sphere_score, params)
@@ -313,7 +314,7 @@ def test_swim_bound_is_never_exceeded():
 
 def test_trace_grows_by_one_per_generation():
     params = BfaParams(pop_size=4, swarming=False)
-    engine = make_engine(EngineConfig(kind=EngineKind.GAMMA, seed=8))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=8))
     swarm = initialize_swarm(engine, params, sphere_score)
     for expected_len in range(1, 11):
         chemotaxis_generation(swarm, engine, sphere_score, params)
@@ -381,7 +382,7 @@ def test_clones_are_independent_copies():
 
 def test_dispersal_probability_zero_is_a_no_op():
     params = BfaParams(pop_size=5, p_elim=0.0, swarming=False)
-    engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
     swarm = initialize_swarm(engine, params, sphere_score)
     before = swarm.theta.copy()
     evals = swarm.evaluations
@@ -392,7 +393,7 @@ def test_dispersal_probability_zero_is_a_no_op():
 
 def test_dispersal_probability_one_redraws_everyone():
     params = BfaParams(pop_size=5, p_elim=1.0, swarming=False)
-    engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
     swarm = initialize_swarm(engine, params, sphere_score)
     before = swarm.theta.copy()
     evals = swarm.evaluations
@@ -404,7 +405,7 @@ def test_dispersal_probability_one_redraws_everyone():
 
 def test_dispersal_never_erases_the_archive():
     params = BfaParams(pop_size=5, p_elim=1.0, swarming=False)
-    engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
     swarm = initialize_swarm(engine, params, sphere_score)
     best_before = swarm.best_f
     eliminate_disperse(swarm, engine, sphere_score, params)
@@ -457,7 +458,7 @@ def test_engine_draws_replay_exactly():
     params = BfaParams(pop_size=7, swarming=False)
     counts = []
     for _ in range(2):
-        engine = make_engine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=17))
+        engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=17))
         swarm = initialize_swarm(engine, params, sphere_score)
         for _ in range(12):
             chemotaxis_generation(swarm, engine, sphere_score, params)

@@ -211,6 +211,32 @@ def test_run_rejects_non_finite_input(capsys, argv, code):
     assert run_cli(capsys, "run", "--seed", "1", "--nt", "2", "--pop", "4", *argv)[0] == code
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["--engine", "weibull", "--engine-param", "k=0.001"], "k="),
+    (["--engine", "gamma", "--engine-param", "beta=1e-320"], "beta="),
+])
+def test_run_rejects_engine_params_whose_variates_overflow(capsys, argv, field):
+    code, _, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--pop", "4", *argv)
+    assert code == 2
+    assert "overflows" in err and field in err
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_nan_aer_threshold_is_rejected_before_any_run(capsys, monkeypatch, verb):
+    def no_run(*args, **kwargs):
+        pytest.fail("run_bfa was called")
+
+    monkeypatch.setattr("bforage.cli.run_bfa", no_run)
+    monkeypatch.setattr("bforage.experiment.run_bfa", no_run)
+    argv = [verb, "--seed", "1", "--nt", "2", "--pop", "4", "--aer-threshold", "nan"]
+    if verb == "sweep":
+        argv += ["--engines", "gaussian", "--runs", "1", "--weight-step", "0.5",
+                 "--weight-min", "0.0"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "aer_threshold" in err
+
+
 def test_config_file_unknown_key_reports_line(capsys, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("nt = 5\nwibble = 3\n")

@@ -3,9 +3,11 @@
 The digests were recorded from the program as it stood before the
 persistence, CLI-table and run-entry-point merges (the odd-population run
 before the swarm moved from a list of objects to arrays, the default-size
-runs before the swim path was batched), so a refactor
-that changes any written byte, or any field of a run result, fails here. A
-declared numerics change must re-record them and say why in CHANGES.md.
+runs before the swim path was batched, the engine streams before the
+per-kind sampler table replaced the engines' ``if kind`` ladders), so a
+refactor that changes any written byte, any field of a run result or any
+engine draw fails here. A declared numerics change must re-record them and
+say why in CHANGES.md.
 """
 
 import hashlib
@@ -15,7 +17,7 @@ import pytest
 
 from bforage.bfa import BfaParams, run_bfa
 from bforage.cli import dispatch
-from bforage.engines import EngineConfig, EngineKind
+from bforage.engines import EngineConfig, EngineKind, StochasticEngine
 from bforage.problem import WeightVector
 
 WEIGHTS = WeightVector(0.7, 0.1, 0.1, 0.1)
@@ -53,6 +55,25 @@ RUN_ARGV = {
     "weibull": ["--engine-param", "lambda=1.5", "--engine-param", "k=2"],
     "gamma": ["--engine-param", "alpha=3", "--engine-param", "beta=2"],
     "chaotic": ["--engine-param", "r0=3.7", "--engine-param", "warmup=4", "--no-swarming"],
+}
+
+# the engine fields RUN_ARGV sets, none at its default
+ENGINE_PARAMS = {
+    "gaussian": dict(mu=0.5, sigma=2.0),
+    "weibull": dict(lam=1.5, k=2.0),
+    "gamma": dict(alpha=3, beta=2.0),
+    "chaotic": dict(r0=3.7, warmup=4),
+}
+
+# 10**4 sample_raw and 10**4 sample_unit values from two engines of one
+# config (seed 31): the raw stream pins each sampler, which the unit values
+# and run digests see only through a CDF that hides rounding and parameter
+# swaps, and the unit stream pins each kind's map into [0, 1]
+ENGINE_STREAM_DIGESTS = {
+    "gaussian": "e16036aab49b1ef46ed976dc0351fd6d78e340186c92f0355725e3c429c46512",
+    "weibull": "aac4d33468262a71b56b0aa6338b6af2f360758303ceba4844600dc5fcb484f2",
+    "gamma": "10869cbded8d22863ed400c0111f97c3025f8fb558533ea082ed81fa132c2c86",
+    "chaotic": "9df06f0f2859b237d26bd072704380407fcb56ca86245b4c92491f4d7ecac607",
 }
 
 RUN_FILE_DIGESTS = {
@@ -120,6 +141,16 @@ def test_run_bfa_fields_match_golden(kind, seed, pop, nt):
     params = replace(PARAMS, pop_size=pop, n_total=nt)
     result = run_bfa(WEIGHTS, params, EngineConfig(kind=EngineKind(kind), seed=seed))
     assert result_digest(result) == RUN_DIGESTS[(kind, seed, pop, nt)]
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_STREAM_DIGESTS))
+def test_engine_streams_match_golden(kind):
+    config = EngineConfig(kind=EngineKind(kind), seed=31, **ENGINE_PARAMS[kind])
+    raw_engine, unit_engine = StochasticEngine(config), StochasticEngine(config)
+    raw = [raw_engine.sample_raw() for _ in range(10_000)]
+    unit = [unit_engine.sample_unit() for _ in range(10_000)]
+    streams = (raw, unit, raw_engine.draws, unit_engine.draws)
+    assert sha256(repr(streams).encode()) == ENGINE_STREAM_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(RUN_FILE_DIGESTS))
