@@ -14,6 +14,7 @@ from .bfa import (
     eliminate_disperse,
     initialize_swarm,
     reproduce,
+    run_batch,
     run_bfa,
     run_custom,
     tumble_direction,
@@ -67,6 +68,7 @@ from .problem import (
     aggregate,
     evaluate,
     to_physical,
+    unit_scorer,
 )
 
 __version__ = "0.1.0"

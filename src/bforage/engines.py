@@ -46,6 +46,9 @@ _SQRT2 = math.sqrt(2.0)
 # random.random() is at most 1 - 2**-53, where -log1p(-u) peaks at 53 ln 2
 _LARGEST_UNIFORM = 1.0 - 2.0**-53
 _LARGEST_EXPONENTIAL = -math.log1p(-_LARGEST_UNIFORM)
+# the polar transform's largest |deviate|, sqrt(-2 ln s) at the smallest s:
+# 2u - 1 lies on a 2**-52 grid, so a nonzero s is at least 2**-104
+_Z_MAX = math.sqrt(208.0 * math.log(2.0))
 
 
 class EngineKind(str, Enum):
@@ -72,8 +75,11 @@ class EngineConfig:
     Only the parameters of the configured ``kind`` matter; the rest are
     inert. ``warmup`` applies to the chaotic kind only and counts map
     iterates discarded at construction time so emitted values do not echo
-    ``psi0``. A weibull or gamma config whose largest variate overflows
-    a float, ``lam * (53 ln 2)**(1/k)`` or ``alpha * 53 ln 2 / beta``, is rejected.
+    ``psi0``. A config whose largest variate overflows a float is
+    rejected: ``abs(mu) + sigma * sqrt(208 ln 2)`` for gaussian,
+    ``lam * (53 ln 2)**(1/k)`` for weibull and ``alpha * 53 ln 2 / beta``
+    for gamma. So is a gamma config whose CDF there is not finite: its
+    finite sum overflows once ``alpha`` exceeds 155, whatever ``beta``.
     """
 
     kind: EngineKind
@@ -114,12 +120,19 @@ class EngineConfig:
             raise ConfigError(f"r0 must lie in [0, 5], got {self.r0}")
         if not (isinstance(self.warmup, int) and self.warmup >= 0):
             raise ConfigError(f"warmup must be a non-negative integer, got {self.warmup!r}")
+        if self.kind is EngineKind.GAUSSIAN and not _finite(
+                lambda: abs(self.mu) + self.sigma * _Z_MAX):
+            raise ConfigError(f"the largest gaussian variate overflows at mu={self.mu}, sigma={self.sigma}")
         if self.kind is EngineKind.WEIBULL and not _finite(
                 lambda: weibull_inverse_cdf(_LARGEST_UNIFORM, self.lam, self.k)):
             raise ConfigError(f"the largest weibull variate overflows at lambda={self.lam}, k={self.k}")
         if self.kind is EngineKind.GAMMA and not _finite(
                 lambda: self.alpha * _LARGEST_EXPONENTIAL / self.beta):
             raise ConfigError(f"the largest gamma variate overflows at alpha={self.alpha}, beta={self.beta}")
+        if self.kind is EngineKind.GAMMA and not _finite(
+                lambda: gamma_cdf(self.alpha * _LARGEST_EXPONENTIAL / self.beta, self.alpha, self.beta)):
+            raise ConfigError(f"the gamma CDF is not finite at the largest variate for alpha={self.alpha} "
+                              f"(alpha must be at most 155)")
 
 
 def _finite(compute) -> bool:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bfa import BfaParams, RunResult, run_bfa
+from .bfa import BfaParams, RunResult, run_batch
 from .engines import EngineConfig, EngineKind
 from .errors import ConfigError, LatticeError, SchemaError
 from .metrics import aer, hvi_exact, hvi_percent_gap
@@ -173,18 +173,50 @@ def derive_seed(master_seed: int, engine_index: int, weight_index: int, run_inde
     return int.from_bytes(digest, "little")
 
 
-def _sweep_task(task) -> RunResult:
-    engine_config, weights, params, seed, run_id = task
+# the most runs per lockstep batch: by 8 runs numpy's fixed cost per call is
+# mostly spread (a default run took 0.21 s of CPU at 8 and 0.20 s at 16),
+# and small batches keep the workers' shares of a sweep even
+_MAX_BATCH = 8
+
+
+@dataclass
+class _BatchResult:
+    """The pool's result for one batch of tasks, in task order.
+
+    Not frozen and not slotted: a result may carry attributes set by a
+    caller's tracing wrapper around the task function.
+    """
+
+    runs: list[RunResult]
+
+
+def _run_tasks(tasks) -> list[RunResult]:
+    return run_batch([weights for _, weights, _, _, _ in tasks], tasks[0][2],
+                     [dataclasses.replace(config, seed=seed) for config, _, _, seed, _ in tasks])
+
+
+def _sweep_task(batch) -> _BatchResult:
+    """Run a contiguous batch of tasks in lockstep.
+
+    When the batch fails, its runs are run again one at a time, so that the
+    error names the run that failed, as a serial sweep would.
+    """
     try:
-        return run_bfa(weights, params, dataclasses.replace(engine_config, seed=seed))
-    except Exception as exc:
-        context = (f"engine={engine_config.kind.value} "
-                   f"weights={weights.as_tuple()} run={run_id}")
-        try:
-            wrapped = type(exc)(f"{context}: {exc}")
-        except TypeError:  # exception type with a non-string constructor
-            raise
-        raise wrapped from exc
+        return _BatchResult(_run_tasks(batch))
+    except Exception:
+        for task in batch:
+            try:
+                _run_tasks([task])
+            except Exception as exc:
+                engine_config, weights, _, _, run_id = task
+                context = (f"engine={engine_config.kind.value} "
+                           f"weights={weights.as_tuple()} run={run_id}")
+                try:
+                    wrapped = type(exc)(f"{context}: {exc}")
+                except TypeError:  # exception type with a non-string constructor
+                    raise
+                raise wrapped from exc
+        raise
 
 
 def _task_list(config: ExperimentConfig):
@@ -200,15 +232,20 @@ def _task_list(config: ExperimentConfig):
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[FrontierReport]:
     """Execute the full protocol and build one report per engine.
 
-    ``jobs`` > 1 maps the runs over worker processes; the reduce is by
-    task index, so the result is identical to a serial sweep.
+    The runs go out in contiguous batches of the task list, each advanced in
+    lockstep; ``jobs`` > 1 maps the batches over worker processes. A run's
+    result does not depend on its batch, and the reduce is by task index,
+    so the result is identical to a serial sweep.
     """
     tasks = _task_list(config)
+    size = min(_MAX_BATCH, math.ceil(len(tasks) / max(jobs, 1)))
+    batches = [tasks[k : k + size] for k in range(0, len(tasks), size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_task, tasks, chunksize=4))
+            done = list(pool.map(_sweep_task, batches))
     else:
-        results = [_sweep_task(t) for t in tasks]
+        done = [_sweep_task(batch) for batch in batches]
+    results = [run for batch in done for run in batch.runs]
 
     reports = []
     runs_per_pair = config.runs_per_weight

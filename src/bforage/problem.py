@@ -13,7 +13,7 @@ coordinates onto the variable box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "evaluate",
     "aggregate",
     "to_physical",
+    "unit_scorer",
 ]
 
 VARIABLE_NAMES = ("A", "B", "C", "D")
@@ -102,17 +103,21 @@ def _check_bounds(x: DecisionVector) -> None:
             raise InfeasibleError(f"{name}={value} outside [{lo}, {hi}]")
 
 
-def evaluate(x: DecisionVector | Sequence[float]) -> ObjectiveVector:
-    """Evaluate the four response polynomials at a feasible point."""
-    x = DecisionVector(*x)
-    _check_bounds(x)
-    a, b, c, d = x
+def _responses(a: float, b: float, c: float, d: float) -> list[float]:
+    """The four response polynomials at ``(a, b, c, d)``, unchecked."""
     terms = np.array([
         1.0, a, b, c, d,
         a * a, b * b, c * c, d * d,
         a * b, a * c, a * d, b * c, b * d, c * d,
     ])
-    return ObjectiveVector._make((COEFFICIENTS @ terms).tolist())
+    return (COEFFICIENTS @ terms).tolist()
+
+
+def evaluate(x: DecisionVector | Sequence[float]) -> ObjectiveVector:
+    """Evaluate the four response polynomials at a feasible point."""
+    x = DecisionVector(*x)
+    _check_bounds(x)
+    return ObjectiveVector._make(_responses(*x))
 
 
 def aggregate(f: ObjectiveVector | Sequence[float], w: WeightVector) -> float:
@@ -125,3 +130,21 @@ def to_physical(u: Sequence[float] | np.ndarray) -> DecisionVector:
     """Map unit-cube coordinates onto the variable box (affine, per axis)."""
     values = LOWER_BOUNDS + np.asarray(u, dtype=float) * _SPAN
     return DecisionVector._make(values.tolist())
+
+
+def unit_scorer(w: WeightVector) -> Callable[[np.ndarray], float]:
+    """The weighted objective at a unit-cube point, as a function of the point.
+
+    ``unit_scorer(w)(u) == aggregate(evaluate(to_physical(u)), w)`` bit for
+    bit: the same affine map, term array, matrix product and left-to-right
+    weighted sum, without the named tuples and without the bounds check,
+    which cannot fail for ``u`` in [0, 1]⁴ since ``LOWER + u * SPAN`` then
+    lies in the box. ``u`` must be a float array of shape (4,).
+    """
+    w1, w2, w3, w4 = w
+
+    def score(u: np.ndarray) -> float:
+        f1, f2, f3, f4 = _responses(*(LOWER_BOUNDS + u * _SPAN).tolist())
+        return w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4
+
+    return score

@@ -13,6 +13,7 @@ from bforage.bfa import (
     eliminate_disperse,
     initialize_swarm,
     reproduce,
+    run_batch,
     run_bfa,
     run_custom,
     tumble_direction,
@@ -41,7 +42,7 @@ def sphere_score(u):
 
 def potential_at(theta, swarm, params):
     """The swarming term at one point, with every bacterium where it stands."""
-    return float(_potentials(np.reshape(theta, (1, 4)), swarm, params)[0])
+    return float(_potentials(np.reshape(theta, (1, 1, 4)), swarm.theta[None], params)[0, 0])
 
 
 def small_swarm(positions, params, score=sphere_score):
@@ -220,9 +221,9 @@ def test_path_potentials_equal_swarming_term_at_each_point(size):
     swarm = small_swarm(rng.random((size, 4)), params)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=size))
     for i in range(size):
-        path = _swim_path(swarm.theta[i], tumble_direction(engine), params)
+        path = _swim_path(swarm.theta[None, i], tumble_direction(engine)[None], params)[0]
         assert ((path[1:] == 0.0) | (path[1:] == 1.0)).any()  # the swim reaches a face
-        potentials = _potentials(path, swarm, params, i)
+        potentials = _potentials(path[None], swarm.theta[None], params, i)[0]
         assert potentials.shape == (len(path),)
         for point, potential in zip(path, potentials):
             moved = small_swarm(swarm.theta, params)
@@ -239,7 +240,7 @@ def test_swim_path_equals_iterated_clamp(step):
     faces = 0
     for start in starts:
         direction = tumble_direction(engine)
-        path = _swim_path(start, direction, params)
+        path = _swim_path(start[None], direction[None], params)[0]
         expected = [start]
         for _ in range(params.n_swim + 1):
             expected.append(np.clip(expected[-1] + params.step_size * direction, 0.0, 1.0))
@@ -295,8 +296,12 @@ def test_score_calls_match_the_stepwise_swim(monkeypatch, swarming):
 
         return run_custom(score, params, config), scored
 
+    def stepwise_batch(theta, swarms, engines, scores, params):
+        for swarm, engine, score in zip(swarms, engines, scores):
+            stepwise_generation(swarm, engine, score, params)
+
     batched, batched_calls = recorded_run()
-    monkeypatch.setattr(bfa, "chemotaxis_generation", stepwise_generation)
+    monkeypatch.setattr(bfa, "_generation", stepwise_batch)
     stepwise, stepwise_calls = recorded_run()
     assert len(batched_calls) == batched.evaluations
     assert batched_calls == stepwise_calls
@@ -486,6 +491,53 @@ def test_archive_equals_trace_even_when_dispersal_lands_on_the_budget_boundary()
         for seed in range(8):
             result = run_bfa(WEIGHTS, params, EngineConfig(kind=kind, seed=seed))
             assert result.best_f == max(result.trace) == result.trace[-1]
+
+
+@pytest.mark.parametrize("pop", [5, 25])
+@pytest.mark.parametrize("heights", [None, 0.1, 100.0], ids=["off", "default", "strong"])
+@pytest.mark.parametrize("size", [1, 2, 3, 8])
+def test_every_run_of_a_lockstep_batch_equals_the_run_alone(size, heights, pop):
+    # three reproductions and a dispersal followed by one in 7 generations,
+    # mixed engine kinds, weights and seeds; a batch's result must not
+    # depend on its neighbours. Strong swarming signals make a swarming
+    # term taken from the wrong run change gates and health ranks.
+    params = BfaParams(n_total=7, pop_size=pop, n_chemo=2, n_repro=2, p_elim=0.5,
+                       swarming=heights is not None, h_att=heights or 0.1, h_rep=heights or 0.1)
+    weights = [WeightVector(0.7, 0.1, 0.1, 0.1), WeightVector(0.1, 0.2, 0.3, 0.4),
+               WeightVector(0.25, 0.25, 0.25, 0.25)]
+    kinds = list(EngineKind)
+    runs = [(weights[b % 3], EngineConfig(kind=kinds[(b + size) % 4], seed=1000 * size + b))
+            for b in range(size)]
+    batch = run_batch([w for w, _ in runs], params, [c for _, c in runs])
+    assert len(batch) == size
+    for result, (w, config) in zip(batch, runs):
+        assert repr(result) == repr(run_bfa(w, params, config))
+
+
+def test_lockstep_observer_sees_each_run_as_alone():
+    params = BfaParams(n_total=6, pop_size=6, n_chemo=2, n_repro=1, p_elim=0.5)
+    runs = [(WeightVector(0.1, 0.1, 0.1, 0.7), EngineConfig(kind=kind, seed=3)) for kind in EngineKind]
+
+    def recorder(log):
+        return lambda generation, swarm: log.append(
+            (generation, swarm.theta.tolist(), swarm.health.tolist(), swarm.best_f,
+             swarm.evaluations, list(swarm.last_moves)))
+
+    together = []
+    run_batch([w for w, _ in runs], params, [c for _, c in runs], observer=recorder(together))
+    alone = []
+    for w, config in runs:
+        log = []
+        run_bfa(w, params, config, observer=recorder(log))
+        alone.append(log)
+    # the batch reports every run after each generation, in batch order
+    assert together == [entry for step in zip(*alone) for entry in step]
+
+
+def test_batch_needs_one_engine_config_per_weight_vector():
+    with pytest.raises(ConfigError):
+        run_batch([WEIGHTS, WEIGHTS], BfaParams(n_total=1, pop_size=2),
+                  [EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)])
 
 
 def test_custom_objective_hill_climb():

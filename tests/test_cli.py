@@ -214,6 +214,7 @@ def test_run_rejects_non_finite_input(capsys, argv, code):
 @pytest.mark.parametrize("argv,field", [
     (["--engine", "weibull", "--engine-param", "k=0.001"], "k="),
     (["--engine", "gamma", "--engine-param", "beta=1e-320"], "beta="),
+    (["--engine", "gaussian", "--engine-param", "sigma=1e308"], "sigma="),
 ])
 def test_run_rejects_engine_params_whose_variates_overflow(capsys, argv, field):
     code, _, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--pop", "4", *argv)
@@ -221,13 +222,22 @@ def test_run_rejects_engine_params_whose_variates_overflow(capsys, argv, field):
     assert "overflows" in err and field in err
 
 
+@pytest.mark.parametrize("alpha,code", [(155, 0), (156, 2), (800, 2)])
+def test_run_rejects_a_gamma_shape_whose_cdf_overflows(capsys, alpha, code):
+    code_seen, _, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--pop", "4",
+                                "--engine", "gamma", "--engine-param", f"alpha={alpha}")
+    assert code_seen == code
+    if code:
+        assert f"alpha={alpha}" in err and "A=nan" not in err
+
+
 @pytest.mark.parametrize("verb", ["run", "sweep"])
 def test_nan_aer_threshold_is_rejected_before_any_run(capsys, monkeypatch, verb):
     def no_run(*args, **kwargs):
-        pytest.fail("run_bfa was called")
+        pytest.fail("a run was started")
 
     monkeypatch.setattr("bforage.cli.run_bfa", no_run)
-    monkeypatch.setattr("bforage.experiment.run_bfa", no_run)
+    monkeypatch.setattr("bforage.experiment.run_batch", no_run)
     argv = [verb, "--seed", "1", "--nt", "2", "--pop", "4", "--aer-threshold", "nan"]
     if verb == "sweep":
         argv += ["--engines", "gaussian", "--runs", "1", "--weight-step", "0.5",

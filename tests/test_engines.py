@@ -89,6 +89,46 @@ def test_config_whose_largest_variate_overflows_is_rejected(kind, bad):
             EngineConfig(kind=other, seed=1, **bad)
 
 
+# the polar transform's largest |deviate|: 2u - 1 = 2**-52 and v = 0 give s = 2**-104
+Z_MAX = math.sqrt(208.0 * math.log(2.0))
+LARGEST_SIGMA = sys.float_info.max / Z_MAX
+
+
+class ScriptedUniform:
+    """A uniform source that returns the given values in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_gaussian_config_is_rejected_just_past_the_largest_finite_deviate():
+    accepted = engine(EngineKind.GAUSSIAN, sigma=LARGEST_SIGMA)
+    accepted._uniform = ScriptedUniform([0.5 + 2.0**-53, 0.5])
+    assert accepted.sample_raw() == sys.float_info.max
+    with pytest.raises(ConfigError, match="sigma="):
+        EngineConfig(kind=EngineKind.GAUSSIAN, seed=1, sigma=math.nextafter(LARGEST_SIGMA, math.inf))
+    with pytest.raises(ConfigError, match="mu="):
+        EngineConfig(kind=EngineKind.GAUSSIAN, seed=1, mu=-1e308, sigma=1e307)
+    EngineConfig(kind=EngineKind.GAUSSIAN, seed=1, mu=-1e308, sigma=1e306)
+    EngineConfig(kind=EngineKind.WEIBULL, seed=1, sigma=1e308)  # inert for the other kinds
+
+
+def test_gamma_config_is_rejected_where_its_cdf_stops_being_finite():
+    # beta * x at the largest variate is alpha * 53 ln 2, so the limit is on alpha alone
+    for beta in (1e-3, 1.0, 7.3):
+        accepted = engine(EngineKind.GAMMA, alpha=155, beta=beta)
+        accepted._uniform = LargestUniform()
+        assert accepted.sample_unit() == 1.0
+        for alpha in (156, 800):
+            with pytest.raises(ConfigError, match=f"alpha={alpha}"):
+                EngineConfig(kind=EngineKind.GAMMA, seed=1, alpha=alpha, beta=beta)
+    bforage.run_bfa(bforage.WeightVector(0.25, 0.25, 0.25, 0.25), bforage.BfaParams(n_total=3, pop_size=4),
+                    EngineConfig(kind=EngineKind.GAMMA, seed=1, alpha=155))
+
+
 class LargestUniform:
     """A uniform source stuck at the largest value ``random.random()`` returns."""
 

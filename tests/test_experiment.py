@@ -196,16 +196,30 @@ def test_protocol_grid_run_count_contract():
 
 
 def test_failed_run_aborts_with_task_context(monkeypatch):
+    # four tasks make one lockstep batch; the last of them fails, and the
+    # error names that run, not the batch's first
     import bforage.experiment as xp
 
-    def explode(*args, **kwargs):
-        raise ConfigError("boom")
+    config = tiny_config(engines=(EngineConfig(kind=EngineKind.GAUSSIAN, seed=0),
+                                  EngineConfig(kind=EngineKind.WEIBULL, seed=0)),
+                         runs_per_weight=2)
+    failing = derive_seed(config.master_seed, 1, 0, 1)
+    real = xp.run_batch
+    batches = []
 
-    monkeypatch.setattr(xp, "run_bfa", explode)
+    def explode(weights, params, engine_configs, observer=None):
+        batches.append(len(engine_configs))
+        if any(c.seed == failing for c in engine_configs):
+            raise ConfigError("boom")
+        return real(weights, params, engine_configs, observer)
+
+    monkeypatch.setattr(xp, "run_batch", explode)
     with pytest.raises(ConfigError) as err:
-        run_sweep(tiny_config())
+        run_sweep(config)
     message = str(err.value)
-    assert "engine=gaussian" in message and "run=0" in message and "boom" in message
+    assert batches[0] == 4
+    assert "engine=weibull" in message and "run=1" in message and "boom" in message
+    assert "gaussian" not in message
 
 
 def test_experiment_config_validation():

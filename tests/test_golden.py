@@ -169,3 +169,18 @@ def test_sweep_out_and_plot_files_match_golden(tmp_path):
     code = dispatch([*SWEEP_ARGV, "--out", str(out_dir), "--plot"])
     assert code == 0
     assert dir_digests(out_dir) == SWEEP_FILE_DIGESTS
+
+
+def test_sweep_files_do_not_depend_on_jobs(tmp_path):
+    # ten runs go out as lockstep batches of 8 + 2 with one job, 5 + 5 with
+    # two and 4 + 4 + 2 with three; the written bytes must not notice
+    argv = ["sweep", "--engines", "gaussian,chaotic", "--seed", "7", "--runs", "5",
+            "--weight-step", "0.5", "--weight-min", "0.25", "--pop", "5", "--nc", "2",
+            "--nr", "2", "--nt", "9"]
+    digests = []
+    for jobs in (1, 2, 3):
+        out_dir = tmp_path / f"jobs{jobs}"
+        assert dispatch([*argv, "--jobs", str(jobs), "--out", str(out_dir), "--plot"]) == 0
+        digests.append(dir_digests(out_dir))
+    assert digests[0] == digests[1] == digests[2]
+    assert len(digests[0]) == 8

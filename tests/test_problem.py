@@ -16,6 +16,7 @@ from bforage.problem import (
     aggregate,
     evaluate,
     to_physical,
+    unit_scorer,
 )
 from polynomial_oracle import oracle_objectives
 
@@ -107,6 +108,20 @@ def test_physical_points_from_unit_cube_are_always_feasible():
     rng = np.random.Generator(np.random.PCG64(8))
     for _ in range(1000):
         evaluate(to_physical(np.clip(rng.uniform(-2, 3, size=4), 0.0, 1.0)))  # must not raise
+
+
+def test_unit_scorer_equals_the_checked_path_bit_for_bit():
+    # 10**5 random points, every point of {0, 1/2, 1}**4 (the corners, the
+    # centres of every face and the cube's centre) and the largest uniform
+    rng = np.random.Generator(np.random.PCG64(17))
+    grid = np.array(np.meshgrid(*[[0.0, 0.5, 1.0]] * 4)).reshape(4, -1).T
+    points = np.concatenate([rng.random((100_000, 4)), grid, np.full((1, 4), 1.0 - 2.0**-53)])
+    for weights in (WeightVector(0.25, 0.25, 0.25, 0.25), WeightVector(0.7, 0.1, 0.1, 0.1),
+                    WeightVector(0.0, 0.0, 0.0, 1.0)):
+        score = unit_scorer(weights)
+        expected = [aggregate(evaluate(to_physical(u)), weights) for u in points]
+        assert [score(u) for u in points] == expected
+        assert all(type(value) is float for value in map(score, grid))
 
 
 def test_aggregate_examples():
