@@ -53,6 +53,9 @@ __all__ = [
 
 N_DIMENSIONS = 4
 
+# the most float64s one array of a lockstep batch may hold (1 GiB)
+_MAX_ARRAY_FLOATS = 2**27
+
 ScoreFn = Callable[[np.ndarray], float]
 Observer = Callable[[int, "SwarmState"], None]
 
@@ -406,6 +409,23 @@ def eliminate_disperse(
     return swarm
 
 
+def _run_floats(params: BfaParams) -> int:
+    """The float64s one run adds to the largest array of a batched call.
+
+    With swarming that array is the (4, B, K, S) block of squared
+    differences in ``_potentials``, K being ``n_swim + 2`` on a swim path
+    and S at the initial placement; without, it is the (B, n_swim + 2, 4)
+    swim paths or the (B, S, 4) positions.
+    """
+    points = max(params.n_swim + 2, params.pop_size)
+    return N_DIMENSIONS * points * (params.pop_size if params.swarming else 1)
+
+
+def _batch_limit(params: BfaParams) -> int:
+    """The most runs with ``params`` one lockstep batch holds; 0 if one run is too large."""
+    return _MAX_ARRAY_FLOATS // _run_floats(params)
+
+
 def _run_lockstep(
     scores: Sequence[ScoreFn],
     params: BfaParams,
@@ -415,10 +435,18 @@ def _run_lockstep(
     """Run one optimizer per (score, engine config) pair in lockstep.
 
     Raises :class:`DomainError` when a run ends without a finite best
-    value, so a broken objective never yields a plausible-looking result.
+    value, so a broken objective never yields a plausible-looking result,
+    and :class:`ConfigError`, before the first draw, when one array of the
+    batch would hold more than ``_MAX_ARRAY_FLOATS`` float64s.
     """
     if not engine_configs:
         return []
+    if len(engine_configs) > _batch_limit(params):
+        name = "n_swim" if params.n_swim + 2 >= params.pop_size else "pop_size"
+        raise ConfigError(
+            f"{name}={getattr(params, name)} needs {len(engine_configs) * _run_floats(params)} "
+            f"float64s in one array for {len(engine_configs)} run(s), over the limit of "
+            f"2**27 (1 GiB); lower n_swim or pop_size")
     engines = [StochasticEngine(config) for config in engine_configs]
     theta, swarms = _initialize(engines, params, scores)
     dispersal_period = params.n_chemo * params.n_repro

@@ -322,6 +322,10 @@ def _cmd_sweep(args) -> int:
     kinds = [EngineKind.from_string(k) for k in engines_text.split(",") if k.strip()]
     if not kinds:
         raise UsageError("--engines must name at least one engine")
+    repeated = sorted({k.value for k in kinds if kinds.count(k) > 1})
+    if repeated:
+        # each engine writes one frontier_<kind>.csv, so a repeat would overwrite
+        raise UsageError(f"--engines names {', '.join(repeated)} more than once")
     if weights_file:
         weights = xp.read_weights_csv(weights_file)
         weight_items = [("weights_file", weights_file)]
@@ -404,7 +408,7 @@ def _cmd_weights(args) -> int:
 def _cmd_compare(args) -> int:
     if args.plot and not args.out:
         raise UsageError("--plot requires --out")
-    reports = []
+    reports, paths = [], {}
     for path in args.input:
         records = xp.read_frontier_csv(path)
         if not records:
@@ -412,7 +416,11 @@ def _cmd_compare(args) -> int:
         kinds = {r.engine for r in records}
         if len(kinds) > 1:
             raise ConfigError(f"{path}: mixes engines {sorted(k.value for k in kinds)}")
-        reports.append(xp._build_report(records[0].engine, records))
+        engine = records[0].engine
+        if engine in paths:
+            raise ConfigError(f"{path}: engine {engine.value} already given by {paths[engine]}")
+        paths[engine] = path
+        reports.append(xp._build_report(engine, records))
     table = xp.compare(reports)
     print(json.dumps(table, indent=2))
     if args.plot:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .bfa import BfaParams, RunResult, run_batch
+from .bfa import BfaParams, RunResult, _batch_limit, run_batch
 from .engines import EngineConfig, EngineKind
 from .errors import ConfigError, LatticeError, SchemaError
 from .metrics import aer, hvi_exact, hvi_percent_gap
@@ -238,7 +238,9 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[FrontierReport]:
     so the result is identical to a serial sweep.
     """
     tasks = _task_list(config)
-    size = min(_MAX_BATCH, math.ceil(len(tasks) / max(jobs, 1)))
+    # a batch stays under the memory limit of one array; a run too large
+    # even alone fails in its batch of one
+    size = max(1, min(_MAX_BATCH, math.ceil(len(tasks) / max(jobs, 1)), _batch_limit(config.bfa)))
     batches = [tasks[k : k + size] for k in range(0, len(tasks), size)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

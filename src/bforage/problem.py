@@ -39,6 +39,7 @@ _SPAN = UPPER_BOUNDS - LOWER_BOUNDS
 
 # Term order shared by all four responses:
 #   1, A, B, C, D, A^2, B^2, C^2, D^2, AB, AC, AD, BC, BD, CD
+_CROSS_ROWS, _CROSS_COLS = np.triu_indices(4, 1)  # the last six: (0, 1), (0, 2), ... (2, 3)
 COEFFICIENTS = np.array([
     [-333.77, 614.73, -27.435, 630.36, -18.97,
      -168.98, 0.239, -76.08, 0.111,
@@ -132,19 +133,57 @@ def to_physical(u: Sequence[float] | np.ndarray) -> DecisionVector:
     return DecisionVector._make(values.tolist())
 
 
+def _unit_quadratic(w: WeightVector) -> tuple[float, np.ndarray, np.ndarray]:
+    """The weighted objective as a quadratic in unit coordinates.
+
+    Returns ``(c, g, H)`` with ``aggregate(evaluate(to_physical(u)), w)``
+    equal to ``c + g @ u + u @ H @ u / 2`` for every ``u``, up to rounding:
+    ``c`` is the value at ``u = 0``, ``g`` (4,) the gradient there and
+    ``H`` (4, 4) the symmetric Hessian. With the weighted polynomial
+    written in physical coordinates as ``p0 + b @ x + x @ Q @ x / 2`` and
+    ``x = L + S * u`` (``L`` the lower bounds, ``S`` the spans),
+    ``c = p0 + (b + Q @ L / 2) @ L``, ``g = S * (b + Q @ L)`` and
+    ``H = S Q S``.
+    """
+    p = np.array(w.as_tuple()) @ COEFFICIENTS
+    b = p[1:5]
+    q = np.diag(2.0 * p[5:9])
+    q[_CROSS_ROWS, _CROSS_COLS] = q[_CROSS_COLS, _CROSS_ROWS] = p[9:]
+    q_lo = q @ LOWER_BOUNDS
+    c = p[0] + (b + q_lo / 2.0) @ LOWER_BOUNDS
+    return float(c), _SPAN * (b + q_lo), _SPAN[:, None] * q * _SPAN
+
+
 def unit_scorer(w: WeightVector) -> Callable[[np.ndarray], float]:
     """The weighted objective at a unit-cube point, as a function of the point.
 
-    ``unit_scorer(w)(u) == aggregate(evaluate(to_physical(u)), w)`` bit for
-    bit: the same affine map, term array, matrix product and left-to-right
-    weighted sum, without the named tuples and without the bounds check,
-    which cannot fail for ``u`` in [0, 1]⁴ since ``LOWER + u * SPAN`` then
-    lies in the box. ``u`` must be a float array of shape (4,).
+    The score is the quadratic of :func:`_unit_quadratic`, evaluated as one
+    straight-line expression in plain floats, nested by the first variable
+    of each term::
+
+        c + u0*(g0 + h00*u0 + h01*u1 + h02*u2 + h03*u3)
+          + u1*(g1 + h11*u1 + h12*u2 + h13*u3)
+          + u2*(g2 + h22*u2 + h23*u3)
+          + u3*(g3 + h33*u3)
+
+        (h_ii = H_ii / 2, h_ij = H_ij for i < j)
+
+    left to right, with no bounds check, since the model is a polynomial
+    defined everywhere. It agrees with ``aggregate(evaluate(to_physical(u)),
+    w)`` to 1e-12 relative on [0, 1]⁴, but not bit for bit: the two sum in
+    different orders. ``u`` must be a float array of shape (4,); the result
+    is a Python ``float``.
     """
-    w1, w2, w3, w4 = w
+    c, g, h = _unit_quadratic(w)
+    g0, g1, g2, g3 = g.tolist()
+    h00, h11, h22, h33 = (h.diagonal() / 2).tolist()
+    h01, h02, h03, h12, h13, h23 = h[_CROSS_ROWS, _CROSS_COLS].tolist()
 
     def score(u: np.ndarray) -> float:
-        f1, f2, f3, f4 = _responses(*(LOWER_BOUNDS + u * _SPAN).tolist())
-        return w1 * f1 + w2 * f2 + w3 * f3 + w4 * f4
+        u0, u1, u2, u3 = u.tolist()
+        return (c + u0 * (g0 + h00 * u0 + h01 * u1 + h02 * u2 + h03 * u3)
+                + u1 * (g1 + h11 * u1 + h12 * u2 + h13 * u3)
+                + u2 * (g2 + h22 * u2 + h23 * u3)
+                + u3 * (g3 + h33 * u3))
 
     return score

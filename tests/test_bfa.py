@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -438,7 +439,10 @@ def test_best_result_consistency():
     assert result.best_f == max(result.trace) == result.trace[-1]
     from bforage.problem import aggregate, evaluate, to_physical
     assert result.best_decision == to_physical(result.best_theta)
-    assert result.best_f == aggregate(evaluate(result.best_decision), WEIGHTS)
+    # the score is the unit-coordinate quadratic, so it agrees with the
+    # checked path to a relative bound rather than bit for bit
+    recomputed = aggregate(evaluate(result.best_decision), WEIGHTS)
+    assert abs(result.best_f - recomputed) <= 1e-12 * abs(recomputed)
     # trace is the non-decreasing best-so-far curve
     assert all(a <= b for a, b in zip(result.trace, result.trace[1:]))
 
@@ -538,6 +542,45 @@ def test_batch_needs_one_engine_config_per_weight_vector():
     with pytest.raises(ConfigError):
         run_batch([WEIGHTS, WEIGHTS], BfaParams(n_total=1, pop_size=2),
                   [EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)])
+
+
+def test_a_swim_too_long_for_memory_is_rejected_before_any_allocation():
+    # (n_swim + 2) * S * 4 float64s per swarming call would need 6.4 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="n_swim=100000000"):
+            run_custom(sphere_score, BfaParams(n_total=2, pop_size=2, n_swim=10**8),
+                       EngineConfig(kind=EngineKind.GAUSSIAN, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("fields,runs", [
+    # 4 * (n_swim + 2) * S with swarming, 4 * (n_swim + 2) without
+    (dict(pop_size=2, n_swim=2**24 - 2), 1),
+    (dict(pop_size=2, n_swim=2**24 - 1), 0),
+    (dict(pop_size=2, n_swim=2**25 - 2, swarming=False), 1),
+    (dict(pop_size=2, n_swim=2**25 - 1, swarming=False), 0),
+    # 4 * S * S at the initial placement: 4 * 5792**2 <= 2**27 < 4 * 5793**2
+    (dict(pop_size=5792), 1),
+    (dict(pop_size=5793), 0),
+    (dict(pop_size=2**25, swarming=False), 1),
+    (dict(pop_size=2**25 + 1, swarming=False), 0),
+    (dict(), 2**27 // (4 * 25 * 25)),
+])
+def test_batch_limit_counts_the_largest_array(fields, runs):
+    assert bfa._batch_limit(BfaParams(**fields)) == runs
+
+
+def test_a_batch_too_large_for_memory_is_rejected_before_any_draw(monkeypatch):
+    params = BfaParams(n_total=2, pop_size=4)  # 4 * 7 * 4 = 112 float64s per run
+    monkeypatch.setattr(bfa, "_MAX_ARRAY_FLOATS", 2 * 112)
+    monkeypatch.setattr(bfa, "StochasticEngine", None)  # a draw would fail on it
+    with pytest.raises(ConfigError, match="336 float64s .* 3 run"):
+        run_batch([WEIGHTS] * 3, params, [EngineConfig(kind=EngineKind.GAUSSIAN, seed=s)
+                                          for s in range(3)])
 
 
 def test_custom_objective_hill_climb():

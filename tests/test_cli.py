@@ -390,6 +390,16 @@ def test_malformed_csv_is_schema_error_exit_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("flag,value,name", [("--ns", "100000000", "n_swim"),
+                                              ("--pop", "200000", "pop_size")])
+def test_run_too_large_for_memory_exits_2(capsys, flag, value, name):
+    code, out, err = run_cli(capsys, "run", "--seed", "1", "--nt", "2", "--pop", "2",
+                             "--weights", "1,0,0,0", flag, value)
+    assert code == 2
+    assert f"{name}={value}" in err and "2**27" in err
+    assert out == ""
+
+
 # -- sweep and compare -----------------------------------------------------------------
 
 
@@ -443,6 +453,35 @@ def test_compare_command_on_sweep_outputs(sweep_outputs, capsys):
     assert set(table) == {"hvi_ranking", "leader", "leader_gaps_percent", "aer_ranking"}
     assert len(table["hvi_ranking"]) == 2
     assert len(table["leader_gaps_percent"]) == 1
+
+
+def test_sweep_rejects_a_repeated_engine_before_any_run(capsys, tmp_path, monkeypatch):
+    # two runs of one kind would write one frontier_<kind>.csv over the other
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("bforage.experiment.run_sweep", no_sweep)
+    out_dir = tmp_path / "sweep"
+    code, out, err = run_cli(capsys, "sweep", "--engines", "gaussian,chaotic,gaussian",
+                             "--seed", "1", "--out", str(out_dir))
+    assert code == 1
+    assert "gaussian" in err and "chaotic" not in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("copy", [False, True])
+def test_compare_rejects_two_inputs_of_one_engine(sweep_outputs, capsys, tmp_path, copy):
+    first = sweep_outputs / "frontier_gaussian.csv"
+    second = tmp_path / "again.csv" if copy else first
+    if copy:
+        second.write_bytes(first.read_bytes())
+    code, out, err = run_cli(capsys, "compare", "--input", str(first),
+                             "--input", str(sweep_outputs / "frontier_chaotic.csv"),
+                             "--input", str(second))
+    assert code == 2
+    assert "gaussian" in err and str(second) in err
+    assert out == ""
 
 
 def test_sweep_plot_without_out_is_usage_error(capsys):

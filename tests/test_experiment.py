@@ -141,7 +141,10 @@ def test_minimal_sweep_single_record_report():
     assert report.n_solutions == 1
     record = report.solutions[0]
     assert record.run_id == 0
-    assert record.F == aggregate(record.objectives, record.weights)
+    # F is the run's own score, the unit-coordinate quadratic: it agrees
+    # with the recomputed objectives to a relative bound, not bit for bit
+    recomputed = aggregate(record.objectives, record.weights)
+    assert abs(record.F - recomputed) <= 1e-12 * abs(recomputed)
     assert report.hvi == pytest.approx(math.prod(record.objectives), rel=1e-12)
     assert report.best == report.median == report.worst == record
 
@@ -220,6 +223,27 @@ def test_failed_run_aborts_with_task_context(monkeypatch):
     assert batches[0] == 4
     assert "engine=weibull" in message and "run=1" in message and "boom" in message
     assert "gaussian" not in message
+
+
+def test_sweep_batches_stay_under_the_array_limit(monkeypatch):
+    # with room for two runs in one array, nine runs go out as 2+2+2+2+1,
+    # with the same results as in batches of 8
+    import bforage.bfa as bfa
+    import bforage.experiment as xp
+
+    config = tiny_config(weights=tuple(generate_weights(0.5, 0.0)[:3]), runs_per_weight=3)
+    whole = run_sweep(config)
+    real = xp.run_batch
+    batches = []
+
+    def spy(weights, params, engine_configs, observer=None):
+        batches.append(len(engine_configs))
+        return real(weights, params, engine_configs, observer)
+
+    monkeypatch.setattr(xp, "run_batch", spy)
+    monkeypatch.setattr(bfa, "_MAX_ARRAY_FLOATS", 3 * bfa._run_floats(TINY_BFA) - 1)
+    assert run_sweep(config) == whole
+    assert batches == [2, 2, 2, 2, 1]
 
 
 def test_experiment_config_validation():

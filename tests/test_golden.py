@@ -7,18 +7,36 @@ runs before the swim path was batched, the engine streams before the
 per-kind sampler table replaced the engines' ``if kind`` ladders), so a
 refactor that changes any written byte, any field of a run result or any
 engine draw fails here. A declared numerics change must re-record them and
-say why in CHANGES.md.
+say why in CHANGES.md: ``python tests/test_golden.py`` prints every table
+as the program stands, in this file's own format, and never rewrites the
+file, so a diff of its output against the tables here shows exactly which
+digests moved.
+
+The run, run-file and sweep-file digests were re-recorded once when the
+model score became the unit-coordinate quadratic of
+``problem.unit_scorer``: every run took the same path, and only ``best_f``,
+the trace and the ``F`` column moved, in their last bits. The engine
+streams and the ``run_custom`` digests, whose score is the checked model
+path, did not move.
 """
 
+import contextlib
 import hashlib
+import io
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from bforage.bfa import BfaParams, run_bfa
+if __name__ == "__main__":  # run as a script: import the package from this checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from bforage.bfa import BfaParams, run_bfa, run_custom
 from bforage.cli import dispatch
 from bforage.engines import EngineConfig, EngineKind, StochasticEngine
-from bforage.problem import WeightVector
+from bforage.problem import WeightVector, aggregate, evaluate, to_physical
 
 WEIGHTS = WeightVector(0.7, 0.1, 0.1, 0.1)
 PARAMS = BfaParams(n_total=12, pop_size=6, n_chemo=3, n_repro=2)
@@ -28,19 +46,19 @@ PARAMS = BfaParams(n_total=12, pop_size=6, n_chemo=3, n_repro=2)
 # default size of 25, numpy sums the swarming potential over the bacteria by
 # 8-way pairwise accumulation instead of one sequential loop
 RUN_DIGESTS = {
-    ("gaussian", 1, 6, 12): "09138c4eee72c388a47c09771af1ee64bab17ca2810fd7c3dedfc2ba4c360da5",
-    ("gaussian", 2, 6, 12): "300f69d10eaf84744ba3c5355643104a700a2615ef21e7f095f8025bfe0457b9",
-    ("weibull", 1, 6, 12): "a9f6cc287dada3c4c4bb8d608fc3628847019d8aadbe8ab6693c8e8701bf6d61",
-    ("weibull", 2, 6, 12): "12a1f2f720f80593dae041fdd998345d98fc288332fde27e3c46ef5458ca9b93",
-    ("gamma", 1, 6, 12): "4e45b1b7e7e4f4dc16c880464b4dd52df43025f1b8949503a1ef2ecb5165d222",
-    ("gamma", 2, 6, 12): "d610e4fd4ae3b5ede441a9f9dd18dcee86de0513357a62a3e2ff4976d4e34356",
-    ("chaotic", 1, 6, 12): "848224ca30cb9fcd402a79360680c04ee79bcc337f96b357a6f37bb8aa1c26ff",
-    ("chaotic", 2, 6, 12): "3453c2a76644738b3e54111ac9d299f9b8db7ff939bc0b51a60895cfe5315bc1",
-    ("gaussian", 3, 5, 12): "9f268caa8994a5c0db257042f71766efb543e7622098e6ebfea10277d33d1d4b",
-    ("gaussian", 1, 25, 30): "008461063a5913f371768874c485012a4483ca1de825405bc4bed0243c77150a",
-    ("weibull", 1, 25, 30): "064eba6a165ec0e688dfa1301784f8321ebef697e9216cd48665fccb06e57ffa",
-    ("gamma", 1, 25, 30): "5dac0c2bf8024f667c62fa7ddcd1da4f9665b317fb093e73afcbd2feb4165b7a",
-    ("chaotic", 1, 25, 30): "cf4deae46cefa97e045106fbada98147375c93e06af6772450aa38d690b5b99b",
+    ("gaussian", 1, 6, 12): "b1472f0734a8f7b2a168ebd75d4c27d340d01daec997d95602953bdb3f098569",
+    ("gaussian", 2, 6, 12): "d63acc89202f12f8091da518334e984f83cf21ec483ef7b8fd1e540fa8e57549",
+    ("weibull", 1, 6, 12): "84d74b3e2b9a199a9e25aae36b9dea62c042ac8a51fede280c04ad4c6632e462",
+    ("weibull", 2, 6, 12): "bcf92c965deeb6a1f17bd62141871c4e9279e50b49f82e89d410ba8789ffd5e7",
+    ("gamma", 1, 6, 12): "1e66507d142e007ced448ca34570370a741cd75d35651289178ddc6abb4062b4",
+    ("gamma", 2, 6, 12): "5acf70998f3397f48967808789e361f15a620400063e08e9b9ec5328c0245c7b",
+    ("chaotic", 1, 6, 12): "efae8fdd989021ff5a137312389dff0a585929336787e9a22943a8aa18ce772e",
+    ("chaotic", 2, 6, 12): "6395bb9b676583b9f250d7688d2929db78dd38aba637c0e549fbb9274659f18f",
+    ("gaussian", 3, 5, 12): "f7d3a5536a18c851703b5bd018d3192cd7dd64c4f0559076e3c7aff4e3c2dd8f",
+    ("gaussian", 1, 25, 30): "728c0365c41e81cca05bbd2286c09208b2b5b8d1f2862436f0490b0e9224555f",
+    ("weibull", 1, 25, 30): "ebcb5be4d18850b0bddc498bada795092d356dcabafeb83d2fe6c4201e17cd27",
+    ("gamma", 1, 25, 30): "5b6d1c499d6b70d9d542957c949202d0386d528320b601b600d8332c220051a1",
+    ("chaotic", 1, 25, 30): "69e6a1aa26e6b3c2bde1a84840fe998235555d16964814863382b86d0c778947",
 }
 RUN_CASES = sorted(RUN_DIGESTS)
 RUN_CASE_IDS = [
@@ -76,22 +94,35 @@ ENGINE_STREAM_DIGESTS = {
     "chaotic": "9df06f0f2859b237d26bd072704380407fcb56ca86245b4c92491f4d7ecac607",
 }
 
+# run_custom on the checked model path, aggregate(evaluate(to_physical(u))),
+# one default-size run per engine (seed 5, ENGINE_PARAMS, 15 generations with
+# two reproductions and two dispersals): the optimizer loop and the engine
+# streams pinned apart from the model score, so a change to the score alone
+# moves RUN_DIGESTS but never these
+CUSTOM_PARAMS = replace(PARAMS, pop_size=25, n_total=15)
+CUSTOM_DIGESTS = {
+    "chaotic": "78f95ff36022d62ccbf186fb4300eccd3f257ffea5407bba68e10f1a53720961",
+    "gamma": "2f189d5b44d69ec688a2061f9d3da84a7ea88610e8fe30783fa80727623e50e4",
+    "gaussian": "d4f858657d4345c843b90cb4e3fe1c87fdea0aaf6c158640f0e730c7fb9c8c9e",
+    "weibull": "5f3cb2626ac7f3e77f2135c3fe076a1a945440a66c6b4c49c68dad326daf5e99",
+}
+
 RUN_FILE_DIGESTS = {
     "gaussian": {
-        "solution.csv": "b1dc38544d0236ab3e394835975b390bf8a87862064cbacf13cf78a0bb37f07c",
-        "trace.csv": "24f589bad27875128c4319ce8155980fcda69ec284e9d53ddf2880481545cb78",
+        "solution.csv": "3e4efce2a45efa6767fb2e6bee5396d4868bf18da53c4c580b9bf91943071e83",
+        "trace.csv": "ffa9f60d553ea2e52aff6177d1055971fb8d899270b7749d3fdbccf7916cf0ff",
     },
     "weibull": {
-        "solution.csv": "0b82a4f6612bd1552c6e9044378f2c6764131cc57ea45ddee281b5e57bac5f22",
-        "trace.csv": "860373cecaf33f26c6b02cb87566130fcd204ca0ba9fc99efeb7a97870855949",
+        "solution.csv": "84bb5423b436b3e961edcd242e2f27cc80f00f34ea35efba42a340679f0a0574",
+        "trace.csv": "7104adab33798d11c14452339ec0583047e990caba6da5be9f1276e5cf212d53",
     },
     "gamma": {
-        "solution.csv": "4de5dd93e168f6a21d9e9efda37d2c3207c5cc367c5bd165634e832ac018a9c9",
-        "trace.csv": "239d1416a5a732e764e0efbe708d3e5d57b41fa40745c98f99d1e616c14adef9",
+        "solution.csv": "3c1b430b704165799c0736dd5260b557ad064cc88fee9cb023ca031c0b369bac",
+        "trace.csv": "03f20c0c4270511d721601c24ea413b0434f205b38b593dba669ad271267de75",
     },
     "chaotic": {
-        "solution.csv": "2cfb3ee7d33de9619edd643e67a5297b2c07a8511a25e99ccc2575a751fa3cd1",
-        "trace.csv": "1c618e768d66bbe6f307e5bfd88506643e36db936dbda358b1edb2feaa51c423",
+        "solution.csv": "6dd1a4898556091faaaf80cb3f32e7f264725e43268fbb29d0cbf422ce0d567c",
+        "trace.csv": "573b641b3c8b48e8c1b88ddceba4984f3b6288fa15786fec481d81c41aa2004a",
     },
 }
 
@@ -103,20 +134,22 @@ SWEEP_ARGV = [
 
 # metrics.dat and report.json were re-recorded when the exact hypervolume
 # moved to a grid dimension sweep, which sums in another order: their hvi
-# values moved by at most 2.3e-16 relative, and no other byte changed
+# values moved by at most 2.3e-16 relative, and no other byte changed; the
+# frontier CSVs and report.json were re-recorded when the score became the
+# unit-coordinate quadratic, for last-bit moves of F alone
 SWEEP_FILE_DIGESTS = {
-    "frontier_chaotic.csv": "61418c0339327e4089a2e272c115e51a2d2caedc82a493336b3edd334e539992",
+    "frontier_chaotic.csv": "273bb82cab7991be8725cfca18c2750138a9e88bbf6bff7b2ede56cd36f87905",
     "frontier_chaotic.dat": "5d83276a1adb6ba0f0db7deacaa5df30793950b0422ccfe8ec3102a7332f60da",
-    "frontier_gamma.csv": "a68d2510f28ee108ca1b2a638786d981e4cc514225dbeb9f42428f5e9adf5eab",
+    "frontier_gamma.csv": "4c95050df9acdc71d61b38af8ac83e4b297e8978c7b1b2829bd32af95dcfdac0",
     "frontier_gamma.dat": "36839534d3839f9b7308a8684c3643c0973243ef05f95906d1b759a5c553d5e4",
-    "frontier_gaussian.csv": "3733a77a5f1808467cd958229102ee62160d4383da0e0e2b82f0da670328505e",
+    "frontier_gaussian.csv": "c35f541ef1a2cac4277d3ee637dfd210e89a1419d9b035302343a0f0ce8dd67b",
     "frontier_gaussian.dat": "df3312180c3977462f4b2bbd6378d6170c8a92ef074ebad655f65669a8630e75",
-    "frontier_weibull.csv": "035f03d7d12a9826894ee2570ebe4d05bf955fa146cdaebf07fca7e2fc600fc3",
+    "frontier_weibull.csv": "7d1c90a33e4708586276f9799698823f6620c6702fea1ec12601c7d0bfe47f79",
     "frontier_weibull.dat": "a9f0119c97885a3f2c343d1f2619566a8bc076847312eb283341973b52f6bd29",
     "metrics.dat": "4738a302e1ff3058294cfab916ebd60fc2447ca094f3bc67dc69d1ddcc01221f",
     "plot_frontiers.gp": "1bb9d4c849ac379fcf138a5f2615ce238013ec71c403cdd77d2ac7e026647abe",
     "plot_metrics.gp": "126b93bd9112171d48c9228e848b3e6df750e30e27b13a14433e37b014908887",
-    "report.json": "80b5eba8d90522a12c05c768a55b5af3f7ec36c6fa528a488d992e1f3435e4bb",
+    "report.json": "db536d88f8f47a3469003d60e12e91b45da42ef25502c00e882fcaaf565ea632",
 }
 
 
@@ -136,39 +169,68 @@ def dir_digests(out_dir) -> dict:
     return {p.name: sha256(p.read_bytes()) for p in sorted(out_dir.iterdir())}
 
 
-@pytest.mark.parametrize("kind,seed,pop,nt", RUN_CASES, ids=RUN_CASE_IDS)
-def test_run_bfa_fields_match_golden(kind, seed, pop, nt):
+def run_digest(kind, seed, pop, nt) -> str:
     params = replace(PARAMS, pop_size=pop, n_total=nt)
-    result = run_bfa(WEIGHTS, params, EngineConfig(kind=EngineKind(kind), seed=seed))
-    assert result_digest(result) == RUN_DIGESTS[(kind, seed, pop, nt)]
+    return result_digest(run_bfa(WEIGHTS, params, EngineConfig(kind=EngineKind(kind), seed=seed)))
 
 
-@pytest.mark.parametrize("kind", sorted(ENGINE_STREAM_DIGESTS))
-def test_engine_streams_match_golden(kind):
+def engine_stream_digest(kind) -> str:
     config = EngineConfig(kind=EngineKind(kind), seed=31, **ENGINE_PARAMS[kind])
     raw_engine, unit_engine = StochasticEngine(config), StochasticEngine(config)
     raw = [raw_engine.sample_raw() for _ in range(10_000)]
     unit = [unit_engine.sample_unit() for _ in range(10_000)]
     streams = (raw, unit, raw_engine.draws, unit_engine.draws)
-    assert sha256(repr(streams).encode()) == ENGINE_STREAM_DIGESTS[kind]
+    return sha256(repr(streams).encode())
 
 
-@pytest.mark.parametrize("kind", sorted(RUN_FILE_DIGESTS))
-def test_run_out_files_match_golden(kind, tmp_path):
+def custom_digest(kind) -> str:
+    def checked(u):
+        return aggregate(evaluate(to_physical(u)), WEIGHTS)
+
+    config = EngineConfig(kind=EngineKind(kind), seed=5, **ENGINE_PARAMS[kind])
+    r = run_custom(checked, CUSTOM_PARAMS, config)
+    return sha256(repr((r.best_theta, r.best_f, r.trace, r.evaluations, r.seed)).encode())
+
+
+def run_out_digests(kind, tmp_path) -> dict:
     config = tmp_path / "run.conf"
     config.write_text("nt = 7\npop = 5\nwrep = 9.5\nweights = 0.2,0.3,0.4,0.1\n")
     out_dir = tmp_path / "out"
     code = dispatch(["run", "--engine", kind, "--seed", "31", "--config", str(config),
                      "--out", str(out_dir), *RUN_ARGV[kind]])
     assert code == 0
-    assert dir_digests(out_dir) == RUN_FILE_DIGESTS[kind]
+    return dir_digests(out_dir)
 
 
-def test_sweep_out_and_plot_files_match_golden(tmp_path):
+def sweep_out_digests(tmp_path) -> dict:
     out_dir = tmp_path / "sweep"
     code = dispatch([*SWEEP_ARGV, "--out", str(out_dir), "--plot"])
     assert code == 0
-    assert dir_digests(out_dir) == SWEEP_FILE_DIGESTS
+    return dir_digests(out_dir)
+
+
+@pytest.mark.parametrize("kind,seed,pop,nt", RUN_CASES, ids=RUN_CASE_IDS)
+def test_run_bfa_fields_match_golden(kind, seed, pop, nt):
+    assert run_digest(kind, seed, pop, nt) == RUN_DIGESTS[(kind, seed, pop, nt)]
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_STREAM_DIGESTS))
+def test_engine_streams_match_golden(kind):
+    assert engine_stream_digest(kind) == ENGINE_STREAM_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(CUSTOM_DIGESTS))
+def test_run_custom_on_the_checked_score_matches_golden(kind):
+    assert custom_digest(kind) == CUSTOM_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(RUN_FILE_DIGESTS))
+def test_run_out_files_match_golden(kind, tmp_path):
+    assert run_out_digests(kind, tmp_path) == RUN_FILE_DIGESTS[kind]
+
+
+def test_sweep_out_and_plot_files_match_golden(tmp_path):
+    assert sweep_out_digests(tmp_path) == SWEEP_FILE_DIGESTS
 
 
 def test_sweep_files_do_not_depend_on_jobs(tmp_path):
@@ -184,3 +246,47 @@ def test_sweep_files_do_not_depend_on_jobs(tmp_path):
         digests.append(dir_digests(out_dir))
     assert digests[0] == digests[1] == digests[2]
     assert len(digests[0]) == 8
+
+
+def _literal(value) -> str:
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_literal, value)) + ")"
+    return f'"{value}"' if isinstance(value, str) else repr(value)
+
+
+def _print_table(name, table) -> None:
+    print(f"{name} = {{")
+    for key, value in table.items():
+        if isinstance(value, dict):
+            print(f"    {_literal(key)}: {{")
+            for inner, digest in value.items():
+                print(f"        {_literal(inner)}: {_literal(digest)},")
+            print("    },")
+        else:
+            print(f"    {_literal(key)}: {_literal(value)},")
+    print("}")
+
+
+def print_current_digests() -> None:
+    """Print every digest table as the program stands, in this file's format."""
+    with (tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()),
+          contextlib.redirect_stderr(io.StringIO())):
+        tmp = Path(tmp)
+        file_digests = {}
+        for kind in RUN_FILE_DIGESTS:
+            (tmp / kind).mkdir()
+            file_digests[kind] = run_out_digests(kind, tmp / kind)
+        tables = {
+            "RUN_DIGESTS": {case: run_digest(*case) for case in RUN_DIGESTS},
+            "ENGINE_STREAM_DIGESTS": {k: engine_stream_digest(k) for k in ENGINE_STREAM_DIGESTS},
+            "CUSTOM_DIGESTS": {k: custom_digest(k) for k in CUSTOM_DIGESTS},
+            "RUN_FILE_DIGESTS": file_digests,
+            "SWEEP_FILE_DIGESTS": sweep_out_digests(tmp),
+        }
+    for name, table in tables.items():
+        _print_table(name, table)
+        print()
+
+
+if __name__ == "__main__":
+    print_current_digests()

@@ -18,6 +18,7 @@ from bforage.problem import (
     to_physical,
     unit_scorer,
 )
+from bforage.problem import _unit_quadratic
 from polynomial_oracle import oracle_objectives
 
 # Two previously reported best solutions for this model. The frozen
@@ -110,18 +111,53 @@ def test_physical_points_from_unit_cube_are_always_feasible():
         evaluate(to_physical(np.clip(rng.uniform(-2, 3, size=4), 0.0, 1.0)))  # must not raise
 
 
-def test_unit_scorer_equals_the_checked_path_bit_for_bit():
-    # 10**5 random points, every point of {0, 1/2, 1}**4 (the corners, the
+SCORER_WEIGHTS = [WeightVector(0.25, 0.25, 0.25, 0.25), WeightVector(0.7, 0.1, 0.1, 0.1)] + [
+    WeightVector(*(1.0 if j == i else 0.0 for j in range(4))) for i in range(4)]
+
+
+def test_unit_scorer_agrees_with_the_model_to_1e_12():
+    # a declared numerics change: the score sums the unit-coordinate
+    # quadratic in its own order, so it agrees with the checked path and
+    # with the oracle to a relative bound rather than bit for bit. Points:
+    # 10**5 random ones, every point of {0, 1/2, 1}**4 (the corners, the
     # centres of every face and the cube's centre) and the largest uniform
     rng = np.random.Generator(np.random.PCG64(17))
     grid = np.array(np.meshgrid(*[[0.0, 0.5, 1.0]] * 4)).reshape(4, -1).T
     points = np.concatenate([rng.random((100_000, 4)), grid, np.full((1, 4), 1.0 - 2.0**-53)])
-    for weights in (WeightVector(0.25, 0.25, 0.25, 0.25), WeightVector(0.7, 0.1, 0.1, 0.1),
-                    WeightVector(0.0, 0.0, 0.0, 1.0)):
+    checked = [evaluate(to_physical(u)) for u in points]
+    oracle = [oracle_objectives(*to_physical(u)) for u in points]
+    for weights in SCORER_WEIGHTS:
         score = unit_scorer(weights)
-        expected = [aggregate(evaluate(to_physical(u)), weights) for u in points]
-        assert [score(u) for u in points] == expected
-        assert all(type(value) is float for value in map(score, grid))
+        for u, f_checked, f_oracle in zip(points, checked, oracle):
+            value = score(u)
+            assert type(value) is float
+            for want in (aggregate(f_checked, weights), aggregate(f_oracle, weights)):
+                assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_unit_scorer_is_the_model_polynomial_outside_the_cube():
+    # the score has no bounds check, so on [-1, 2]**4 it must still be the
+    # model's polynomial; F comes close to 0 there, so the bound is relative
+    # to the largest |F| on the cube's 16 corners
+    rng = np.random.Generator(np.random.PCG64(23))
+    points = rng.uniform(-1.0, 2.0, size=(10_000, 4))
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 4)).reshape(4, -1).T
+    for weights in SCORER_WEIGHTS:
+        score = unit_scorer(weights)
+        scale = max(abs(aggregate(evaluate(to_physical(u)), weights)) for u in corners)
+        for u in points:
+            want = aggregate(oracle_objectives(*to_physical(u)), weights)
+            assert abs(score(u) - want) <= 1e-12 * scale
+
+
+def test_unit_quadratic_is_the_model_in_unit_coordinates():
+    rng = np.random.Generator(np.random.PCG64(29))
+    for weights in SCORER_WEIGHTS:
+        c, g, h = _unit_quadratic(weights)
+        assert np.array_equal(h, h.T)
+        for u in [np.zeros(4), *rng.uniform(-1.0, 2.0, size=(100, 4))]:
+            want = aggregate(oracle_objectives(*to_physical(u)), weights)
+            assert abs(c + g @ u + u @ h @ u / 2 - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_aggregate_examples():
