@@ -141,13 +141,31 @@ class RunResult:
     seed: int
 
 
+def _directions(engine: StochasticEngine, count: int) -> np.ndarray:
+    """``count`` unit-length random directions, as a (count, 4) array.
+
+    Each row takes the engine's next four unit draws, mapped onto [-1, 1];
+    a zero row is redrawn from the four draws after it, so later rows shift
+    and the engine is never asked for more draws than the rows it fills.
+    The stacked ``(1, 4) @ (4, 1)`` products take numpy's vector dot, so
+    each squared norm has the bits of ``delta @ delta`` on its row alone.
+    """
+    blocks = []
+    while count:
+        signed = np.array([engine.sample_unit() for _ in range(N_DIMENSIONS * count)])
+        signed = 2.0 * signed.reshape(count, N_DIMENSIONS) - 1.0
+        norms = np.sqrt((signed[:, None, :] @ signed[:, :, None])[:, 0])
+        kept = norms[:, 0] > 0.0
+        if not kept.all():
+            signed, norms = signed[kept], norms[kept]
+        blocks.append(signed / norms)
+        count -= len(norms)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
 def tumble_direction(engine: StochasticEngine) -> np.ndarray:
     """Unit-length random direction from unit draws mapped onto [-1, 1]; redraws a zero vector."""
-    while True:
-        delta = np.array([2.0 * engine.sample_unit() - 1.0 for _ in range(N_DIMENSIONS)])
-        norm = math.sqrt(float(delta @ delta))
-        if norm > 0.0:
-            return delta / norm
+    return _directions(engine, 1)[0]
 
 
 def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
@@ -172,6 +190,7 @@ def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
                           points.transpose(2, 0, 1)[:, :, :, None], order="C")
     squares *= squares
     d = np.add.reduce(squares, axis=0)
+    del squares  # so the call peaks at 1.25x its largest array, not 1.75x
     if i is not None:
         d[:, :, i] = 0.0
     signals = np.multiply.outer((-params.w_att, -params.w_rep), d)
@@ -263,19 +282,19 @@ def initialize_swarm(engine: StochasticEngine, params: BfaParams, score: ScoreFn
 
 
 def _swim_path(start: np.ndarray, direction: np.ndarray, params: BfaParams) -> np.ndarray:
-    """Each run's ``start`` (B, 4) and the ``n_swim + 1`` positions its tumble
-    can reach, as a (B, n_swim + 2, 4) array.
+    """Each ``start`` (..., 4) and the ``n_swim + 1`` positions its tumble
+    along ``direction`` (..., 4) can reach, as a (..., n_swim + 2, 4) array.
 
     Each axis moves in one fixed direction for the whole swim, so once a
     coordinate is clamped at a face of the cube the running sum stays past
     that face: clipping the cumulative sum once equals clamping after every
     step, bit for bit.
     """
-    steps = np.empty((len(start), params.n_swim + 2, N_DIMENSIONS))
-    steps[:, 0] = start
-    steps[:, 1:] = params.step_size * direction[:, None, :]
-    path = np.add.accumulate(steps, axis=1)
-    path[:, 1:].clip(0.0, 1.0, out=path[:, 1:])
+    steps = np.empty(start.shape[:-1] + (params.n_swim + 2, N_DIMENSIONS))
+    steps[..., 0, :] = start
+    steps[..., 1:, :] = params.step_size * direction[..., None, :]
+    path = np.add.accumulate(steps, axis=-2, out=steps)
+    path[..., 1:, :].clip(0.0, 1.0, out=path[..., 1:, :])
     return path
 
 
@@ -318,14 +337,19 @@ def _generation(
     params: BfaParams,
 ) -> None:
     moves = [[] for _ in swarms]
-    for i in range(theta.shape[1]):
-        directions = np.array([tumble_direction(engine) for engine in engines])
-        paths = _swim_path(theta[:, i], directions, params)
+    size = theta.shape[1]
+    # only the tumbles draw within a generation, and a bacterium's start
+    # changes only through its own swim, so every run's directions and every
+    # reachable path are known before the first swim
+    directions = np.array([_directions(engine, size) for engine in engines])
+    paths = _swim_path(theta, directions, params)
+    for i in range(size):
         # the other bacteria stand still during a swim, so the swarming term
         # along every reachable point of every run's path is one call
-        potentials = _potentials(paths, theta, params, i).tolist() if params.swarming else None
+        potentials = (_potentials(paths[:, i], theta, params, i).tolist()
+                      if params.swarming else None)
         for b, swarm in enumerate(swarms):
-            taken = _swim(i, paths[b], None if potentials is None else potentials[b],
+            taken = _swim(i, paths[b, i], None if potentials is None else potentials[b],
                           swarm, scores[b])
             moves[b].append(taken)
     for swarm, taken in zip(swarms, moves):
@@ -347,6 +371,12 @@ def chemotaxis_generation(
     term along the whole reachable path comes from one batched call per
     tumble, while ``score`` is called only at committed positions, in
     order. Appends the best-so-far value to the trace.
+
+    Draw order is fixed: every tumble is drawn before the first swim, in
+    row order, four unit draws per bacterium, a zero direction redrawn
+    from the next four, just as one ``tumble_direction`` call per
+    bacterium would. Nothing else draws, so the engine ends exactly
+    ``4 * S`` draws on (four more per redraw).
     """
     _generation(swarm.theta[None], [swarm], [engine], [score], params)
     return swarm
@@ -414,11 +444,12 @@ def _run_floats(params: BfaParams) -> int:
 
     With swarming that array is the (4, B, K, S) block of squared
     differences in ``_potentials``, K being ``n_swim + 2`` on a swim path
-    and S at the initial placement; without, it is the (B, n_swim + 2, 4)
-    swim paths or the (B, S, 4) positions.
+    and S at the initial placement; without, it is the generation's
+    (B, S, n_swim + 2, 4) block of swim paths.
     """
-    points = max(params.n_swim + 2, params.pop_size)
-    return N_DIMENSIONS * points * (params.pop_size if params.swarming else 1)
+    path = params.n_swim + 2
+    points = max(path, params.pop_size) if params.swarming else path
+    return N_DIMENSIONS * params.pop_size * points
 
 
 def _batch_limit(params: BfaParams) -> int:
@@ -502,10 +533,11 @@ def run_batch(
 ) -> list[RunResult]:
     """``run_bfa`` of each (weights, engine config) pair, advanced in lockstep.
 
-    The runs share ``params``; the batch makes one swim-path and one
-    swarming-term call per tumble index for all of them. Each result is
-    bit-identical to ``run_bfa`` of that run alone. ``observer``, if given,
-    sees every run's swarm after each generation, in batch order.
+    The runs share ``params``; the batch builds all its swim paths in one
+    call per generation and makes one swarming-term call per tumble index
+    for all of them. Each result is bit-identical to ``run_bfa`` of that
+    run alone. ``observer``, if given, sees every run's swarm after each
+    generation, in batch order.
     """
     if len(weights) != len(engine_configs):
         raise ConfigError(f"{len(weights)} weight vectors for {len(engine_configs)} engine configs")

@@ -19,7 +19,7 @@ from bforage.bfa import (
     run_custom,
     tumble_direction,
 )
-from bforage.bfa import _potentials, _swim_path
+from bforage.bfa import _directions, _potentials, _swim_path
 from bforage.engines import EngineConfig, EngineKind, StochasticEngine
 from bforage.errors import BudgetError, ConfigError, DomainError
 from bforage.problem import WeightVector
@@ -32,8 +32,10 @@ class ScriptedEngine:
 
     def __init__(self, units):
         self.units = list(units)
+        self.draws = 0
 
     def sample_unit(self):
+        self.draws += 1
         return self.units.pop(0)
 
 
@@ -150,6 +152,18 @@ def test_tumble_is_unit_length():
     engine = StochasticEngine(EngineConfig(kind=EngineKind.CHAOTIC, seed=6))
     for _ in range(500):
         assert abs(float(np.linalg.norm(tumble_direction(engine))) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(EngineKind))
+def test_directions_equal_one_tumble_at_a_time(kind):
+    # the block's norms keep the bits of each row's own ``delta @ delta``
+    block = StochasticEngine(EngineConfig(kind=kind, seed=11))
+    alone = StochasticEngine(EngineConfig(kind=kind, seed=11))
+    for size in (1, 2, 7, 25, 400):
+        directions = _directions(block, size)
+        assert directions.shape == (size, 4)
+        assert np.array_equal(directions, [tumble_direction(alone) for _ in range(size)])
+    assert block.draws == alone.draws
 
 
 # -- chemotaxis move ------------------------------------------------------------
@@ -307,6 +321,61 @@ def test_score_calls_match_the_stepwise_swim(monkeypatch, swarming):
     assert len(batched_calls) == batched.evaluations
     assert batched_calls == stepwise_calls
     assert batched == stepwise
+
+
+def test_generation_redraws_a_zero_row_where_a_lone_tumble_would(monkeypatch):
+    # run 0 draws an all-0.5 (zero) row for bacterium 2, beside a normal run 1
+    params = BfaParams(pop_size=5)
+    rng = np.random.default_rng(9)
+    units = [rng.random() for _ in range(8)] + [0.5] * 4 + [rng.random() for _ in range(16)]
+    normal = EngineConfig(kind=EngineKind.GAMMA, seed=4)
+    start = rng.random((2, 5, 4))
+
+    def engines():
+        return [ScriptedEngine(units), StochasticEngine(normal)]
+
+    expected = []
+    for b, (tumbler, swimmer) in enumerate(zip(engines(), engines())):
+        directions = np.array([tumble_direction(tumbler) for _ in range(params.pop_size)])
+        swarm = small_swarm(start[b], params)
+        stepwise_generation(swarm, swimmer, sphere_score, params)
+        assert swimmer.draws == tumbler.draws
+        expected.append((directions, swarm.theta, swarm.last_moves, tumbler.draws))
+    assert [draws for *_, draws in expected] == [24, 20]
+
+    seen = []
+
+    def spy(start, direction, params):
+        seen.append(direction.copy())
+        return _swim_path(start, direction, params)
+
+    monkeypatch.setattr(bfa, "_swim_path", spy)
+    theta = start.copy()
+    swarms = [small_swarm(theta[b], params) for b in range(2)]
+    for b, swarm in enumerate(swarms):
+        swarm.theta = theta[b]  # the batch's swarms are views of its block
+    batch = engines()
+    bfa._generation(theta, swarms, batch, [sphere_score] * 2, params)
+    assert len(seen) == 1  # every path of the generation comes from one call
+    for b, (directions, positions, moves, draws) in enumerate(expected):
+        assert np.array_equal(seen[0][b], directions)
+        assert np.array_equal(swarms[b].theta, positions)
+        assert swarms[b].last_moves == moves
+        assert batch[b].draws == draws
+
+
+@pytest.mark.parametrize("kind", list(EngineKind))
+def test_generation_never_draws_ahead_of_its_tumbles(kind):
+    # dispersal continues the stream, so a generation takes exactly its 4 S draws
+    config = EngineConfig(kind=kind, seed=21)
+    params = BfaParams(pop_size=7)
+    swarm = small_swarm(np.random.default_rng(2).random((7, 4)), params)
+    engine = StochasticEngine(config)
+    chemotaxis_generation(swarm, engine, sphere_score, params)
+    assert engine.draws == 4 * params.pop_size
+    fresh = StochasticEngine(config)
+    stream = [fresh.sample_unit() for _ in range(4 * params.pop_size + 1)]
+    assert engine.sample_unit() == stream[-1]
 
 
 def test_swim_bound_is_never_exceeded():
@@ -557,18 +626,38 @@ def test_a_swim_too_long_for_memory_is_rejected_before_any_allocation():
     assert peak < 2**20
 
 
+def test_potentials_peak_stays_near_the_largest_array():
+    # the (4, 1, 1000, 1000) squared differences are freed before the
+    # (2, 1, 1000, 1000) signals are made
+    theta = np.random.default_rng(3).random((1, 1000, 4))
+    largest = 4 * 1000 * 1000 * 8
+    tracemalloc.start()
+    try:
+        _potentials(theta, theta, BfaParams(pop_size=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * largest
+
+
 @pytest.mark.parametrize("fields,runs", [
-    # 4 * (n_swim + 2) * S with swarming, 4 * (n_swim + 2) without
+    # 4 * (n_swim + 2) * S with swarming; without, the generation's
+    # (B, S, n_swim + 2, 4) block of swim paths, the same count
     (dict(pop_size=2, n_swim=2**24 - 2), 1),
     (dict(pop_size=2, n_swim=2**24 - 1), 0),
-    (dict(pop_size=2, n_swim=2**25 - 2, swarming=False), 1),
-    (dict(pop_size=2, n_swim=2**25 - 1, swarming=False), 0),
+    (dict(pop_size=2, n_swim=2**24 - 2, swarming=False), 1),
+    (dict(pop_size=2, n_swim=2**24 - 1, swarming=False), 0),
     # 4 * S * S at the initial placement: 4 * 5792**2 <= 2**27 < 4 * 5793**2
     (dict(pop_size=5792), 1),
     (dict(pop_size=5793), 0),
-    (dict(pop_size=2**25, swarming=False), 1),
-    (dict(pop_size=2**25 + 1, swarming=False), 0),
+    # without swarming S multiplies the path length: 4 * S * 2 at n_swim = 0
+    (dict(pop_size=2**24, n_swim=0, swarming=False), 1),
+    (dict(pop_size=2**24 + 1, n_swim=0, swarming=False), 0),
     (dict(), 2**27 // (4 * 25 * 25)),
+    # one run fitted while each tumble built only its own path; its block
+    # of swim paths alone now exceeds 2**27 float64s
+    (dict(pop_size=2, n_swim=2**25 - 2, swarming=False), 0),
+    (dict(pop_size=2**25, swarming=False), 0),
 ])
 def test_batch_limit_counts_the_largest_array(fields, runs):
     assert bfa._batch_limit(BfaParams(**fields)) == runs
