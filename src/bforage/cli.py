@@ -84,6 +84,9 @@ def _parse_int_exact(text: str) -> int:
     return int(value)
 
 
+_parse_int_exact.__name__ = "int"  # argparse names a flag's type in its usage errors
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -440,7 +443,8 @@ def _add_bfa_flags(parser) -> None:
             parser.add_argument(f"--no-{key}", dest=key, action="store_const", const=False,
                                 help=f"{text} (default: {key} = {default})")
         else:
-            parser.add_argument(f"--{key}", type=parse, help=f"{text} (default: {default})")
+            parser.add_argument(f"--{key}", type=_TEXT_PARSERS[parse],
+                                help=f"{text} (default: {default})")
 
 
 def _add_engine_flags(parser) -> None:
@@ -483,14 +487,14 @@ def build_parser() -> _Parser:
     p.add_argument("--engines", help=f"comma list of engine kinds (default: {_ALL_ENGINES})")
     _add_engine_flags(p)
     p.add_argument("--seed", help="master seed, unsigned 64-bit; required")
-    p.add_argument("--runs", type=int,
+    p.add_argument("--runs", type=_parse_int_exact,
                    help=f"independent runs per weight vector (default: {_RUNS_DEFAULT})")
     p.add_argument("--weights-file", help="CSV of weight vectors; overrides the lattice (default: none)")
     p.add_argument("--weight-step", type=float, help="lattice step (default: 0.1)")
     p.add_argument("--weight-min", type=float, help="lattice minimum weight (default: 0.1)")
     p.add_argument("--aer-threshold", type=float,
                    help=f"AER deviation threshold (default: {_AER_THRESHOLD_DEFAULT})")
-    p.add_argument("--jobs", type=int, help="worker processes (default: 1)")
+    p.add_argument("--jobs", type=_parse_int_exact, help="worker processes (default: 1)")
     p.add_argument("--config", help="key = value config file (flags win; default: none)")
     p.add_argument("--out", help="directory for frontier CSVs and report.json (default: none)")
     p.add_argument("--plot", action="store_true", help="also write gnuplot data and script stubs")

@@ -233,17 +233,19 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[FrontierReport]:
     """Execute the full protocol and build one report per engine.
 
     The runs go out in contiguous batches of the task list, each advanced in
-    lockstep; ``jobs`` > 1 maps the batches over worker processes. A run's
-    result does not depend on its batch, and the reduce is by task index,
-    so the result is identical to a serial sweep.
+    lockstep; ``jobs`` > 1 maps the batches over at most ``jobs`` worker
+    processes, never more than there are batches. A run's result does not
+    depend on its batch, and the reduce is by task index, so the result is
+    identical to a serial sweep.
     """
     tasks = _task_list(config)
     # a batch stays under the memory limit of one array; a run too large
     # even alone fails in its batch of one
     size = max(1, min(_MAX_BATCH, math.ceil(len(tasks) / max(jobs, 1)), _batch_limit(config.bfa)))
     batches = [tasks[k : k + size] for k in range(0, len(tasks), size)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(batches))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_sweep_task, batches))
     else:
         done = [_sweep_task(batch) for batch in batches]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +226,17 @@ def test_swarming_zero_heights_zero_term():
     params = BfaParams(h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.1, 0.2, 0.3, 0.4), (0.9, 0.8, 0.7, 0.6)], params)
     assert potential_at(np.array([0.5, 0.5, 0.5, 0.5]), swarm, params) == 0.0
+
+
+@pytest.mark.parametrize("kind", list(EngineKind))
+def test_run_without_swarming_equals_a_run_with_a_zero_term(kind):
+    # reproductions at generations 3, 6 and 9, a dispersal at 6
+    params = BfaParams(n_total=12, pop_size=6, n_chemo=3, n_repro=2, p_elim=0.5)
+    for seed in (1, 2):
+        config = EngineConfig(kind=kind, seed=seed)
+        off = run_bfa(WEIGHTS, replace(params, swarming=False), config)
+        zero = run_bfa(WEIGHTS, replace(params, h_att=0.0, h_rep=0.0), config)
+        assert repr(off) == repr(zero)
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 8, 9, 25])

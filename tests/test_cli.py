@@ -196,6 +196,22 @@ def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--engine", "gaussian", "--config", str(config))
     assert code == 0
     assert "warmup = 9007199254740993" in err.splitlines()
+    # a flag parses exactly as its file key does, and a non-integral value
+    # is still a usage error
+    code, _, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3.0", "--pop", "4e0",
+                           "--engine-param", "alpha=2.0")
+    assert code == 0
+    assert {"nt = 3", "pop = 4", "alpha = 2"} <= set(err.splitlines())
+    sweep = ["sweep", "--seed", "1", "--engines", "gaussian", "--weight-step", "0.5",
+             "--weight-min", "0.25", "--pop", "2", "--nt", "2"]
+    code, _, err = run_cli(capsys, *sweep, "--runs", "1.0", "--jobs", "1e0")
+    assert code == 0
+    assert {"runs = 1", "jobs = 1"} <= set(err.splitlines())
+    for argv in (["run", "--seed", "1", "--nt", "2.5"], ["run", "--seed", "1", "--pop", "inf"],
+                 [*sweep, "--runs", "1.5"], [*sweep, "--jobs", "2.5"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert "invalid int value" in err
 
 
 @pytest.mark.parametrize("argv,code", [

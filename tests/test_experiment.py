@@ -1,10 +1,12 @@
 import dataclasses
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from bforage import experiment
 from bforage.bfa import BfaParams, run_bfa
 from bforage.engines import EngineConfig, EngineKind
 from bforage.errors import ConfigError, LatticeError, SchemaError
@@ -161,6 +163,28 @@ def test_sweep_serial_equals_parallel():
         runs_per_weight=2,
     )
     assert run_sweep(config, jobs=1) == run_sweep(config, jobs=2)
+
+
+def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
+    # threads stand in for worker processes; the sweep sizes its pool
+    started = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    # 2 tasks at 4 jobs go out as 2 batches of 1; 9 tasks as 3, 3 and 3
+    for runs, workers in ((2, [2]), (9, [3])):
+        config = tiny_config(runs_per_weight=runs)
+        started.clear()
+        assert run_sweep(config, jobs=4) == run_sweep(config, jobs=1)
+        assert started == workers
+    # one batch runs in this process
+    started.clear()
+    run_sweep(tiny_config(), jobs=4)
+    assert started == []
 
 
 def test_sweep_selects_the_best_of_r_runs():

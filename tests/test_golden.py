@@ -94,6 +94,20 @@ ENGINE_STREAM_DIGESTS = {
     "chaotic": "9df06f0f2859b237d26bd072704380407fcb56ca86245b4c92491f4d7ecac607",
 }
 
+# one run per engine with swarming off, default engine parameters, recorded
+# before every evaluation went through one commit routine: the fitness is
+# the plain objective, the swarm reproduces at generations 3, 6 and 9, and
+# at 6 each run disperses at least one bacterium; at most seeds the
+# cell-to-cell term is too small to change a run at these weights, so each
+# seed is one whose run with swarming on differs from its run here
+NO_SWARMING_PARAMS = replace(PARAMS, swarming=False)
+NO_SWARMING_DIGESTS = {
+    ("gaussian", 2): "f6d88602169a0096dad85ca83af28722342c91ab934f89770fe8e5a5d26c4f9d",
+    ("weibull", 70): "2ae18cbc70160523ebb533cbeda56843480e80ac229f52ff438e3c2e6ed7f40a",
+    ("gamma", 4): "abcdc15dde9ec0417caa73e8b92e31844da4b594c503f4d590a32446df210674",
+    ("chaotic", 17): "a8c1f3d5fae2ae13de1a24f59410deb9a29590b2003630affed3486a59689676",
+}
+
 # run_custom on the checked model path, aggregate(evaluate(to_physical(u))),
 # one default-size run per engine (seed 5, ENGINE_PARAMS, 15 generations with
 # two reproductions and two dispersals): the optimizer loop and the engine
@@ -174,6 +188,11 @@ def run_digest(kind, seed, pop, nt) -> str:
     return result_digest(run_bfa(WEIGHTS, params, EngineConfig(kind=EngineKind(kind), seed=seed)))
 
 
+def no_swarming_digest(kind, seed) -> str:
+    config = EngineConfig(kind=EngineKind(kind), seed=seed)
+    return result_digest(run_bfa(WEIGHTS, NO_SWARMING_PARAMS, config))
+
+
 def engine_stream_digest(kind) -> str:
     config = EngineConfig(kind=EngineKind(kind), seed=31, **ENGINE_PARAMS[kind])
     raw_engine, unit_engine = StochasticEngine(config), StochasticEngine(config)
@@ -212,6 +231,11 @@ def sweep_out_digests(tmp_path) -> dict:
 @pytest.mark.parametrize("kind,seed,pop,nt", RUN_CASES, ids=RUN_CASE_IDS)
 def test_run_bfa_fields_match_golden(kind, seed, pop, nt):
     assert run_digest(kind, seed, pop, nt) == RUN_DIGESTS[(kind, seed, pop, nt)]
+
+
+@pytest.mark.parametrize("kind,seed", sorted(NO_SWARMING_DIGESTS))
+def test_run_bfa_without_swarming_matches_golden(kind, seed):
+    assert no_swarming_digest(kind, seed) == NO_SWARMING_DIGESTS[(kind, seed)]
 
 
 @pytest.mark.parametrize("kind", sorted(ENGINE_STREAM_DIGESTS))
@@ -279,6 +303,7 @@ def print_current_digests() -> None:
         tables = {
             "RUN_DIGESTS": {case: run_digest(*case) for case in RUN_DIGESTS},
             "ENGINE_STREAM_DIGESTS": {k: engine_stream_digest(k) for k in ENGINE_STREAM_DIGESTS},
+            "NO_SWARMING_DIGESTS": {case: no_swarming_digest(*case) for case in NO_SWARMING_DIGESTS},
             "CUSTOM_DIGESTS": {k: custom_digest(k) for k in CUSTOM_DIGESTS},
             "RUN_FILE_DIGESTS": file_digests,
             "SWEEP_FILE_DIGESTS": sweep_out_digests(tmp),
