@@ -9,15 +9,10 @@ from .bfa import (
     BfaParams,
     RunResult,
     SwarmState,
-    chemotaxis_generation,
-    chemotaxis_move,
-    eliminate_disperse,
-    initialize_swarm,
     reproduce,
     run_batch,
     run_bfa,
     run_custom,
-    tumble_direction,
 )
 from .engines import (
     EngineConfig,

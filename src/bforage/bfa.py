@@ -40,12 +40,7 @@ __all__ = [
     "BfaParams",
     "SwarmState",
     "RunResult",
-    "initialize_swarm",
-    "tumble_direction",
-    "chemotaxis_move",
-    "chemotaxis_generation",
     "reproduce",
-    "eliminate_disperse",
     "run_bfa",
     "run_batch",
     "run_custom",
@@ -110,7 +105,7 @@ class SwarmState:
     the last reproduction event (the initial placement and dispersal
     re-evaluations included); reproduction resets it to zero. In a lockstep
     batch ``theta`` is a view of the batch's (B, S, 4) block of positions,
-    so the step functions write the arrays in place and never rebind them.
+    so every step of a run writes the arrays in place and never rebinds them.
     """
 
     theta: np.ndarray      # (S, 4)
@@ -163,11 +158,6 @@ def _directions(engine: StochasticEngine, count: int) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
-def tumble_direction(engine: StochasticEngine) -> np.ndarray:
-    """Unit-length random direction from unit draws mapped onto [-1, 1]; redraws a zero vector."""
-    return _directions(engine, 1)[0]
-
-
 def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
                 i: Optional[int] = None) -> np.ndarray:
     """Cell-to-cell potential at each point of ``points`` (B, K, 4), as (B, K).
@@ -205,6 +195,7 @@ def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
     return attract + repel
 
 
+# no run calls it: it stays as the tests' one-move reference and the hook perfbench's tracer patches
 def chemotaxis_move(
     i: int,
     direction: np.ndarray,
@@ -227,12 +218,18 @@ def chemotaxis_move(
 # calls and each run's own bookkeeping see the same positions. Every run
 # keeps its own engine and score, and draws and scores in the order it
 # would alone, so a run's result does not depend on the batch around it.
-# The public step functions are the batch of one.
 
 
 def _initialize(
     engines: Sequence[StochasticEngine], params: BfaParams, scores: Sequence[ScoreFn]
 ) -> tuple[np.ndarray, list[SwarmState]]:
+    """Place ``pop_size`` bacteria per run at engine-drawn positions and evaluate them.
+
+    Returns the (B, S, 4) block of positions and each run's swarm. Draw
+    order is fixed: all positions first (bacterium by bacterium, one unit
+    draw per component), then every cost is evaluated against the complete
+    initial swarm.
+    """
     theta = np.array([[[engine.sample_unit() for _ in range(N_DIMENSIONS)]
                        for _ in range(params.pop_size)] for engine in engines])
     potentials = _potentials(theta, theta, params).tolist()
@@ -245,17 +242,6 @@ def _initialize(
             _swim(i, theta[b, i : i + 1], potentials[b][i : i + 1], math.inf, swarm, score)
         swarms.append(swarm)
     return theta, swarms
-
-
-def initialize_swarm(engine: StochasticEngine, params: BfaParams, score: ScoreFn) -> SwarmState:
-    """Place ``pop_size`` bacteria at engine-drawn positions and evaluate them.
-
-    Draw order is fixed: all positions first (bacterium by bacterium, one
-    unit draw per component), then every cost is evaluated against the
-    complete initial swarm.
-    """
-    _, (swarm,) = _initialize([engine], params, [score])
-    return swarm
 
 
 def _swim_path(start: np.ndarray, direction: np.ndarray, params: BfaParams) -> np.ndarray:
@@ -315,6 +301,18 @@ def _generation(
     scores: Sequence[ScoreFn],
     params: BfaParams,
 ) -> None:
+    """One generation of every run: each bacterium tumbles once, then swims while improving.
+
+    The swim gate compares augmented fitness before and after each move; a
+    move is always committed, the gate only decides whether another one
+    follows. ``score`` is called only at committed positions, in order.
+    Appends each run's best-so-far value to its trace.
+
+    Draw order is fixed: every tumble of a run is drawn before its first
+    swim, in row order, four unit draws per bacterium, a zero direction
+    redrawn from the next four. Nothing else draws, so each engine ends
+    exactly ``4 * S`` draws on (four more per redraw).
+    """
     moves = [[] for _ in swarms]
     size = theta.shape[1]
     # only the tumbles draw within a generation, and a bacterium's start
@@ -337,32 +335,7 @@ def _generation(
         swarm.trace.append(swarm.best_f)
 
 
-def chemotaxis_generation(
-    swarm: SwarmState,
-    engine: StochasticEngine,
-    score: ScoreFn,
-    params: BfaParams,
-) -> SwarmState:
-    """One generation: every bacterium tumbles once, then swims while improving.
-
-    The swim gate compares augmented fitness before and after each move; a
-    move is always committed, the gate only decides whether another one
-    follows. The other bacteria stand still during a swim, so the swarming
-    term along the whole reachable path comes from one batched call per
-    tumble, while ``score`` is called only at committed positions, in
-    order. Appends the best-so-far value to the trace.
-
-    Draw order is fixed: every tumble is drawn before the first swim, in
-    row order, four unit draws per bacterium, a zero direction redrawn
-    from the next four, just as one ``tumble_direction`` call per
-    bacterium would. Nothing else draws, so the engine ends exactly
-    ``4 * S`` draws on (four more per redraw).
-    """
-    _generation(swarm.theta[None], [swarm], [engine], [score], params)
-    return swarm
-
-
-def reproduce(swarm: SwarmState, params: BfaParams) -> SwarmState:
+def reproduce(swarm: SwarmState) -> None:
     """Health-ranked cloning: the healthier half survives and splits.
 
     With population S the top ``ceil(S/2)`` (ties broken by row index)
@@ -378,7 +351,6 @@ def reproduce(swarm: SwarmState, params: BfaParams) -> SwarmState:
     swarm.f_plain[:] = swarm.f_plain[rows]
     swarm.cost[:] = swarm.cost[rows]
     swarm.health[:] = 0.0
-    return swarm
 
 
 def _disperse(
@@ -388,6 +360,12 @@ def _disperse(
     scores: Sequence[ScoreFn],
     params: BfaParams,
 ) -> None:
+    """Independently disperse each bacterium of every run with probability ``p_elim``.
+
+    One unit draw per bacterium decides; a dispersed bacterium then takes
+    four unit draws for a fresh position and is re-evaluated. The
+    best-so-far archive is never erased.
+    """
     for i in range(theta.shape[1]):
         moved = []
         for b, engine in enumerate(engines):
@@ -400,21 +378,6 @@ def _disperse(
             potentials = _potentials(theta[:, i : i + 1], theta, params, i).tolist()
             for b in moved:
                 _swim(i, theta[b, i : i + 1], potentials[b], math.inf, swarms[b], scores[b])
-
-
-def eliminate_disperse(
-    swarm: SwarmState,
-    engine: StochasticEngine,
-    score: ScoreFn,
-    params: BfaParams,
-) -> SwarmState:
-    """Independently disperse each bacterium with probability ``p_elim``.
-
-    One unit draw decides; a dispersed bacterium gets a fresh engine-drawn
-    position and is re-evaluated. The best-so-far archive is never erased.
-    """
-    _disperse(swarm.theta[None], [swarm], [engine], [score], params)
-    return swarm
 
 
 def _run_floats(params: BfaParams) -> int:
@@ -467,7 +430,7 @@ def _run_lockstep(
         if generation < params.n_total:
             if generation % params.n_chemo == 0:
                 for swarm in swarms:
-                    reproduce(swarm, params)
+                    reproduce(swarm)
             if generation % dispersal_period == 0:
                 _disperse(theta, swarms, engines, scores, params)
         if observer is not None:

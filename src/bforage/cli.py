@@ -87,6 +87,13 @@ def _parse_int_exact(text: str) -> int:
 _parse_int_exact.__name__ = "int"  # argparse names a flag's type in its usage errors
 
 
+def _parse_seed(text: str) -> int:
+    return int(text, 0)  # decimal, 0x hex, 0o octal or 0b binary
+
+
+_parse_seed.__name__ = "int"
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -265,7 +272,7 @@ def _cmd_evaluate(args) -> int:
 def _run_single(args):
     resolver, params, engine_fields = _resolve_shared(args)
     kind = EngineKind.from_string(resolver.take("engine", args.engine, "gaussian", str))
-    seed = resolver.take("seed", args.seed, None, lambda t: int(t, 0))
+    seed = resolver.take("seed", args.seed, None, _parse_seed)
     weights_text = resolver.take("weights", args.weights, "0.25,0.25,0.25,0.25", str)
     threshold = resolver.take("aer_threshold", args.aer_threshold, _AER_THRESHOLD_DEFAULT, float)
     resolver.reject_unknown()
@@ -309,7 +316,7 @@ def _cmd_sweep(args) -> int:
         raise UsageError("--plot requires --out")
     resolver, params, engine_fields = _resolve_shared(args)
     engines_text = resolver.take("engines", args.engines, _ALL_ENGINES, str)
-    master_seed = resolver.take("seed", args.seed, None, lambda t: int(t, 0))
+    master_seed = resolver.take("seed", args.seed, None, _parse_seed)
     runs = resolver.take("runs", args.runs, _RUNS_DEFAULT, _parse_int_exact)
     threshold = resolver.take("aer_threshold", args.aer_threshold, _AER_THRESHOLD_DEFAULT, float)
     weights_file = resolver.take("weights_file", args.weights_file, None, str)
@@ -473,20 +480,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("run", help="one optimizer run")
     p.add_argument("--engine", help="gaussian|weibull|gamma|chaotic (default: gaussian)")
     _add_engine_flags(p)
-    p.add_argument("--seed", help="engine seed, unsigned 64-bit; required")
+    p.add_argument("--seed", type=_parse_seed, help="engine seed, unsigned 64-bit; required")
     p.add_argument("--weights", help="w1,w2,w3,w4 (default: 0.25,0.25,0.25,0.25)")
     p.add_argument("--config", help="key = value config file (flags win; default: none)")
     p.add_argument("--aer-threshold", type=float,
                    help=f"AER deviation threshold (default: {_AER_THRESHOLD_DEFAULT})")
     p.add_argument("--out", help="directory for solution.csv and trace.csv (default: none)")
     _add_bfa_flags(p)
-    p.set_defaults(handler=_cmd_run, seed=None)
+    p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sweep",
                        help="engines x weights x runs protocol, frontier reports out")
     p.add_argument("--engines", help=f"comma list of engine kinds (default: {_ALL_ENGINES})")
     _add_engine_flags(p)
-    p.add_argument("--seed", help="master seed, unsigned 64-bit; required")
+    p.add_argument("--seed", type=_parse_seed, help="master seed, unsigned 64-bit; required")
     p.add_argument("--runs", type=_parse_int_exact,
                    help=f"independent runs per weight vector (default: {_RUNS_DEFAULT})")
     p.add_argument("--weights-file", help="CSV of weight vectors; overrides the lattice (default: none)")
@@ -499,16 +506,16 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="directory for frontier CSVs and report.json (default: none)")
     p.add_argument("--plot", action="store_true", help="also write gnuplot data and script stubs")
     _add_bfa_flags(p)
-    p.set_defaults(handler=_cmd_sweep, seed=None)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("hvi", help="hypervolume of a frontier CSV")
     p.add_argument("--input", required=True, help="frontier CSV path")
     p.add_argument("--ref", default="0,0,0,0", help="reference point r1,r2,r3,r4 (default: 0,0,0,0)")
     p.add_argument("--method", choices=("exact", "mc"), default="exact",
                    help="exact sweep or Monte Carlo estimate (default: exact)")
-    p.add_argument("--samples", type=int, default=1_000_000,
+    p.add_argument("--samples", type=_parse_int_exact, default=1_000_000,
                    help="Monte Carlo sample count (default: 1000000)")
-    p.add_argument("--seed", type=int, help="Monte Carlo seed; required with --method mc")
+    p.add_argument("--seed", type=_parse_int_exact, help="Monte Carlo seed; required with --method mc")
     p.set_defaults(handler=_cmd_hvi)
 
     p = sub.add_parser("aer", help="average explorative rate of a trace CSV")
@@ -538,11 +545,6 @@ def dispatch(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "seed", None) is not None and isinstance(args.seed, str):
-            try:
-                args.seed = int(args.seed, 0)
-            except ValueError:
-                raise UsageError(f"--seed must be an integer, got {args.seed!r}") from None
         return args.handler(args)
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

@@ -7,20 +7,16 @@ import numpy as np
 import pytest
 
 from bforage import bfa
+from bforage.bfa import BfaParams, SwarmState, reproduce, run_batch, run_bfa, run_custom
 from bforage.bfa import (
-    BfaParams,
-    SwarmState,
-    chemotaxis_generation,
+    _directions,
+    _disperse,
+    _generation,
+    _initialize,
+    _potentials,
+    _swim_path,
     chemotaxis_move,
-    eliminate_disperse,
-    initialize_swarm,
-    reproduce,
-    run_batch,
-    run_bfa,
-    run_custom,
-    tumble_direction,
 )
-from bforage.bfa import _directions, _potentials, _swim_path
 from bforage.engines import EngineConfig, EngineKind, StochasticEngine
 from bforage.errors import BudgetError, ConfigError, DomainError
 from bforage.problem import WeightVector
@@ -63,7 +59,7 @@ def stepwise_generation(swarm, engine, score, params):
         previous = swarm.f_plain[i]
         if params.swarming:
             previous = previous - potential_at(swarm.theta[i], swarm, params)
-        direction = tumble_direction(engine)
+        direction = _directions(engine, 1)[0]
         current = chemotaxis_move(i, direction, swarm, score, params)
         taken = 1
         while taken <= params.n_swim and current > previous:
@@ -107,7 +103,8 @@ def test_parameter_validation():
 def test_initialize_draws_four_units_per_bacterium():
     params = BfaParams(pop_size=25)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=9))
-    swarm = initialize_swarm(engine, params, sphere_score)
+    theta, (swarm,) = _initialize([engine], params, [sphere_score])
+    assert theta.shape == (1, 25, 4)
     assert swarm.size == 25
     assert engine.draws == 100
     assert swarm.evaluations == 25
@@ -116,16 +113,16 @@ def test_initialize_draws_four_units_per_bacterium():
 def test_initialize_is_deterministic():
     params = BfaParams(pop_size=6)
     cfg = EngineConfig(kind=EngineKind.WEIBULL, seed=4)
-    a = initialize_swarm(StochasticEngine(cfg), params, sphere_score)
-    b = initialize_swarm(StochasticEngine(cfg), params, sphere_score)
+    _, (a,) = _initialize([StochasticEngine(cfg)], params, [sphere_score])
+    _, (b,) = _initialize([StochasticEngine(cfg)], params, [sphere_score])
     for name in ("theta", "f_plain", "cost", "health"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_initialize_singleton_best_is_sole_member():
     params = BfaParams(pop_size=1)
-    swarm = initialize_swarm(StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2)),
-                             params, sphere_score)
+    _, (swarm,) = _initialize([StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2))],
+                              params, [sphere_score])
     assert swarm.best_f == swarm.f_plain[0]
     assert np.array_equal(swarm.best_theta, swarm.theta[0])
 
@@ -135,24 +132,24 @@ def test_initialize_singleton_best_is_sole_member():
 
 def test_tumble_passes_through_an_already_unit_vector():
     # signed draws (1, 0, 0, 0) come from unit draws (1.0, 0.5, 0.5, 0.5)
-    direction = tumble_direction(ScriptedEngine([1.0, 0.5, 0.5, 0.5]))
+    direction = _directions(ScriptedEngine([1.0, 0.5, 0.5, 0.5]), 1)[0]
     assert direction.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_tumble_normalizes_the_diagonal():
-    direction = tumble_direction(ScriptedEngine([1.0, 1.0, 1.0, 1.0]))
+    direction = _directions(ScriptedEngine([1.0, 1.0, 1.0, 1.0]), 1)[0]
     assert direction.tolist() == [0.5, 0.5, 0.5, 0.5]
 
 
 def test_tumble_redraws_on_the_zero_vector():
-    direction = tumble_direction(ScriptedEngine([0.5, 0.5, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5]))
+    direction = _directions(ScriptedEngine([0.5, 0.5, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5]), 1)[0]
     assert direction.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_tumble_is_unit_length():
     engine = StochasticEngine(EngineConfig(kind=EngineKind.CHAOTIC, seed=6))
     for _ in range(500):
-        assert abs(float(np.linalg.norm(tumble_direction(engine))) - 1.0) <= 1e-12
+        assert abs(float(np.linalg.norm(_directions(engine, 1)[0])) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(EngineKind))
@@ -163,7 +160,7 @@ def test_directions_equal_one_tumble_at_a_time(kind):
     for size in (1, 2, 7, 25, 400):
         directions = _directions(block, size)
         assert directions.shape == (size, 4)
-        assert np.array_equal(directions, [tumble_direction(alone) for _ in range(size)])
+        assert np.array_equal(directions, [_directions(alone, 1)[0] for _ in range(size)])
     assert block.draws == alone.draws
 
 
@@ -248,7 +245,7 @@ def test_path_potentials_equal_swarming_term_at_each_point(size):
     swarm = small_swarm(rng.random((size, 4)), params)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=size))
     for i in range(size):
-        path = _swim_path(swarm.theta[None, i], tumble_direction(engine)[None], params)[0]
+        path = _swim_path(swarm.theta[None, i], _directions(engine, 1), params)[0]
         assert ((path[1:] == 0.0) | (path[1:] == 1.0)).any()  # the swim reaches a face
         potentials = _potentials(path[None], swarm.theta[None], params, i)[0]
         assert potentials.shape == (len(path),)
@@ -266,7 +263,7 @@ def test_swim_path_equals_iterated_clamp(step):
     starts = [rng.random(4) for _ in range(40)] + [np.array([0.0, 1.0, 0.98, 0.02])]
     faces = 0
     for start in starts:
-        direction = tumble_direction(engine)
+        direction = _directions(engine, 1)[0]
         path = _swim_path(start[None], direction[None], params)[0]
         expected = [start]
         for _ in range(params.n_swim + 1):
@@ -282,9 +279,9 @@ def test_swim_path_equals_iterated_clamp(step):
 def test_generation_with_swim_disabled_takes_one_move_each():
     params = BfaParams(pop_size=5, n_swim=0, swarming=False)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
-    swarm = initialize_swarm(engine, params, sphere_score)
+    theta, (swarm,) = _initialize([engine], params, [sphere_score])
     evals_before = swarm.evaluations
-    chemotaxis_generation(swarm, engine, sphere_score, params)
+    _generation(theta, [swarm], [engine], [sphere_score], params)
     assert swarm.last_moves == [1] * 5
     assert swarm.evaluations == evals_before + 5
     assert len(swarm.trace) == 1
@@ -300,8 +297,8 @@ def test_swim_stops_after_a_worsening_first_move():
         calls["n"] += 1
         return float(-calls["n"])  # every evaluation is worse than the last
 
-    swarm = initialize_swarm(engine, params, decreasing_score)
-    chemotaxis_generation(swarm, engine, decreasing_score, params)
+    theta, (swarm,) = _initialize([engine], params, [decreasing_score])
+    _generation(theta, [swarm], [engine], [decreasing_score], params)
     assert swarm.last_moves == [1]
     assert calls["n"] == 2  # the rest of the swim path is never scored
 
@@ -348,7 +345,7 @@ def test_generation_redraws_a_zero_row_where_a_lone_tumble_would(monkeypatch):
 
     expected = []
     for b, (tumbler, swimmer) in enumerate(zip(engines(), engines())):
-        directions = np.array([tumble_direction(tumbler) for _ in range(params.pop_size)])
+        directions = np.array([_directions(tumbler, 1)[0] for _ in range(params.pop_size)])
         swarm = small_swarm(start[b], params)
         stepwise_generation(swarm, swimmer, sphere_score, params)
         assert swimmer.draws == tumbler.draws
@@ -383,7 +380,7 @@ def test_generation_never_draws_ahead_of_its_tumbles(kind):
     params = BfaParams(pop_size=7)
     swarm = small_swarm(np.random.default_rng(2).random((7, 4)), params)
     engine = StochasticEngine(config)
-    chemotaxis_generation(swarm, engine, sphere_score, params)
+    _generation(swarm.theta[None], [swarm], [engine], [sphere_score], params)
     assert engine.draws == 4 * params.pop_size
     fresh = StochasticEngine(config)
     stream = [fresh.sample_unit() for _ in range(4 * params.pop_size + 1)]
@@ -393,18 +390,18 @@ def test_generation_never_draws_ahead_of_its_tumbles(kind):
 def test_swim_bound_is_never_exceeded():
     params = BfaParams(pop_size=8, n_swim=3, swarming=False)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.WEIBULL, seed=12))
-    swarm = initialize_swarm(engine, params, sphere_score)
+    theta, (swarm,) = _initialize([engine], params, [sphere_score])
     for _ in range(20):
-        chemotaxis_generation(swarm, engine, sphere_score, params)
+        _generation(theta, [swarm], [engine], [sphere_score], params)
         assert all(1 <= m <= params.n_swim + 1 for m in swarm.last_moves)
 
 
 def test_trace_grows_by_one_per_generation():
     params = BfaParams(pop_size=4, swarming=False)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=8))
-    swarm = initialize_swarm(engine, params, sphere_score)
+    theta, (swarm,) = _initialize([engine], params, [sphere_score])
     for expected_len in range(1, 11):
-        chemotaxis_generation(swarm, engine, sphere_score, params)
+        _generation(theta, [swarm], [engine], [sphere_score], params)
         assert len(swarm.trace) == expected_len
 
 
@@ -415,7 +412,7 @@ def test_reproduce_even_population():
     params = BfaParams(pop_size=4)
     swarm = small_swarm([(0.1,) * 4, (0.2,) * 4, (0.3,) * 4, (0.4,) * 4], params)
     swarm.health[:] = (10.0, 9.0, 1.0, 0.0)
-    reproduce(swarm, params)
+    reproduce(swarm)
     assert swarm.size == 4
     thetas = [tuple(t) for t in swarm.theta]
     assert thetas == [(0.1,) * 4, (0.2,) * 4, (0.1,) * 4, (0.2,) * 4]
@@ -427,7 +424,7 @@ def test_reproduce_odd_population_keeps_ceil_half():
     params = BfaParams(pop_size=25)
     swarm = small_swarm([(i / 25.0,) * 4 for i in range(25)], params)
     swarm.health[:] = np.arange(25.0)  # bacterium 24 is healthiest
-    reproduce(swarm, params)
+    reproduce(swarm)
     assert swarm.size == 25
     survivors = [tuple(t) for t in swarm.theta[:13]]
     clones = [tuple(t) for t in swarm.theta[13:]]
@@ -439,7 +436,7 @@ def test_reproduce_breaks_ties_by_position():
     params = BfaParams(pop_size=4)
     swarm = small_swarm([(0.1,) * 4, (0.2,) * 4, (0.3,) * 4, (0.4,) * 4], params)
     swarm.health[:] = 5.0
-    reproduce(swarm, params)
+    reproduce(swarm)
     thetas = [tuple(t) for t in swarm.theta]
     assert thetas == [(0.1,) * 4, (0.2,) * 4, (0.1,) * 4, (0.2,) * 4]
     # mixed ties at odd sizes rank as a sort on (-health, position) does
@@ -448,7 +445,7 @@ def test_reproduce_breaks_ties_by_position():
         params = BfaParams(pop_size=size)
         swarm = small_swarm([(i / 10.0,) * 4 for i in range(size)], params)
         swarm.health[:] = health[:size]
-        reproduce(swarm, params)
+        reproduce(swarm)
         ranked = sorted(range(size), key=lambda i: (-health[i], i))
         keep = (size + 1) // 2
         rows = ranked[:keep] + ranked[: size - keep]
@@ -459,7 +456,7 @@ def test_clones_are_independent_copies():
     params = BfaParams(pop_size=2)
     swarm = small_swarm([(0.5,) * 4, (0.6,) * 4], params)
     swarm.health[0] = 1.0
-    reproduce(swarm, params)
+    reproduce(swarm)
     swarm.theta[0, 0] = 0.123
     assert swarm.theta[1, 0] != 0.123
 
@@ -470,32 +467,34 @@ def test_clones_are_independent_copies():
 def test_dispersal_probability_zero_is_a_no_op():
     params = BfaParams(pop_size=5, p_elim=0.0, swarming=False)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    swarm = initialize_swarm(engine, params, sphere_score)
+    theta, (swarm,) = _initialize([engine], params, [sphere_score])
     before = swarm.theta.copy()
-    evals = swarm.evaluations
-    eliminate_disperse(swarm, engine, sphere_score, params)
+    evals, draws = swarm.evaluations, engine.draws
+    _disperse(theta, [swarm], [engine], [sphere_score], params)
     assert np.array_equal(before, swarm.theta)
     assert swarm.evaluations == evals
+    assert engine.draws == draws + 5  # one decision draw per bacterium
 
 
 def test_dispersal_probability_one_redraws_everyone():
     params = BfaParams(pop_size=5, p_elim=1.0, swarming=False)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    swarm = initialize_swarm(engine, params, sphere_score)
+    theta, (swarm,) = _initialize([engine], params, [sphere_score])
     before = swarm.theta.copy()
-    evals = swarm.evaluations
-    eliminate_disperse(swarm, engine, sphere_score, params)
+    evals, draws = swarm.evaluations, engine.draws
+    _disperse(theta, [swarm], [engine], [sphere_score], params)
     assert swarm.size == 5
     assert swarm.evaluations == evals + 5
+    assert engine.draws == draws + 5 * 5  # a decision draw, then four position draws
     assert all(not np.array_equal(a, t) for a, t in zip(before, swarm.theta))
 
 
 def test_dispersal_never_erases_the_archive():
     params = BfaParams(pop_size=5, p_elim=1.0, swarming=False)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    swarm = initialize_swarm(engine, params, sphere_score)
+    theta, (swarm,) = _initialize([engine], params, [sphere_score])
     best_before = swarm.best_f
-    eliminate_disperse(swarm, engine, sphere_score, params)
+    _disperse(theta, [swarm], [engine], [sphere_score], params)
     assert swarm.best_f >= best_before
 
 
@@ -549,10 +548,10 @@ def test_engine_draws_replay_exactly():
     counts = []
     for _ in range(2):
         engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=17))
-        swarm = initialize_swarm(engine, params, sphere_score)
+        theta, (swarm,) = _initialize([engine], params, [sphere_score])
         for _ in range(12):
-            chemotaxis_generation(swarm, engine, sphere_score, params)
-        eliminate_disperse(swarm, engine, sphere_score, params)
+            _generation(theta, [swarm], [engine], [sphere_score], params)
+        _disperse(theta, [swarm], [engine], [sphere_score], params)
         counts.append(engine.draws)
     assert counts[0] == counts[1]
 

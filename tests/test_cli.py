@@ -67,6 +67,26 @@ def test_run_without_seed_is_a_usage_error(capsys):
     assert "seed" in err
 
 
+def test_seed_flag_and_file_key_parse_alike(capsys, tmp_path):
+    # base-prefixed literals as flag or file key; a bad flag is a usage
+    # error, a bad key a config error that names its line
+    config = tmp_path / "run.conf"
+    config.write_text("nt = 2\npop = 2\nseed = 0x10\n")
+    for argv in (["--seed", "0x10", "--nt", "2", "--pop", "2"], ["--config", str(config)]):
+        code, _, err = run_cli(capsys, "run", *argv)
+        assert code == 0
+        assert "seed = 16" in err.splitlines()
+    for verb in ("run", "sweep"):
+        code, _, err = run_cli(capsys, verb, "--seed", "1.5")
+        assert code == 1
+        assert "--seed" in err
+    config.write_text("nt = 2\nseed = 1.5\n")
+    for verb in ("run", "sweep"):
+        code, _, err = run_cli(capsys, verb, "--config", str(config))
+        assert code == 2
+        assert ":2: bad value for 'seed'" in err
+
+
 def test_help_lists_flags_and_defaults(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "400")  # one help line per flag
     for verb, expected_flags in [
@@ -207,8 +227,17 @@ def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
     code, _, err = run_cli(capsys, *sweep, "--runs", "1.0", "--jobs", "1e0")
     assert code == 0
     assert {"runs = 1", "jobs = 1"} <= set(err.splitlines())
+    from test_experiment import make_record
+
+    frontier = tmp_path / "frontier.csv"
+    write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], frontier)
+    hvi = ["hvi", "--input", str(frontier), "--method", "mc"]
+    code, out, _ = run_cli(capsys, *hvi, "--samples", "1e3", "--seed", "1.0")
+    assert code == 0
+    assert {"samples=1000", "seed=1"} <= set(out.splitlines())
     for argv in (["run", "--seed", "1", "--nt", "2.5"], ["run", "--seed", "1", "--pop", "inf"],
-                 [*sweep, "--runs", "1.5"], [*sweep, "--jobs", "2.5"]):
+                 [*sweep, "--runs", "1.5"], [*sweep, "--jobs", "2.5"],
+                 [*hvi, "--samples", "1.5", "--seed", "1"], [*hvi, "--samples", "1e3", "--seed", "1.5"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert "invalid int value" in err

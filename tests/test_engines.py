@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bforage
-from bforage.bfa import tumble_direction
+from bforage.bfa import _directions
 from bforage.engines import (
     EngineConfig,
     EngineKind,
@@ -197,7 +197,7 @@ def test_signed_is_affine_image_of_unit():
         a, b = engine(kind, seed=3), engine(kind, seed=3)
         for _ in range(50):
             signed = np.array([2.0 * b.sample_unit() - 1.0 for _ in range(4)])
-            assert np.array_equal(tumble_direction(a), signed / np.linalg.norm(signed))
+            assert np.array_equal(_directions(a, 1)[0], signed / np.linalg.norm(signed))
         assert a.draws == b.draws == 200
 
 
