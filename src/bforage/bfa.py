@@ -140,14 +140,16 @@ def _directions(engine: StochasticEngine, count: int) -> np.ndarray:
     """``count`` unit-length random directions, as a (count, 4) array.
 
     Each row takes the engine's next four unit draws, mapped onto [-1, 1];
-    a zero row is redrawn from the four draws after it, so later rows shift
-    and the engine is never asked for more draws than the rows it fills.
-    The stacked ``(1, 4) @ (4, 1)`` products take numpy's vector dot, so
-    each squared norm has the bits of ``delta @ delta`` on its row alone.
+    the ``4 * count`` draws come as one ``sample_units`` block. A zero row
+    is redrawn from the four draws after it, in one more block for all the
+    rows still missing, so later rows shift and the engine is never asked
+    for more draws than the rows it fills. The stacked ``(1, 4) @ (4, 1)``
+    products take numpy's vector dot, so each squared norm has the bits of
+    ``delta @ delta`` on its row alone.
     """
     blocks = []
     while count:
-        signed = np.array([engine.sample_unit() for _ in range(N_DIMENSIONS * count)])
+        signed = np.array(engine.sample_units(N_DIMENSIONS * count))
         signed = 2.0 * signed.reshape(count, N_DIMENSIONS) - 1.0
         norms = np.sqrt((signed[:, None, :] @ signed[:, :, None])[:, 0])
         kept = norms[:, 0] > 0.0
@@ -226,12 +228,12 @@ def _initialize(
     """Place ``pop_size`` bacteria per run at engine-drawn positions and evaluate them.
 
     Returns the (B, S, 4) block of positions and each run's swarm. Draw
-    order is fixed: all positions first (bacterium by bacterium, one unit
-    draw per component), then every cost is evaluated against the complete
-    initial swarm.
+    order is fixed: all positions first, bacterium by bacterium, one unit
+    draw per component, as one ``sample_units`` block of ``4 * S`` draws per
+    run; then every cost is evaluated against the complete initial swarm.
     """
-    theta = np.array([[[engine.sample_unit() for _ in range(N_DIMENSIONS)]
-                       for _ in range(params.pop_size)] for engine in engines])
+    theta = np.array([engine.sample_units(N_DIMENSIONS * params.pop_size) for engine in engines])
+    theta = theta.reshape(len(engines), params.pop_size, N_DIMENSIONS)
     potentials = _potentials(theta, theta, params).tolist()
     swarms = []
     for b, score in enumerate(scores):

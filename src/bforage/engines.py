@@ -7,9 +7,14 @@ a pure function of its :class:`EngineConfig` -- bit-identical across
 processes and replays.
 
 Each kind is one row of the table ``_SAMPLERS``, looked up once at
-construction: a raw sampler, and a map of its variates into [0, 1] -- the
+construction: a raw sampler, a map of its variates into [0, 1] -- the
 kind's own CDF at the config's parameters, or for the chaotic state,
-which already lies in (0, 1), the identity. Raw samplers:
+which already lies in (0, 1), the identity -- and a block sampler, which
+fuses the two into one loop over the uniform stream for
+:meth:`StochasticEngine.sample_units`. A block gives the unit values the
+same number of single draws would, bit for bit: it writes each transform
+and CDF out in the float operations of the functions below, in the same
+order. Raw samplers:
 
 * gaussian -- Marsaglia polar transform of the uniform stream (the spare
   deviate is cached, so draws alternate between computing a pair and
@@ -148,8 +153,10 @@ class StochasticEngine:
 
     One logical step per emitted variate: each call to :meth:`sample_raw`
     or :meth:`sample_unit` advances the state exactly once and increments
-    :attr:`draws`. Instances must not be shared between threads; parallel
-    work takes independent engines with distinct seeds.
+    :attr:`draws`, and ``sample_units(n)`` advances it ``n`` times and adds
+    ``n``, so blocks and single draws mix freely in one stream. Instances
+    must not be shared between threads; parallel work takes independent
+    engines with distinct seeds.
     """
 
     def __init__(self, config: EngineConfig):
@@ -157,7 +164,7 @@ class StochasticEngine:
         self.draws = 0
         self._uniform = random.Random(config.seed)
         self._spare: float | None = None  # cached second polar deviate
-        self._raw, self._unit, fields = _SAMPLERS[config.kind]
+        self._raw, self._unit, self._units, fields = _SAMPLERS[config.kind]
         self._unit_params = tuple(getattr(config, name) for name in fields)
         if config.kind is EngineKind.CHAOTIC:
             self._psi = config.psi0
@@ -174,6 +181,12 @@ class StochasticEngine:
     def sample_unit(self) -> float:
         """Draw one variate mapped into [0, 1]."""
         return self._unit(self.sample_raw(), *self._unit_params)
+
+    def sample_units(self, count: int) -> list[float]:
+        """The next ``count`` values :meth:`sample_unit` would give, as one list."""
+        values = self._units(self, count)
+        self.draws += count
+        return values
 
     def _gaussian_raw(self) -> float:
         if self._spare is not None:
@@ -211,6 +224,63 @@ class StochasticEngine:
         self._psi = psi
         self._rate = rate
         return psi
+
+    # -- block samplers: each fuses its kind's raw sampler and CDF above and
+    # below into one loop. They skip the DomainError checks of
+    # weibull_inverse_cdf, weibull_cdf and gamma_cdf: random() lies in
+    # [0, 1 - 2**-53] and the config was validated at construction, so those
+    # checks cannot fire on a value the engine draws itself.
+
+    def _gaussian_units(self, count: int) -> list[float]:
+        random, log, sqrt, erf = self._uniform.random, math.log, math.sqrt, math.erf
+        mu, sigma = self.config.mu, self.config.sigma
+        width = sigma * _SQRT2
+        spare = self._spare
+        values = []
+        for _ in range(count):
+            if spare is not None:
+                z, spare = spare, None
+            else:
+                while True:
+                    u = 2.0 * random() - 1.0
+                    v = 2.0 * random() - 1.0
+                    s = u * u + v * v
+                    if 0.0 < s < 1.0:
+                        break
+                factor = sqrt(-2.0 * log(s) / s)
+                z = u * factor
+                spare = v * factor
+            values.append(0.5 * (1.0 + erf(((mu + sigma * z) - mu) / width)))
+        self._spare = spare
+        return values
+
+    def _weibull_units(self, count: int) -> list[float]:
+        random, log1p, exp = self._uniform.random, math.log1p, math.exp
+        lam, k = self.config.lam, self.config.k
+        inverse_k = 1.0 / k
+        return [1.0 - exp(-(((lam * (-log1p(-random())) ** inverse_k) / lam) ** k))
+                for _ in range(count)]
+
+    def _gamma_units(self, count: int) -> list[float]:
+        random, log1p, exp = self._uniform.random, math.log1p, math.exp
+        alpha, beta = self.config.alpha, self.config.beta
+        shape, orders = range(alpha), range(1, alpha)
+        values = []
+        for _ in range(count):
+            exponentials = 0.0
+            for _ in shape:
+                exponentials += -log1p(-random())
+            bx = beta * (exponentials / beta)
+            term = total = 1.0
+            for i in orders:
+                term *= bx / i
+                total += term
+            values.append(1.0 - total * exp(-bx))
+        return values
+
+    def _chaotic_units(self, count: int) -> list[float]:
+        step = self._chaotic_step
+        return [step() for _ in range(count)]
 
 
 # -- distribution functions ------------------------------------------------
@@ -258,10 +328,15 @@ def _identity(x: float) -> float:
     return x
 
 
-# kind -> (raw sampler, map into [0, 1], config fields the map takes); named functions pickle
+# kind -> (raw sampler, map into [0, 1], block sampler, config fields the map takes);
+# named functions pickle
 _SAMPLERS = {
-    EngineKind.GAUSSIAN: (StochasticEngine._gaussian_raw, gaussian_cdf, ("mu", "sigma")),
-    EngineKind.WEIBULL: (StochasticEngine._weibull_raw, weibull_cdf, ("lam", "k")),
-    EngineKind.GAMMA: (StochasticEngine._gamma_raw, gamma_cdf, ("alpha", "beta")),
-    EngineKind.CHAOTIC: (StochasticEngine._chaotic_step, _identity, ()),
+    EngineKind.GAUSSIAN: (StochasticEngine._gaussian_raw, gaussian_cdf,
+                          StochasticEngine._gaussian_units, ("mu", "sigma")),
+    EngineKind.WEIBULL: (StochasticEngine._weibull_raw, weibull_cdf,
+                         StochasticEngine._weibull_units, ("lam", "k")),
+    EngineKind.GAMMA: (StochasticEngine._gamma_raw, gamma_cdf,
+                       StochasticEngine._gamma_units, ("alpha", "beta")),
+    EngineKind.CHAOTIC: (StochasticEngine._chaotic_step, _identity,
+                         StochasticEngine._chaotic_units, ()),
 }

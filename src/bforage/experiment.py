@@ -416,6 +416,10 @@ def write_frontier_csv(records: Sequence[SolutionRecord], path) -> None:
     _write_csv(path, FRONTIER_HEADER, map(_record_fields, records))
 
 
+# plain floats: comparing against np.float64 scalars costs about 0.6 us more a row
+_DECISION_BOUNDS = tuple(zip("ABCD", LOWER_BOUNDS.tolist(), UPPER_BOUNDS.tolist()))
+
+
 def _frontier_record(row: list[str], _count: int) -> SolutionRecord:
     record = SolutionRecord(
         engine=EngineKind(row[0]),
@@ -427,13 +431,17 @@ def _frontier_record(row: list[str], _count: int) -> SolutionRecord:
         F=float(row[15]),
         aer=float(row[16]),
     )
+    if record.run_id < 0:
+        raise ValueError(f"run_id={record.run_id} is negative")
+    if not 0 <= record.seed < 2**64:
+        raise ValueError(f"seed={record.seed} outside [0, 2**64)")
     # negated comparisons, so that NaN fails them too
     recomputed = aggregate(record.objectives, record.weights)
     if not abs(recomputed - record.F) <= 1e-9:
         raise ValueError(f"aggregate mismatch: stored F={record.F!r}, recomputed {recomputed!r}")
     if not 0.0 <= record.aer <= 1.0:
         raise ValueError(f"aer={record.aer!r} outside [0, 1]")
-    for value, lo, hi, name in zip(record.decision, LOWER_BOUNDS, UPPER_BOUNDS, "ABCD"):
+    for value, (name, lo, hi) in zip(record.decision, _DECISION_BOUNDS):
         if not lo <= value <= hi:
             raise ValueError(f"decision {name}={value} outside [{lo}, {hi}]")
     return record

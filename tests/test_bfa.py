@@ -35,6 +35,9 @@ class ScriptedEngine:
         self.draws += 1
         return self.units.pop(0)
 
+    def sample_units(self, count):
+        return [self.sample_unit() for _ in range(count)]
+
 
 def sphere_score(u):
     return -float(np.sum((np.asarray(u) - 0.5) ** 2))

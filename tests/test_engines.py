@@ -108,6 +108,10 @@ def test_gaussian_config_is_rejected_just_past_the_largest_finite_deviate():
     accepted = engine(EngineKind.GAUSSIAN, sigma=LARGEST_SIGMA)
     accepted._uniform = ScriptedUniform([0.5 + 2.0**-53, 0.5])
     assert accepted.sample_raw() == sys.float_info.max
+    scalar, block = (engine(EngineKind.GAUSSIAN, sigma=LARGEST_SIGMA) for _ in range(2))
+    for e in (scalar, block):
+        e._uniform = ScriptedUniform([0.5 + 2.0**-53, 0.5])
+    assert block.sample_units(2) == [scalar.sample_unit(), scalar.sample_unit()] == [1.0, 0.5]
     with pytest.raises(ConfigError, match="sigma="):
         EngineConfig(kind=EngineKind.GAUSSIAN, seed=1, sigma=math.nextafter(LARGEST_SIGMA, math.inf))
     with pytest.raises(ConfigError, match="mu="):
@@ -122,6 +126,7 @@ def test_gamma_config_is_rejected_where_its_cdf_stops_being_finite():
         accepted = engine(EngineKind.GAMMA, alpha=155, beta=beta)
         accepted._uniform = LargestUniform()
         assert accepted.sample_unit() == 1.0
+        assert accepted.sample_units(3) == [1.0] * 3
         for alpha in (156, 800):
             with pytest.raises(ConfigError, match=f"alpha={alpha}"):
                 EngineConfig(kind=EngineKind.GAMMA, seed=1, alpha=alpha, beta=beta)
@@ -146,6 +151,7 @@ def test_accepted_bounds_keep_the_largest_variate_finite(kind, params):
     e._uniform = LargestUniform()
     assert math.isfinite(e.sample_raw())
     assert 0.0 <= e.sample_unit() <= 1.0
+    assert e.sample_units(3) == [e.sample_unit()] * 3
 
 
 def test_kind_from_string():
@@ -189,6 +195,31 @@ def test_pickled_engine_continues_the_stream(kind):
     assert restored.draws == e.draws == 7
     assert [restored.sample_raw() for _ in range(100)] == [e.sample_raw() for _ in range(100)]
     assert [restored.sample_unit() for _ in range(100)] == [e.sample_unit() for _ in range(100)]
+
+
+# odd sizes and interleaved single draws carry the gaussian spare across blocks
+BLOCK_SIZES = (0, 1, 3, 0, 1, 8, 5, 2, 17, 1, 40, 7)
+
+
+@pytest.mark.parametrize("kind,params", [
+    *((kind, {}) for kind in ALL_KINDS),
+    (EngineKind.GAUSSIAN, dict(sigma=2.0, mu=0.5)),
+    (EngineKind.WEIBULL, dict(k=0.7)),
+    (EngineKind.GAMMA, dict(alpha=5)),
+    (EngineKind.CHAOTIC, dict(r0=4.5)),  # every step re-seeds from the uniform stream
+], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items()) or "defaults")
+   if isinstance(v, dict) else v.value)
+def test_block_draws_equal_single_draws(kind, params):
+    blocks, singles = engine(kind, seed=17, **params), engine(kind, seed=17, **params)
+    values = []
+    for n, size in enumerate(BLOCK_SIZES * 3):
+        values += blocks.sample_units(size)
+        if n % 2:
+            values.append(blocks.sample_unit())
+        if n == len(BLOCK_SIZES):
+            blocks = pickle.loads(pickle.dumps(blocks))
+    assert values == [singles.sample_unit() for _ in values]
+    assert blocks.draws == singles.draws == len(values)
 
 
 def test_signed_is_affine_image_of_unit():

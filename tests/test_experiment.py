@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -394,6 +395,22 @@ def test_frontier_bounds_audit_on_load(tmp_path):
     write_frontier_csv([bad], path)
     with pytest.raises(SchemaError):
         read_frontier_csv(path)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("run_id", -3, "run_id=-3 is negative"),
+    ("seed", -5, "seed=-5 outside"),
+    ("seed", 2**64, "seed=18446744073709551616 outside"),
+    ("seed", 2**70, "outside [0, 2**64)"),
+], ids=["negative-run-id", "negative-seed", "seed-2**64", "seed-2**70"])
+def test_frontier_impossible_ids_fail_audit(tmp_path, field, value, message):
+    record = make_record((100.0, 200.0, 300.0, 400.0))
+    path = tmp_path / "frontier.csv"
+    edge = dataclasses.replace(record, run_id=0, seed=2**64 - 1)
+    write_frontier_csv([edge, dataclasses.replace(record, **{field: value})], path)
+    with pytest.raises(SchemaError, match=re.escape(message)) as err:
+        read_frontier_csv(path)
+    assert "line 3" in str(err.value)
 
 
 def test_trace_round_trip(tmp_path):

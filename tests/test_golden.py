@@ -23,6 +23,7 @@ path, did not move.
 import contextlib
 import hashlib
 import io
+import itertools
 import sys
 import tempfile
 from dataclasses import replace
@@ -193,11 +194,25 @@ def no_swarming_digest(kind, seed) -> str:
     return result_digest(run_bfa(WEIGHTS, NO_SWARMING_PARAMS, config))
 
 
-def engine_stream_digest(kind) -> str:
+def single_units(engine, count) -> list[float]:
+    return [engine.sample_unit() for _ in range(count)]
+
+
+def block_units(engine, count) -> list[float]:
+    """``count`` unit draws as blocks of mixed sizes, with a single draw after each."""
+    values = []
+    sizes = itertools.cycle((0, 1, 3, 8, 25, 100))
+    while len(values) < count:
+        values += engine.sample_units(min(next(sizes), count - len(values) - 1))
+        values.append(engine.sample_unit())
+    return values
+
+
+def engine_stream_digest(kind, units=single_units) -> str:
     config = EngineConfig(kind=EngineKind(kind), seed=31, **ENGINE_PARAMS[kind])
     raw_engine, unit_engine = StochasticEngine(config), StochasticEngine(config)
     raw = [raw_engine.sample_raw() for _ in range(10_000)]
-    unit = [unit_engine.sample_unit() for _ in range(10_000)]
+    unit = units(unit_engine, 10_000)
     streams = (raw, unit, raw_engine.draws, unit_engine.draws)
     return sha256(repr(streams).encode())
 
@@ -241,6 +256,11 @@ def test_run_bfa_without_swarming_matches_golden(kind, seed):
 @pytest.mark.parametrize("kind", sorted(ENGINE_STREAM_DIGESTS))
 def test_engine_streams_match_golden(kind):
     assert engine_stream_digest(kind) == ENGINE_STREAM_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_STREAM_DIGESTS))
+def test_block_draws_give_the_golden_unit_streams(kind):
+    assert engine_stream_digest(kind, block_units) == ENGINE_STREAM_DIGESTS[kind]
 
 
 @pytest.mark.parametrize("kind", sorted(CUSTOM_DIGESTS))
