@@ -204,8 +204,8 @@ BLOCK_SIZES = (0, 1, 3, 0, 1, 8, 5, 2, 17, 1, 40, 7)
 @pytest.mark.parametrize("kind,params", [
     *((kind, {}) for kind in ALL_KINDS),
     (EngineKind.GAUSSIAN, dict(sigma=2.0, mu=0.5)),
-    (EngineKind.WEIBULL, dict(k=0.7)),
-    (EngineKind.GAMMA, dict(alpha=5)),
+    (EngineKind.WEIBULL, dict(lam=2.5, k=0.7)),
+    (EngineKind.GAMMA, dict(alpha=5, beta=0.7)),
     (EngineKind.CHAOTIC, dict(r0=4.5)),  # every step re-seeds from the uniform stream
 ], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items()) or "defaults")
    if isinstance(v, dict) else v.value)
