@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .engines import EngineConfig, StochasticEngine
+from .engines import EngineConfig, StochasticEngine, _finite
 from .errors import BudgetError, ConfigError, DomainError
 from .problem import (
     DecisionVector,
@@ -60,7 +60,10 @@ class BfaParams:
     """Algorithm settings.
 
     ``step_size`` is expressed in normalized (unit-cube) coordinates so a
-    single scalar step is meaningful across all four dimensions.
+    single scalar step is meaningful across all four dimensions. The
+    signal widths must be non-negative, so every ``exp(-w * d)`` of the
+    swarming term lies in [0, 1], and the term's largest size,
+    ``pop_size * (|h_att| + |h_rep|)``, must be a finite float.
     """
 
     n_total: int = 200        # chemotactic-generation budget for the whole run
@@ -90,6 +93,11 @@ class BfaParams:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.step_size > 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
+        if self.w_rep < 0 or self.w_att < 0:  # exp(-w * d) must stay at most 1
+            raise ConfigError(f"w_rep and w_att must be non-negative, got {self.w_rep}, {self.w_att}")
+        if not _finite(lambda: self.pop_size * (abs(self.h_att) + abs(self.h_rep))):
+            raise ConfigError(f"the swarming term overflows at pop_size={self.pop_size}, "
+                              f"h_att={self.h_att}, h_rep={self.h_rep}")
         if not 0.0 <= self.p_elim <= 1.0:
             raise ConfigError(f"p_elim must lie in [0, 1], got {self.p_elim}")
 
@@ -365,14 +373,14 @@ def _disperse(
     """Independently disperse each bacterium of every run with probability ``p_elim``.
 
     One unit draw per bacterium decides; a dispersed bacterium then takes
-    four unit draws for a fresh position and is re-evaluated. The
+    a block of four unit draws for a fresh position and is re-evaluated. The
     best-so-far archive is never erased.
     """
     for i in range(theta.shape[1]):
         moved = []
         for b, engine in enumerate(engines):
             if engine.sample_unit() < params.p_elim:
-                theta[b, i] = [engine.sample_unit() for _ in range(N_DIMENSIONS)]
+                theta[b, i] = engine.sample_units(N_DIMENSIONS)
                 moved.append(b)
         if moved:
             # bacteria after i have not moved yet: each run's term is against

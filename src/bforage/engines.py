@@ -7,14 +7,12 @@ a pure function of its :class:`EngineConfig` -- bit-identical across
 processes and replays.
 
 Each kind is one row of the table ``_SAMPLERS``, looked up once at
-construction: a raw sampler, a map of its variates into [0, 1] -- the
-kind's own CDF at the config's parameters, or for the chaotic state,
-which already lies in (0, 1), the identity -- and a block sampler, which
-fuses the two into one loop over the uniform stream for
-:meth:`StochasticEngine.sample_units`. A block gives the unit values the
-same number of single draws would, bit for bit: it writes each transform
-and CDF out in the float operations of the functions below, in the same
-order. Raw samplers:
+construction: a raw sampler, which returns the next ``count`` variates as
+a list, and a map of such a list into [0, 1] -- the kind's own CDF at the
+config's parameters, or for the chaotic state, which already lies in
+(0, 1), the identity. A single draw is a block of one through the same
+two functions, so blocks and single draws give the same values bit for
+bit, and each transform and CDF is written once. Raw samplers:
 
 * gaussian -- Marsaglia polar transform of the uniform stream (the spare
   deviate is cached, so draws alternate between computing a pair and
@@ -154,6 +152,7 @@ class StochasticEngine:
     One logical step per emitted variate: each call to :meth:`sample_raw`
     or :meth:`sample_unit` advances the state exactly once and increments
     :attr:`draws`, and ``sample_units(n)`` advances it ``n`` times and adds
+    ``n``. All three run the same raw sampler and CDF, at count 1 or
     ``n``, so blocks and single draws mix freely in one stream. Instances
     must not be shared between threads; parallel work takes independent
     engines with distinct seeds.
@@ -164,77 +163,36 @@ class StochasticEngine:
         self.draws = 0
         self._uniform = random.Random(config.seed)
         self._spare: float | None = None  # cached second polar deviate
-        self._raw, self._unit, self._units, fields = _SAMPLERS[config.kind]
-        self._unit_params = tuple(getattr(config, name) for name in fields)
+        self._raws, self._cdfs, fields = _SAMPLERS[config.kind]
+        self._cdf_params = tuple(getattr(config, name) for name in fields)
         if config.kind is EngineKind.CHAOTIC:
             self._psi = config.psi0
             self._rate = config.r0
-            for _ in range(config.warmup):
-                self._chaotic_step()
+            self._chaotic_raws(config.warmup)
 
     def sample_raw(self) -> float:
         """Draw one variate from the configured distribution."""
-        value = self._raw(self)
+        value = self._raws(self, 1)[0]
         self.draws += 1
         return value
 
     def sample_unit(self) -> float:
         """Draw one variate mapped into [0, 1]."""
-        return self._unit(self.sample_raw(), *self._unit_params)
+        value = self._cdfs(self._raws(self, 1), *self._cdf_params)[0]
+        self.draws += 1
+        return value
 
     def sample_units(self, count: int) -> list[float]:
         """The next ``count`` values :meth:`sample_unit` would give, as one list."""
-        values = self._units(self, count)
+        values = self._cdfs(self._raws(self, count), *self._cdf_params)
         self.draws += count
         return values
 
-    def _gaussian_raw(self) -> float:
-        if self._spare is not None:
-            z, self._spare = self._spare, None
-        else:
-            while True:
-                u = 2.0 * self._uniform.random() - 1.0
-                v = 2.0 * self._uniform.random() - 1.0
-                s = u * u + v * v
-                if 0.0 < s < 1.0:
-                    break
-            factor = math.sqrt(-2.0 * math.log(s) / s)
-            z = u * factor
-            self._spare = v * factor
-        return self.config.mu + self.config.sigma * z
+    # -- raw samplers: the next ``count`` variates of the kind, as one list
 
-    def _weibull_raw(self) -> float:
-        return weibull_inverse_cdf(self._uniform.random(), self.config.lam, self.config.k)
-
-    def _gamma_raw(self) -> float:
-        total = 0.0
-        for _ in range(self.config.alpha):
-            total += -math.log1p(-self._uniform.random())
-        return total / self.config.beta
-
-    def _chaotic_step(self) -> float:
-        psi = self._rate * self._psi * (1.0 - self._psi)
-        rate = self._rate + self.config.dr
-        if not 0.0 < psi < 1.0 or rate > 4.0:
-            # re-seed inside the open interval and wrap the rate back
-            psi = self._uniform.random()
-            while psi == 0.0:
-                psi = self._uniform.random()
-            rate = self.config.r0
-        self._psi = psi
-        self._rate = rate
-        return psi
-
-    # -- block samplers: each fuses its kind's raw sampler and CDF above and
-    # below into one loop. They skip the DomainError checks of
-    # weibull_inverse_cdf, weibull_cdf and gamma_cdf: random() lies in
-    # [0, 1 - 2**-53] and the config was validated at construction, so those
-    # checks cannot fire on a value the engine draws itself.
-
-    def _gaussian_units(self, count: int) -> list[float]:
-        random, log, sqrt, erf = self._uniform.random, math.log, math.sqrt, math.erf
+    def _gaussian_raws(self, count: int) -> list[float]:
+        random, log, sqrt = self._uniform.random, math.log, math.sqrt
         mu, sigma = self.config.mu, self.config.sigma
-        width = sigma * _SQRT2
         spare = self._spare
         values = []
         for _ in range(count):
@@ -250,52 +208,87 @@ class StochasticEngine:
                 factor = sqrt(-2.0 * log(s) / s)
                 z = u * factor
                 spare = v * factor
-            values.append(0.5 * (1.0 + erf(((mu + sigma * z) - mu) / width)))
+            values.append(mu + sigma * z)
         self._spare = spare
         return values
 
-    def _weibull_units(self, count: int) -> list[float]:
-        random, log1p, exp = self._uniform.random, math.log1p, math.exp
-        lam, k = self.config.lam, self.config.k
-        inverse_k = 1.0 / k
-        return [1.0 - exp(-(((lam * (-log1p(-random())) ** inverse_k) / lam) ** k))
-                for _ in range(count)]
+    def _weibull_raws(self, count: int) -> list[float]:
+        # weibull_inverse_cdf without its DomainError check: random() lies in [0, 1)
+        random, log1p = self._uniform.random, math.log1p
+        lam, inverse_k = self.config.lam, 1.0 / self.config.k
+        return [lam * (-log1p(-random())) ** inverse_k for _ in range(count)]
 
-    def _gamma_units(self, count: int) -> list[float]:
-        random, log1p, exp = self._uniform.random, math.log1p, math.exp
-        alpha, beta = self.config.alpha, self.config.beta
-        shape, orders = range(alpha), range(1, alpha)
+    def _gamma_raws(self, count: int) -> list[float]:
+        random, log1p = self._uniform.random, math.log1p
+        shape, beta = range(self.config.alpha), self.config.beta
         values = []
         for _ in range(count):
-            exponentials = 0.0
+            total = 0.0
             for _ in shape:
-                exponentials += -log1p(-random())
-            bx = beta * (exponentials / beta)
-            term = total = 1.0
-            for i in orders:
-                term *= bx / i
-                total += term
-            values.append(1.0 - total * exp(-bx))
+                total += -log1p(-random())
+            values.append(total / beta)
         return values
 
-    def _chaotic_units(self, count: int) -> list[float]:
-        step = self._chaotic_step
-        return [step() for _ in range(count)]
+    def _chaotic_raws(self, count: int) -> list[float]:
+        random, r0, dr = self._uniform.random, self.config.r0, self.config.dr
+        psi, rate = self._psi, self._rate
+        values = []
+        for _ in range(count):
+            psi, rate = rate * psi * (1.0 - psi), rate + dr
+            if not 0.0 < psi < 1.0 or rate > 4.0:
+                # re-seed inside the open interval and wrap the rate back
+                psi = random()
+                while psi == 0.0:
+                    psi = random()
+                rate = r0
+            values.append(psi)
+        self._psi, self._rate = psi, rate
+        return values
 
 
 # -- distribution functions ------------------------------------------------
+# The block CDFs below are the samplers' maps into [0, 1]. They skip the
+# DomainError checks of the public functions: the config was validated at
+# construction, so the checks cannot fire on a variate the engine draws.
+
+
+def _gaussian_cdfs(xs: list[float], mu: float, sigma: float) -> list[float]:
+    erf, width = math.erf, sigma * _SQRT2
+    return [0.5 * (1.0 + erf((x - mu) / width)) for x in xs]
+
+
+def _weibull_cdfs(xs: list[float], lam: float, k: float) -> list[float]:
+    exp = math.exp
+    return [1.0 - exp(-((x / lam) ** k)) for x in xs]
+
+
+def _gamma_cdfs(xs: list[float], alpha: int, beta: float) -> list[float]:
+    exp, orders = math.exp, range(1, alpha)
+    values = []
+    for x in xs:
+        bx = beta * x
+        term = total = 1.0
+        for i in orders:
+            term *= bx / i
+            total += term
+        values.append(1.0 - total * exp(-bx))
+    return values
+
+
+def _identity(xs: list[float]) -> list[float]:
+    return xs
 
 
 def gaussian_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
     """Normal cumulative distribution function."""
-    return 0.5 * (1.0 + math.erf((x - mu) / (sigma * _SQRT2)))
+    return _gaussian_cdfs([x], mu, sigma)[0]
 
 
 def weibull_cdf(x: float, lam: float = 1.0, k: float = 1.0) -> float:
     """Weibull cumulative distribution function ``1 - exp(-(x/lam)**k)``."""
     if x < 0.0:
         raise DomainError(f"weibull support is x >= 0, got {x}")
-    return 1.0 - math.exp(-((x / lam) ** k))
+    return _weibull_cdfs([x], lam, k)[0]
 
 
 def weibull_inverse_cdf(u: float, lam: float = 1.0, k: float = 1.0) -> float:
@@ -315,28 +308,14 @@ def gamma_cdf(x: float, alpha: int, beta: float) -> float:
         raise DomainError(f"alpha must be an integer >= 1, got {alpha!r}")
     if x < 0.0:
         raise DomainError(f"gamma support is x >= 0, got {x}")
-    bx = beta * x
-    term = 1.0
-    total = 1.0
-    for i in range(1, alpha):
-        term *= bx / i
-        total += term
-    return 1.0 - total * math.exp(-bx)
+    return _gamma_cdfs([x], alpha, beta)[0]
 
 
-def _identity(x: float) -> float:
-    return x
-
-
-# kind -> (raw sampler, map into [0, 1], block sampler, config fields the map takes);
+# kind -> (raw block sampler, block map into [0, 1], config fields the map takes);
 # named functions pickle
 _SAMPLERS = {
-    EngineKind.GAUSSIAN: (StochasticEngine._gaussian_raw, gaussian_cdf,
-                          StochasticEngine._gaussian_units, ("mu", "sigma")),
-    EngineKind.WEIBULL: (StochasticEngine._weibull_raw, weibull_cdf,
-                         StochasticEngine._weibull_units, ("lam", "k")),
-    EngineKind.GAMMA: (StochasticEngine._gamma_raw, gamma_cdf,
-                       StochasticEngine._gamma_units, ("alpha", "beta")),
-    EngineKind.CHAOTIC: (StochasticEngine._chaotic_step, _identity,
-                         StochasticEngine._chaotic_units, ()),
+    EngineKind.GAUSSIAN: (StochasticEngine._gaussian_raws, _gaussian_cdfs, ("mu", "sigma")),
+    EngineKind.WEIBULL: (StochasticEngine._weibull_raws, _weibull_cdfs, ("lam", "k")),
+    EngineKind.GAMMA: (StochasticEngine._gamma_raws, _gamma_cdfs, ("alpha", "beta")),
+    EngineKind.CHAOTIC: (StochasticEngine._chaotic_raws, _identity, ()),
 }

@@ -99,8 +99,8 @@ class ExperimentConfig:
             raise ConfigError("at least one engine configuration is required")
         if not self.weights:
             raise ConfigError("at least one weight vector is required")
-        if self.runs_per_weight < 1:
-            raise ConfigError(f"runs_per_weight must be >= 1, got {self.runs_per_weight}")
+        if not (isinstance(self.runs_per_weight, int) and self.runs_per_weight >= 1):
+            raise ConfigError(f"runs_per_weight must be an integer >= 1, got {self.runs_per_weight!r}")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
             raise ConfigError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
         if not self.aer_threshold >= 0:  # NaN fails too

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -94,10 +95,33 @@ def test_parameter_validation():
         BfaParams(p_elim=1.5)
     with pytest.raises(ConfigError):
         BfaParams(step_size=0.0)
-    for bad in (dict(step_size=math.inf), dict(w_rep=math.nan), dict(h_att=-math.inf)):
+    # a negative signal width makes exp(-w * d) grow with the distance d and overflow
+    for bad in (dict(step_size=math.inf), dict(w_rep=math.nan), dict(h_att=-math.inf),
+                dict(w_att=-500.0), dict(w_rep=-5e-324)):
         with pytest.raises(ConfigError):
             BfaParams(**bad)
     BfaParams(n_swim=0)  # swim loop may be disabled entirely
+    BfaParams(w_rep=0.0, w_att=0.0)
+
+
+LARGEST = sys.float_info.max
+HALF, QUARTER = LARGEST / 2, LARGEST / 4
+
+
+# the swarming term is at most pop_size * (|h_att| + |h_rep|) in size
+@pytest.mark.parametrize("accepted,rejected", [
+    (dict(pop_size=1, h_rep=LARGEST, h_att=0.0), dict(pop_size=2, h_rep=LARGEST, h_att=0.0)),
+    (dict(pop_size=2, h_rep=HALF, h_att=0.0), dict(pop_size=2, h_rep=math.nextafter(HALF, math.inf), h_att=0.0)),
+    (dict(pop_size=2, h_rep=QUARTER, h_att=-QUARTER),
+     dict(pop_size=2, h_rep=QUARTER, h_att=-math.nextafter(QUARTER, math.inf))),
+    (dict(pop_size=2, h_rep=QUARTER, h_att=-QUARTER), dict(pop_size=3, h_rep=QUARTER, h_att=-QUARTER)),
+    (dict(pop_size=2**1000, h_rep=0.0, h_att=0.0), dict(pop_size=10**400, h_rep=0.0, h_att=0.0)),
+    (dict(pop_size=3, h_rep=1e307, h_att=-1e307), dict(pop_size=3, h_rep=1e308, h_att=-1e308)),
+])
+def test_swarming_heights_whose_term_overflows_are_rejected(accepted, rejected):
+    BfaParams(**accepted)
+    with pytest.raises(ConfigError, match="overflows"):
+        BfaParams(**rejected)
 
 
 # -- initialization -----------------------------------------------------------

@@ -445,6 +445,17 @@ def test_run_too_large_for_memory_exits_2(capsys, flag, value, name):
     assert out == ""
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--watt=-500"], "w_rep and w_att must be non-negative"),
+    (["--hrep=1e308", "--hatt=-1e308"], "the swarming term overflows"),
+])
+def test_swarming_signals_that_overflow_exit_2(capsys, flags, message):
+    code, out, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--pop", "3", *flags)
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 # -- sweep and compare -----------------------------------------------------------------
 
 

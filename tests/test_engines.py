@@ -210,7 +210,7 @@ BLOCK_SIZES = (0, 1, 3, 0, 1, 8, 5, 2, 17, 1, 40, 7)
 ], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items()) or "defaults")
    if isinstance(v, dict) else v.value)
 def test_block_draws_equal_single_draws(kind, params):
-    blocks, singles = engine(kind, seed=17, **params), engine(kind, seed=17, **params)
+    blocks, singles, raws = (engine(kind, seed=17, **params) for _ in range(3))
     values = []
     for n, size in enumerate(BLOCK_SIZES * 3):
         values += blocks.sample_units(size)
@@ -220,6 +220,14 @@ def test_block_draws_equal_single_draws(kind, params):
             blocks = pickle.loads(pickle.dumps(blocks))
     assert values == [singles.sample_unit() for _ in values]
     assert blocks.draws == singles.draws == len(values)
+    # each unit value is the kind's CDF at the raw variate of the same draw
+    cdf = {EngineKind.GAUSSIAN: gaussian_cdf, EngineKind.WEIBULL: weibull_cdf,
+           EngineKind.GAMMA: gamma_cdf, EngineKind.CHAOTIC: lambda x: x}[kind]
+    fields = {EngineKind.GAUSSIAN: ("mu", "sigma"), EngineKind.WEIBULL: ("lam", "k"),
+              EngineKind.GAMMA: ("alpha", "beta"), EngineKind.CHAOTIC: ()}[kind]
+    cdf_params = [getattr(raws.config, name) for name in fields]
+    assert values == [cdf(raws.sample_raw(), *cdf_params) for _ in values]
+    assert raws.draws == len(values)
 
 
 def test_signed_is_affine_image_of_unit():

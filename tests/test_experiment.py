@@ -274,8 +274,9 @@ def test_sweep_batches_stay_under_the_array_limit(monkeypatch):
 def test_experiment_config_validation():
     with pytest.raises(ConfigError):
         tiny_config(weights=())
-    with pytest.raises(ConfigError):
-        tiny_config(runs_per_weight=0)
+    for runs in (0, 2.5, 2.0, math.nan, "2"):
+        with pytest.raises(ConfigError, match="runs_per_weight"):
+            tiny_config(runs_per_weight=runs)
     with pytest.raises(ConfigError):
         tiny_config(engines=())
     with pytest.raises(ConfigError):
