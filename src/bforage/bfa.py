@@ -62,8 +62,11 @@ class BfaParams:
     ``step_size`` is expressed in normalized (unit-cube) coordinates so a
     single scalar step is meaningful across all four dimensions. The
     signal widths must be non-negative, so every ``exp(-w * d)`` of the
-    swarming term lies in [0, 1], and the term's largest size,
-    ``pop_size * (|h_att| + |h_rep|)``, must be a finite float.
+    swarming term lies in [0, 1]. The term is at most
+    ``pop_size * (|h_att| + |h_rep|)`` in size, and one health sum adds at
+    most ``min(n_chemo, n_total) * (n_swim + 1) + 1`` costs (a placement or
+    dispersal, then the swims up to the next reproduction), so their
+    product must be a finite float.
     """
 
     n_total: int = 200        # chemotactic-generation budget for the whole run
@@ -95,9 +98,10 @@ class BfaParams:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
         if self.w_rep < 0 or self.w_att < 0:  # exp(-w * d) must stay at most 1
             raise ConfigError(f"w_rep and w_att must be non-negative, got {self.w_rep}, {self.w_att}")
-        if not _finite(lambda: self.pop_size * (abs(self.h_att) + abs(self.h_rep))):
-            raise ConfigError(f"the swarming term overflows at pop_size={self.pop_size}, "
-                              f"h_att={self.h_att}, h_rep={self.h_rep}")
+        costs = min(self.n_chemo, self.n_total) * (self.n_swim + 1) + 1
+        if not _finite(lambda: self.pop_size * (abs(self.h_att) + abs(self.h_rep)) * costs):
+            raise ConfigError(f"the swarming term overflows a health sum of {costs} costs at "
+                              f"pop_size={self.pop_size}, h_att={self.h_att}, h_rep={self.h_rep}")
         if not 0.0 <= self.p_elim <= 1.0:
             raise ConfigError(f"p_elim must lie in [0, 1], got {self.p_elim}")
 

@@ -64,9 +64,6 @@ _ENGINE_PARAM_KEYS = {
     "warmup": ("warmup", int, "chaotic iterates discarded at start"),
 }
 
-_ALL_ENGINES = ",".join(kind.value for kind in EngineKind)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through :class:`UsageError`."""
 
@@ -111,8 +108,29 @@ def _default(cls, field: str):
     return cls.__dataclass_fields__[field].default
 
 
-_RUNS_DEFAULT = _default(xp.ExperimentConfig, "runs_per_weight")
 _AER_THRESHOLD_DEFAULT = _default(xp.ExperimentConfig, "aer_threshold")
+
+# the keys of ``run`` and ``sweep`` besides the two tables above:
+# config key -> (parser, default, help text); the flag is the key with "-"
+# for "_", and the echo lists a verb's keys in this order, then the tables'
+_RUN_KEYS = {
+    "engine": (str, "gaussian", "|".join(kind.value for kind in EngineKind)),
+    "seed": (_parse_seed, None, "engine seed, unsigned 64-bit; required"),
+    "weights": (str, "0.25,0.25,0.25,0.25", "w1,w2,w3,w4"),
+    "aer_threshold": (float, _AER_THRESHOLD_DEFAULT, "AER deviation threshold"),
+}
+
+_SWEEP_KEYS = {
+    "engines": (str, ",".join(kind.value for kind in EngineKind), "comma list of engine kinds"),
+    "seed": (_parse_seed, None, "master seed, unsigned 64-bit; required"),
+    "runs": (_parse_int_exact, _default(xp.ExperimentConfig, "runs_per_weight"),
+             "independent runs per weight vector"),
+    "jobs": (_parse_int_exact, 1, "worker processes"),
+    "aer_threshold": (float, _AER_THRESHOLD_DEFAULT, "AER deviation threshold"),
+    "weights_file": (str, None, "CSV of weight vectors; overrides the lattice"),
+    "weight_step": (float, 0.1, "lattice step"),
+    "weight_min": (float, 0.1, "lattice minimum weight"),
+}
 
 
 def _parse_floats(text: str, count: int, what: str) -> tuple[float, ...]:
@@ -129,51 +147,30 @@ def read_config_file(path) -> dict[str, tuple[str, int]]:
     """Parse ``key = value`` lines; ``#`` starts a comment.
 
     Returns each value with its line number so later validation can point
-    back at the offending line. A key given twice is an error.
+    back at the offending line. A key given twice, or a file that is not
+    UTF-8 text, is an error.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     entries: dict[str, tuple[str, int]] = {}
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip().lower(), value.strip()
-            if not key or not value:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
-            if key in entries:
-                raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}, "
-                                  f"first given on line {entries[key][1]}")
-            entries[key] = (value, line_no)
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip().lower(), value.strip()
+        if not key or not value:
+            raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw.strip()!r}")
+        if key in entries:
+            raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}, "
+                              f"first given on line {entries[key][1]}")
+        entries[key] = (value, line_no)
     return entries
-
-
-class _Resolver:
-    """Merges defaults, config-file entries and CLI flags (flags win)."""
-
-    def __init__(self, file_entries: dict[str, tuple[str, int]], path):
-        self.entries = dict(file_entries)
-        self.path = path
-        self.used: set[str] = set()
-
-    def take(self, key: str, flag_value, default, parse):
-        self.used.add(key)
-        if flag_value is not None:
-            return flag_value
-        if key in self.entries:
-            text, line_no = self.entries[key]
-            try:
-                return parse(text)
-            except ValueError as exc:
-                raise ConfigError(f"{self.path}:{line_no}: bad value for {key!r}: {exc}") from exc
-        return default
-
-    def reject_unknown(self):
-        for key, (_, line_no) in self.entries.items():
-            if key not in self.used:
-                raise ConfigError(f"{self.path}:{line_no}: unknown key {key!r}")
 
 
 def _engine_param_overrides(pairs) -> dict:
@@ -192,22 +189,41 @@ def _engine_param_overrides(pairs) -> dict:
     return overrides
 
 
-def _resolve_table(resolver: _Resolver, table: dict, cls, flags: dict) -> dict:
-    """Field values of ``cls`` for every key of ``table``: flag, file or default."""
-    return {
-        field: resolver.take(key, flags.get(key), _default(cls, field), _TEXT_PARSERS[parse])
-        for key, (field, parse, _) in table.items()
-    }
+def _resolve(args, keys: dict) -> dict:
+    """The value of every key of ``keys``, ``_BFA_KEYS`` and ``_ENGINE_PARAM_KEYS``.
+
+    A flag wins over the ``--config`` file, and the file over the default.
+    The values come in table order, which is the echo order. An unknown
+    file key is a :class:`ConfigError`, a missing seed a :class:`UsageError`.
+    """
+    entries = read_config_file(args.config) if args.config else {}
+    flags = {**vars(args), **_engine_param_overrides(args.engine_param)}
+    rows = {key: (parse, default) for key, (parse, default, _) in keys.items()}
+    for table, cls in ((_BFA_KEYS, BfaParams), (_ENGINE_PARAM_KEYS, EngineConfig)):
+        for key, (field, parse, _) in table.items():
+            rows[key] = (_TEXT_PARSERS[parse], _default(cls, field))
+    values = {}
+    for key, (parse, default) in rows.items():
+        text, line_no = entries.pop(key, (None, None))
+        if flags.get(key) is not None:
+            values[key] = flags[key]
+        elif text is not None:
+            try:
+                values[key] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}:{line_no}: bad value for {key!r}: {exc}") from exc
+        else:
+            values[key] = default
+    for key, (_, line_no) in entries.items():
+        raise ConfigError(f"{args.config}:{line_no}: unknown key {key!r}")
+    if values["seed"] is None:
+        raise UsageError(f"--seed is required; {args.verb}s never take an implicit time-based seed")
+    return values
 
 
-def _resolve_shared(args):
-    """The config file, BFA parameters and engine fields that ``run`` and ``sweep`` share."""
-    file_entries = read_config_file(args.config) if args.config else {}
-    resolver = _Resolver(file_entries, args.config)
-    params = BfaParams(**_resolve_table(resolver, _BFA_KEYS, BfaParams, vars(args)))
-    engine_fields = _resolve_table(resolver, _ENGINE_PARAM_KEYS, EngineConfig,
-                                   _engine_param_overrides(args.engine_param))
-    return resolver, params, engine_fields
+def _fields(table: dict, values: dict) -> dict:
+    """The dataclass fields that ``table`` maps to, from resolved key values."""
+    return {field: values[key] for key, (field, *_) in table.items()}
 
 
 def _format_value(value) -> str:
@@ -216,14 +232,10 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _echo_config(items: list[tuple[str, object]]) -> None:
+def _echo_config(values: dict) -> None:
     print("# resolved configuration", file=sys.stderr)
-    for key, value in items:
+    for key, value in values.items():
         print(f"{key} = {_format_value(value)}", file=sys.stderr)
-
-
-def _table_echo_items(table: dict, values: dict) -> list[tuple[str, object]]:
-    return [(key, values[field]) for key, (field, *_) in table.items()]
 
 
 def _write_gnuplot_stubs(out_dir: Path, reports) -> None:
@@ -269,38 +281,19 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _run_single(args):
-    resolver, params, engine_fields = _resolve_shared(args)
-    kind = EngineKind.from_string(resolver.take("engine", args.engine, "gaussian", str))
-    seed = resolver.take("seed", args.seed, None, _parse_seed)
-    weights_text = resolver.take("weights", args.weights, "0.25,0.25,0.25,0.25", str)
-    threshold = resolver.take("aer_threshold", args.aer_threshold, _AER_THRESHOLD_DEFAULT, float)
-    resolver.reject_unknown()
-    if seed is None:
-        raise UsageError("--seed is required; runs never take an implicit time-based seed")
+def _cmd_run(args) -> int:
+    values = _resolve(args, _RUN_KEYS)
+    params = BfaParams(**_fields(_BFA_KEYS, values))
+    kind = EngineKind.from_string(values["engine"])
+    values["engine"] = kind.value
+    threshold = values["aer_threshold"]
     if not threshold >= 0:  # NaN fails too; checked before the run, not after it
         raise ConfigError(f"aer_threshold must be non-negative, got {threshold}")
-
-    weights = WeightVector(*_parse_floats(weights_text, 4, "--weights"))
-    engine_config = EngineConfig(kind=kind, seed=seed, **engine_fields)
-    _echo_config(
-        [("engine", kind.value), ("seed", seed), ("weights", weights_text),
-         ("aer_threshold", threshold)]
-        + _table_echo_items(_BFA_KEYS, vars(params))
-        + _table_echo_items(_ENGINE_PARAM_KEYS, engine_fields)
-    )
+    weights = WeightVector(*_parse_floats(values["weights"], 4, "--weights"))
+    engine_config = EngineConfig(kind=kind, seed=values["seed"], **_fields(_ENGINE_PARAM_KEYS, values))
+    _echo_config(values)
     result = run_bfa(weights, params, engine_config)
-    rate = compute_aer(result.trace, threshold)
-    record = xp.SolutionRecord(
-        engine=kind, weights=weights, run_id=0, seed=seed,
-        decision=result.best_decision, objectives=result.best_objectives,
-        F=result.best_f, aer=rate,
-    )
-    return result, record
-
-
-def _cmd_run(args) -> int:
-    result, record = _run_single(args)
+    record = xp._solution_record(kind, weights, 0, result, threshold)
     print(",".join(xp.FRONTIER_HEADER))
     print(xp.frontier_row(record))
     if args.out:
@@ -314,52 +307,38 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     if args.plot and not args.out:
         raise UsageError("--plot requires --out")
-    resolver, params, engine_fields = _resolve_shared(args)
-    engines_text = resolver.take("engines", args.engines, _ALL_ENGINES, str)
-    master_seed = resolver.take("seed", args.seed, None, _parse_seed)
-    runs = resolver.take("runs", args.runs, _RUNS_DEFAULT, _parse_int_exact)
-    threshold = resolver.take("aer_threshold", args.aer_threshold, _AER_THRESHOLD_DEFAULT, float)
-    weights_file = resolver.take("weights_file", args.weights_file, None, str)
-    weight_step = resolver.take("weight_step", args.weight_step, 0.1, float)
-    weight_min = resolver.take("weight_min", args.weight_min, 0.1, float)
-    jobs = resolver.take("jobs", args.jobs, 1, _parse_int_exact)
-    resolver.reject_unknown()
-    if master_seed is None:
-        raise UsageError("--seed is required; sweeps never take an implicit time-based seed")
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
+    values = _resolve(args, _SWEEP_KEYS)
+    params = BfaParams(**_fields(_BFA_KEYS, values))
+    if values["jobs"] < 1:
+        raise UsageError(f"--jobs must be >= 1, got {values['jobs']}")
 
-    kinds = [EngineKind.from_string(k) for k in engines_text.split(",") if k.strip()]
+    kinds = [EngineKind.from_string(k) for k in values["engines"].split(",") if k.strip()]
     if not kinds:
         raise UsageError("--engines must name at least one engine")
     repeated = sorted({k.value for k in kinds if kinds.count(k) > 1})
     if repeated:
         # each engine writes one frontier_<kind>.csv, so a repeat would overwrite
         raise UsageError(f"--engines names {', '.join(repeated)} more than once")
-    if weights_file:
-        weights = xp.read_weights_csv(weights_file)
-        weight_items = [("weights_file", weights_file)]
+    values["engines"] = ",".join(k.value for k in kinds)
+    # the echo names only the weight source in use
+    if values["weights_file"]:
+        weights = xp.read_weights_csv(values["weights_file"])
+        del values["weight_step"], values["weight_min"]
     else:
-        weights = xp.generate_weights(weight_step, weight_min)
-        weight_items = [("weight_step", weight_step), ("weight_min", weight_min)]
+        weights = xp.generate_weights(values["weight_step"], values["weight_min"])
+        del values["weights_file"]
+    _echo_config(values)
 
-    _echo_config(
-        [("engines", ",".join(k.value for k in kinds)), ("seed", master_seed),
-         ("runs", runs), ("jobs", jobs), ("aer_threshold", threshold)]
-        + weight_items
-        + _table_echo_items(_BFA_KEYS, vars(params))
-        + _table_echo_items(_ENGINE_PARAM_KEYS, engine_fields)
-    )
-
+    engine_fields = _fields(_ENGINE_PARAM_KEYS, values)
     config = xp.ExperimentConfig(
         engines=tuple(EngineConfig(kind=k, seed=0, **engine_fields) for k in kinds),
         weights=tuple(weights),
         bfa=params,
-        master_seed=master_seed,
-        runs_per_weight=runs,
-        aer_threshold=threshold,
+        master_seed=values["seed"],
+        runs_per_weight=values["runs"],
+        aer_threshold=values["aer_threshold"],
     )
-    reports = xp.run_sweep(config, jobs=jobs)
+    reports = xp.run_sweep(config, jobs=values["jobs"])
     print(json.dumps([xp.report_to_dict(r) for r in reports], indent=2))
     if args.out:
         out_dir = Path(args.out)
@@ -443,7 +422,20 @@ def _cmd_compare(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_bfa_flags(parser) -> None:
+def _add_run_flags(parser, keys: dict) -> None:
+    """A flag for every key of ``keys``, then ``--config``, ``--engine-param``
+    and the BFA flags; each help text ends with the key's default."""
+    for key, (parse, default, text) in keys.items():
+        if key != "seed":  # required, so it has no default
+            text += f" (default: {'none' if default is None else _format_value(default)})"
+        parser.add_argument(f"--{key.replace('_', '-')}", type=parse, help=text)
+    parser.add_argument("--config", help="key = value config file (flags win; default: none)")
+    engine_keys = ", ".join(
+        f"{key}={_format_value(_default(EngineConfig, field))} ({text})"
+        for key, (field, _, text) in _ENGINE_PARAM_KEYS.items()
+    )
+    parser.add_argument("--engine-param", action="append", metavar="KEY=VALUE",
+                        help=f"distribution parameter, repeatable; keys with defaults: {engine_keys}")
     for key, (field, parse, text) in _BFA_KEYS.items():
         default = _format_value(_default(BfaParams, field))
         if parse is bool:
@@ -452,15 +444,6 @@ def _add_bfa_flags(parser) -> None:
         else:
             parser.add_argument(f"--{key}", type=_TEXT_PARSERS[parse],
                                 help=f"{text} (default: {default})")
-
-
-def _add_engine_flags(parser) -> None:
-    keys = ", ".join(
-        f"{key}={_format_value(_default(EngineConfig, field))} ({text})"
-        for key, (field, _, text) in _ENGINE_PARAM_KEYS.items()
-    )
-    parser.add_argument("--engine-param", action="append", metavar="KEY=VALUE",
-                        help=f"distribution parameter, repeatable; keys with defaults: {keys}")
 
 
 def build_parser() -> _Parser:
@@ -478,55 +461,38 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_evaluate)
 
     p = sub.add_parser("run", help="one optimizer run")
-    p.add_argument("--engine", help="gaussian|weibull|gamma|chaotic (default: gaussian)")
-    _add_engine_flags(p)
-    p.add_argument("--seed", type=_parse_seed, help="engine seed, unsigned 64-bit; required")
-    p.add_argument("--weights", help="w1,w2,w3,w4 (default: 0.25,0.25,0.25,0.25)")
-    p.add_argument("--config", help="key = value config file (flags win; default: none)")
-    p.add_argument("--aer-threshold", type=float,
-                   help=f"AER deviation threshold (default: {_AER_THRESHOLD_DEFAULT})")
+    _add_run_flags(p, _RUN_KEYS)
     p.add_argument("--out", help="directory for solution.csv and trace.csv (default: none)")
-    _add_bfa_flags(p)
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sweep",
                        help="engines x weights x runs protocol, frontier reports out")
-    p.add_argument("--engines", help=f"comma list of engine kinds (default: {_ALL_ENGINES})")
-    _add_engine_flags(p)
-    p.add_argument("--seed", type=_parse_seed, help="master seed, unsigned 64-bit; required")
-    p.add_argument("--runs", type=_parse_int_exact,
-                   help=f"independent runs per weight vector (default: {_RUNS_DEFAULT})")
-    p.add_argument("--weights-file", help="CSV of weight vectors; overrides the lattice (default: none)")
-    p.add_argument("--weight-step", type=float, help="lattice step (default: 0.1)")
-    p.add_argument("--weight-min", type=float, help="lattice minimum weight (default: 0.1)")
-    p.add_argument("--aer-threshold", type=float,
-                   help=f"AER deviation threshold (default: {_AER_THRESHOLD_DEFAULT})")
-    p.add_argument("--jobs", type=_parse_int_exact, help="worker processes (default: 1)")
-    p.add_argument("--config", help="key = value config file (flags win; default: none)")
+    _add_run_flags(p, _SWEEP_KEYS)
     p.add_argument("--out", help="directory for frontier CSVs and report.json (default: none)")
     p.add_argument("--plot", action="store_true", help="also write gnuplot data and script stubs")
-    _add_bfa_flags(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("hvi", help="hypervolume of a frontier CSV")
     p.add_argument("--input", required=True, help="frontier CSV path")
-    p.add_argument("--ref", default="0,0,0,0", help="reference point r1,r2,r3,r4 (default: 0,0,0,0)")
+    p.add_argument("--ref", default="0,0,0,0", help="reference point r1,r2,r3,r4 (default: %(default)s)")
     p.add_argument("--method", choices=("exact", "mc"), default="exact",
-                   help="exact sweep or Monte Carlo estimate (default: exact)")
+                   help="exact sweep or Monte Carlo estimate (default: %(default)s)")
     p.add_argument("--samples", type=_parse_int_exact, default=1_000_000,
-                   help="Monte Carlo sample count (default: 1000000)")
+                   help="Monte Carlo sample count (default: %(default)s)")
     p.add_argument("--seed", type=_parse_int_exact, help="Monte Carlo seed; required with --method mc")
     p.set_defaults(handler=_cmd_hvi)
 
     p = sub.add_parser("aer", help="average explorative rate of a trace CSV")
     p.add_argument("--input", required=True, help="trace CSV path")
     p.add_argument("--threshold", type=float, default=_AER_THRESHOLD_DEFAULT,
-                   help=f"relative-deviation threshold (default: {_AER_THRESHOLD_DEFAULT})")
+                   help="relative-deviation threshold (default: %(default)s)")
     p.set_defaults(handler=_cmd_aer)
 
     p = sub.add_parser("weights", help="emit a weight-vector lattice")
-    p.add_argument("--step", type=float, default=0.1, help="lattice step (default: 0.1)")
-    p.add_argument("--min", type=float, default=0.1, help="minimum weight (default: 0.1)")
+    p.add_argument("--step", type=float, default=_SWEEP_KEYS["weight_step"][1],
+                   help="lattice step (default: %(default)s)")
+    p.add_argument("--min", type=float, default=_SWEEP_KEYS["weight_min"][1],
+                   help="minimum weight (default: %(default)s)")
     p.add_argument("--out", help="write CSV here instead of standard output (default: stdout)")
     p.set_defaults(handler=_cmd_weights)
 

@@ -259,23 +259,26 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[FrontierReport]:
         for weights in config.weights:
             pair = results[cursor : cursor + runs_per_pair]
             cursor += runs_per_pair
-            best_id = 0
-            for run_id in range(1, runs_per_pair):
-                if pair[run_id].best_f > pair[best_id].best_f:
-                    best_id = run_id
-            winner = pair[best_id]
-            records.append(SolutionRecord(
-                engine=engine_config.kind,
-                weights=weights,
-                run_id=best_id,
-                seed=winner.seed,
-                decision=winner.best_decision,
-                objectives=winner.best_objectives,
-                F=winner.best_f,
-                aer=aer(winner.trace, config.aer_threshold),
-            ))
+            best_id = max(range(runs_per_pair), key=lambda run_id: pair[run_id].best_f)  # first on ties
+            records.append(_solution_record(engine_config.kind, weights, best_id, pair[best_id],
+                                            config.aer_threshold))
         reports.append(_build_report(engine_config.kind, records))
     return reports
+
+
+def _solution_record(kind: EngineKind, weights: WeightVector, run_id: int, result: RunResult,
+                     aer_threshold: float) -> SolutionRecord:
+    """The record of ``result``, the run ``run_id`` of ``kind`` under ``weights``."""
+    return SolutionRecord(
+        engine=kind,
+        weights=weights,
+        run_id=run_id,
+        seed=result.seed,
+        decision=result.best_decision,
+        objectives=result.best_objectives,
+        F=result.best_f,
+        aer=aer(result.trace, aer_threshold),
+    )
 
 
 def _build_report(kind: EngineKind, records: list[SolutionRecord]) -> FrontierReport:
@@ -377,9 +380,13 @@ def _read_csv(path, header: Sequence[str], parse_row) -> list:
     Blank rows are skipped. ``parse_row(row, count)`` gets the fields of one
     row and the number of rows parsed before it; a ``ValueError`` or
     ``ConfigError`` it raises becomes a :class:`SchemaError` at that line.
+    A file that is not UTF-8 text is a :class:`SchemaError` naming it.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise SchemaError("empty file", line=1)
     if rows[0] != header:

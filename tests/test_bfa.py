@@ -105,23 +105,44 @@ def test_parameter_validation():
 
 
 LARGEST = sys.float_info.max
-HALF, QUARTER = LARGEST / 2, LARGEST / 4
+# a default health sum adds min(n_chemo, n_total) * (n_swim + 1) + 1 = 61
+# costs, each with a swarming term of at most pop_size * (|h_att| + |h_rep|)
+TERM = LARGEST / 61  # the largest term a default health sum holds
+HALF, QUARTER = TERM / 2, TERM / 4
 
 
-# the swarming term is at most pop_size * (|h_att| + |h_rep|) in size
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
 @pytest.mark.parametrize("accepted,rejected", [
-    (dict(pop_size=1, h_rep=LARGEST, h_att=0.0), dict(pop_size=2, h_rep=LARGEST, h_att=0.0)),
-    (dict(pop_size=2, h_rep=HALF, h_att=0.0), dict(pop_size=2, h_rep=math.nextafter(HALF, math.inf), h_att=0.0)),
-    (dict(pop_size=2, h_rep=QUARTER, h_att=-QUARTER),
-     dict(pop_size=2, h_rep=QUARTER, h_att=-math.nextafter(QUARTER, math.inf))),
+    (dict(pop_size=1, h_rep=TERM, h_att=0.0), dict(pop_size=1, h_rep=_up(TERM), h_att=0.0)),
+    (dict(pop_size=2, h_rep=HALF, h_att=0.0), dict(pop_size=2, h_rep=_up(HALF), h_att=0.0)),
+    # QUARTER + _up(QUARTER) still rounds to HALF; one step more does not
+    (dict(pop_size=2, h_rep=QUARTER, h_att=-_up(QUARTER)),
+     dict(pop_size=2, h_rep=QUARTER, h_att=-_up(_up(QUARTER)))),
     (dict(pop_size=2, h_rep=QUARTER, h_att=-QUARTER), dict(pop_size=3, h_rep=QUARTER, h_att=-QUARTER)),
     (dict(pop_size=2**1000, h_rep=0.0, h_att=0.0), dict(pop_size=10**400, h_rep=0.0, h_att=0.0)),
-    (dict(pop_size=3, h_rep=1e307, h_att=-1e307), dict(pop_size=3, h_rep=1e308, h_att=-1e308)),
+    # one generation and no swim: a placement and one move, 2 costs
+    (dict(n_total=1, n_swim=0, pop_size=1, h_rep=LARGEST / 2, h_att=0.0),
+     dict(n_total=1, n_swim=0, pop_size=1, h_rep=_up(LARGEST / 2), h_att=0.0)),
 ])
 def test_swarming_heights_whose_term_overflows_are_rejected(accepted, rejected):
     BfaParams(**accepted)
     with pytest.raises(ConfigError, match="overflows"):
         BfaParams(**rejected)
+
+
+def test_health_stays_finite_at_the_largest_accepted_heights():
+    # at 2e307 every health sum of this run reached -inf by generation 3
+    with pytest.raises(ConfigError, match="overflows"):
+        BfaParams(n_total=20, pop_size=3, h_rep=2e307, h_att=0.0, w_att=0.0)
+    params = BfaParams(n_total=20, pop_size=3, h_rep=LARGEST / (3 * 61), h_att=0.0, w_att=0.0)
+    seen = []
+    run_bfa(WEIGHTS, params, EngineConfig(kind=EngineKind.GAUSSIAN, seed=1),
+            observer=lambda generation, swarm: seen.append(swarm.health.copy()))
+    assert len(seen) == 20
+    assert all(np.isfinite(health).all() for health in seen)
 
 
 # -- initialization -----------------------------------------------------------

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
 from bforage.bfa import BfaParams
-from bforage.cli import _BFA_KEYS, _ENGINE_PARAM_KEYS, dispatch
+from bforage.cli import _BFA_KEYS, _ENGINE_PARAM_KEYS, _RUN_KEYS, _SWEEP_KEYS, dispatch
 from bforage.engines import EngineConfig
 from bforage.experiment import read_frontier_csv, read_trace_csv, write_frontier_csv, write_trace_csv
 from bforage.metrics import hvi_exact
@@ -321,6 +323,54 @@ def test_echoed_config_round_trips(capsys, tmp_path):
     assert echo_again == echo_lines
 
 
+@pytest.mark.parametrize("verb,argv", [
+    ("run", ["--seed", "3", "--nt", "4", "--pop", "4", "--engine", " Gamma",
+             "--engine-param", "alpha=3", "--aer-threshold", "0.02"]),
+    ("sweep", ["--seed", "77", "--engines", "gaussian, chaotic", "--runs", "2",
+               "--weight-step", "0.5", "--weight-min", "0.0", "--nt", "3", "--pop", "3"]),
+    ("sweep", ["--seed", "5", "--engines", "weibull", "--runs", "2", "--weights-file", "WEIGHTS",
+               "--weight-step", "0.3", "--nt", "3", "--pop", "3", "--no-swarming"]),
+], ids=["run", "sweep-lattice", "sweep-weights-file"])
+def test_saved_echo_replays_as_a_config_file(capsys, tmp_path, verb, argv):
+    weights = tmp_path / "weights.csv"
+    weights.write_text("w1,w2,w3,w4\n0.25,0.25,0.25,0.25\n0.7,0.1,0.1,0.1\n")
+    argv = [str(weights) if arg == "WEIGHTS" else arg for arg in argv]
+    code, out, err = run_cli(capsys, verb, *argv)
+    assert code == 0 and err.startswith("# resolved configuration\n")
+    config = tmp_path / "echo.conf"
+    config.write_text(err)
+    assert run_cli(capsys, verb, "--config", str(config)) == (0, out, err)
+
+
+def test_readme_lists_every_config_key():
+    # the README's key lists, one per table, in echo order
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]
+    items = re.findall(r"^- ([^:]+): ((?:.|\n  )+)", section, flags=re.MULTILINE)
+    listed = {label: re.findall(r"`(\w+)`", keys) for label, keys in items}
+    assert listed == {
+        "`run`": list(_RUN_KEYS),
+        "`sweep`": list(_SWEEP_KEYS),
+        "optimizer, both verbs": list(_BFA_KEYS),
+        "engine, both verbs": list(_ENGINE_PARAM_KEYS),
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "1", "--config", "FILE"],
+    ["hvi", "--input", "FILE"],
+    ["aer", "--input", "FILE"],
+    ["sweep", "--seed", "1", "--weights-file", "FILE"],
+], ids=["run-config", "hvi-input", "aer-input", "sweep-weights-file"])
+def test_a_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, argv):
+    path = tmp_path / "binary.dat"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run_cli(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    assert code == 2
+    assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+    assert out == ""
+
+
 # -- weights ------------------------------------------------------------------------
 
 
@@ -448,6 +498,7 @@ def test_run_too_large_for_memory_exits_2(capsys, flag, value, name):
 @pytest.mark.parametrize("flags,message", [
     (["--watt=-500"], "w_rep and w_att must be non-negative"),
     (["--hrep=1e308", "--hatt=-1e308"], "the swarming term overflows"),
+    (["--nt", "20", "--hrep", "2e307", "--hatt", "0", "--watt", "0"], "the swarming term overflows"),
 ])
 def test_swarming_signals_that_overflow_exit_2(capsys, flags, message):
     code, out, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--pop", "3", *flags)
