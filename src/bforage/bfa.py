@@ -80,7 +80,6 @@ class BfaParams:
     h_att: float = 0.1        # attractant signal height (= attractant depth)
     step_size: float = 0.05   # chemotactic step, normalized units
     p_elim: float = 0.25      # per-bacterium dispersal probability
-    swarming: bool = True     # include the cell-to-cell term in fitness
 
     def __post_init__(self):
         if not (isinstance(self.n_total, int) and self.n_total >= 1):
@@ -104,6 +103,11 @@ class BfaParams:
                               f"pop_size={self.pop_size}, h_att={self.h_att}, h_rep={self.h_rep}")
         if not 0.0 <= self.p_elim <= 1.0:
             raise ConfigError(f"p_elim must lie in [0, 1], got {self.p_elim}")
+
+    @property
+    def swarming(self) -> bool:
+        """Whether fitness has a cell-to-cell term; at zero heights it is zero everywhere."""
+        return bool(self.h_att or self.h_rep)
 
 
 @dataclass

@@ -44,20 +44,15 @@ _BFA_KEYS = {
     "nr": ("n_repro", int, "reproductions per dispersal"),
     "step": ("step_size", float, "chemotactic step, normalized units"),
     "ped": ("p_elim", float, "per-bacterium dispersal probability"),
-    "swarming": ("swarming", bool, "drop the cell-to-cell term from fitness"),
     "wrep": ("w_rep", float, "repellent signal width"),
     "watt": ("w_att", float, "attractant signal width"),
     "hrep": ("h_rep", float, "repellent signal height"),
-    "hatt": ("h_att", float, "attractant signal height"),
+    "hatt": ("h_att", float, "attractant signal height; hatt = hrep = 0 turns swarming off"),
 }
 
 _ENGINE_PARAM_KEYS = {
-    "mu": ("mu", float, "gaussian mean"),
-    "sigma": ("sigma", float, "gaussian standard deviation"),
-    "lambda": ("lam", float, "weibull scale"),
     "k": ("k", float, "weibull shape"),
     "alpha": ("alpha", int, "gamma shape, integral"),
-    "beta": ("beta", float, "gamma rate"),
     "psi0": ("psi0", float, "chaotic initial state"),
     "r0": ("r0", float, "chaotic initial growth rate"),
     "dr": ("dr", float, "chaotic per-step rate increment"),
@@ -91,17 +86,8 @@ def _parse_seed(text: str) -> int:
 _parse_seed.__name__ = "int"
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 # how a table type reads a config-file or --engine-param value
-_TEXT_PARSERS = {int: _parse_int_exact, float: float, bool: _parse_bool}
+_TEXT_PARSERS = {int: _parse_int_exact, float: float}
 
 
 def _default(cls, field: str):
@@ -226,16 +212,10 @@ def _fields(table: dict, values: dict) -> dict:
     return {field: values[key] for key, (field, *_) in table.items()}
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def _echo_config(values: dict) -> None:
     print("# resolved configuration", file=sys.stderr)
     for key, value in values.items():
-        print(f"{key} = {_format_value(value)}", file=sys.stderr)
+        print(f"{key} = {value}", file=sys.stderr)  # str of a float is its repr
 
 
 def _write_gnuplot_stubs(out_dir: Path, reports) -> None:
@@ -427,23 +407,18 @@ def _add_run_flags(parser, keys: dict) -> None:
     and the BFA flags; each help text ends with the key's default."""
     for key, (parse, default, text) in keys.items():
         if key != "seed":  # required, so it has no default
-            text += f" (default: {'none' if default is None else _format_value(default)})"
+            text += f" (default: {'none' if default is None else default})"
         parser.add_argument(f"--{key.replace('_', '-')}", type=parse, help=text)
     parser.add_argument("--config", help="key = value config file (flags win; default: none)")
     engine_keys = ", ".join(
-        f"{key}={_format_value(_default(EngineConfig, field))} ({text})"
+        f"{key}={_default(EngineConfig, field)} ({text})"
         for key, (field, _, text) in _ENGINE_PARAM_KEYS.items()
     )
     parser.add_argument("--engine-param", action="append", metavar="KEY=VALUE",
                         help=f"distribution parameter, repeatable; keys with defaults: {engine_keys}")
     for key, (field, parse, text) in _BFA_KEYS.items():
-        default = _format_value(_default(BfaParams, field))
-        if parse is bool:
-            parser.add_argument(f"--no-{key}", dest=key, action="store_const", const=False,
-                                help=f"{text} (default: {key} = {default})")
-        else:
-            parser.add_argument(f"--{key}", type=_TEXT_PARSERS[parse],
-                                help=f"{text} (default: {default})")
+        parser.add_argument(f"--{key}", type=_TEXT_PARSERS[parse],
+                            help=f"{text} (default: {_default(BfaParams, field)})")
 
 
 def build_parser() -> _Parser:

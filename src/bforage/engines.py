@@ -9,17 +9,17 @@ processes and replays.
 Each kind is one row of the table ``_SAMPLERS``, looked up once at
 construction: a raw sampler, which returns the next ``count`` variates as
 a list, and a map of such a list into [0, 1] -- the kind's own CDF at the
-config's parameters, or for the chaotic state, which already lies in
-(0, 1), the identity. A single draw is a block of one through the same
+config's shape, or for the chaotic state, which already lies in (0, 1),
+the identity. A single draw is a block of one through the same
 two functions, so blocks and single draws give the same values bit for
 bit, and each transform and CDF is written once. Raw samplers:
 
-* gaussian -- Marsaglia polar transform of the uniform stream (the spare
-  deviate is cached, so draws alternate between computing a pair and
-  emitting the cached half).
-* weibull  -- inverse-CDF transform ``scale * (-ln(1-u))**(1/shape)``.
+* gaussian -- Marsaglia polar transform of the uniform stream, standard
+  normal (the spare deviate is cached, so draws alternate between
+  computing a pair and emitting the cached half).
+* weibull  -- inverse-CDF transform ``(-ln(1-u))**(1/k)``, unit scale.
 * gamma    -- integer shape only; sum of ``alpha`` exponential variates,
-  each by inverse CDF, divided by the rate.
+  each by inverse CDF, unit rate.
 * chaotic  -- ``psi <- rate * psi * (1 - psi)`` followed by
   ``rate <- rate + dr``. Whenever the updated state would leave the map's
   stable region (``psi`` outside (0,1) or ``rate`` above 4) the state is
@@ -49,9 +49,6 @@ _SQRT2 = math.sqrt(2.0)
 # random.random() is at most 1 - 2**-53, where -log1p(-u) peaks at 53 ln 2
 _LARGEST_UNIFORM = 1.0 - 2.0**-53
 _LARGEST_EXPONENTIAL = -math.log1p(-_LARGEST_UNIFORM)
-# the polar transform's largest |deviate|, sqrt(-2 ln s) at the smallest s:
-# 2u - 1 lies on a 2**-52 grid, so a nonzero s is at least 2**-104
-_Z_MAX = math.sqrt(208.0 * math.log(2.0))
 
 
 class EngineKind(str, Enum):
@@ -76,23 +73,20 @@ class EngineConfig:
     """Full description of an engine; equal configs give equal streams.
 
     Only the parameters of the configured ``kind`` matter; the rest are
-    inert. ``warmup`` applies to the chaotic kind only and counts map
-    iterates discarded at construction time so emitted values do not echo
-    ``psi0``. A config whose largest variate overflows a float is
-    rejected: ``abs(mu) + sigma * sqrt(208 ln 2)`` for gaussian,
-    ``lam * (53 ln 2)**(1/k)`` for weibull and ``alpha * 53 ln 2 / beta``
-    for gamma. So is a gamma config whose CDF there is not finite: its
-    finite sum overflows once ``alpha`` exceeds 155, whatever ``beta``.
+    inert. There is no location or scale: a unit draw is the variate's own
+    CDF, where both cancel, so only the shapes ``k`` and ``alpha`` reach
+    it. ``warmup`` applies to the chaotic kind only and counts map iterates
+    discarded at construction time so emitted values do not echo ``psi0``.
+    A weibull config whose largest variate, ``(53 ln 2)**(1/k)``, overflows
+    a float is rejected, and so is a gamma config whose CDF at its largest
+    variate, ``alpha * 53 ln 2``, is not finite: its finite sum overflows
+    once ``alpha`` exceeds 155.
     """
 
     kind: EngineKind
     seed: int
-    mu: float = 0.0          # gaussian mean
-    sigma: float = 1.0       # gaussian standard deviation
-    lam: float = 1.0         # weibull scale
     k: float = 1.0           # weibull shape
     alpha: int = 2           # gamma shape, integral
-    beta: float = 1.0        # gamma rate
     psi0: float = 0.3        # chaotic initial state, strictly inside (0,1)
     r0: float = 3.9          # chaotic initial growth rate, in [0,5]; above 4 (with dr >= 0)
                              # every step re-seeds, so the engine emits i.i.d. uniforms
@@ -104,37 +98,25 @@ class EngineConfig:
             object.__setattr__(self, "kind", EngineKind.from_string(str(self.kind)))
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        for name in ("mu", "sigma", "lam", "k", "beta", "dr"):
+        for name in ("k", "dr"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not self.lam > 0:
-            raise ConfigError(f"lambda must be positive, got {self.lam}")
         if not self.k > 0:
             raise ConfigError(f"k must be positive, got {self.k}")
         if not (isinstance(self.alpha, int) and self.alpha >= 1):
             raise ConfigError(f"alpha must be an integer >= 1, got {self.alpha!r}")
-        if not self.beta > 0:
-            raise ConfigError(f"beta must be positive, got {self.beta}")
         if not 0.0 < self.psi0 < 1.0:
             raise ConfigError(f"psi0 must lie strictly inside (0, 1), got {self.psi0}")
         if not 0.0 <= self.r0 <= 5.0:
             raise ConfigError(f"r0 must lie in [0, 5], got {self.r0}")
         if not (isinstance(self.warmup, int) and self.warmup >= 0):
             raise ConfigError(f"warmup must be a non-negative integer, got {self.warmup!r}")
-        if self.kind is EngineKind.GAUSSIAN and not _finite(
-                lambda: abs(self.mu) + self.sigma * _Z_MAX):
-            raise ConfigError(f"the largest gaussian variate overflows at mu={self.mu}, sigma={self.sigma}")
         if self.kind is EngineKind.WEIBULL and not _finite(
-                lambda: weibull_inverse_cdf(_LARGEST_UNIFORM, self.lam, self.k)):
-            raise ConfigError(f"the largest weibull variate overflows at lambda={self.lam}, k={self.k}")
+                lambda: weibull_inverse_cdf(_LARGEST_UNIFORM, self.k)):
+            raise ConfigError(f"the largest weibull variate overflows at k={self.k}")
         if self.kind is EngineKind.GAMMA and not _finite(
-                lambda: self.alpha * _LARGEST_EXPONENTIAL / self.beta):
-            raise ConfigError(f"the largest gamma variate overflows at alpha={self.alpha}, beta={self.beta}")
-        if self.kind is EngineKind.GAMMA and not _finite(
-                lambda: gamma_cdf(self.alpha * _LARGEST_EXPONENTIAL / self.beta, self.alpha, self.beta)):
-            raise ConfigError(f"the gamma CDF is not finite at the largest variate for alpha={self.alpha} "
+                lambda: gamma_cdf(self.alpha * _LARGEST_EXPONENTIAL, self.alpha)):
+            raise ConfigError(f"the gamma CDF overflows at the largest variate for alpha={self.alpha} "
                               f"(alpha must be at most 155)")
 
 
@@ -192,7 +174,6 @@ class StochasticEngine:
 
     def _gaussian_raws(self, count: int) -> list[float]:
         random, log, sqrt = self._uniform.random, math.log, math.sqrt
-        mu, sigma = self.config.mu, self.config.sigma
         spare = self._spare
         values = []
         for _ in range(count):
@@ -208,25 +189,25 @@ class StochasticEngine:
                 factor = sqrt(-2.0 * log(s) / s)
                 z = u * factor
                 spare = v * factor
-            values.append(mu + sigma * z)
+            values.append(z)
         self._spare = spare
         return values
 
     def _weibull_raws(self, count: int) -> list[float]:
         # weibull_inverse_cdf without its DomainError check: random() lies in [0, 1)
         random, log1p = self._uniform.random, math.log1p
-        lam, inverse_k = self.config.lam, 1.0 / self.config.k
-        return [lam * (-log1p(-random())) ** inverse_k for _ in range(count)]
+        inverse_k = 1.0 / self.config.k
+        return [(-log1p(-random())) ** inverse_k for _ in range(count)]
 
     def _gamma_raws(self, count: int) -> list[float]:
         random, log1p = self._uniform.random, math.log1p
-        shape, beta = range(self.config.alpha), self.config.beta
+        shape = range(self.config.alpha)
         values = []
         for _ in range(count):
             total = 0.0
             for _ in shape:
                 total += -log1p(-random())
-            values.append(total / beta)
+            values.append(total)
         return values
 
     def _chaotic_raws(self, count: int) -> list[float]:
@@ -252,26 +233,25 @@ class StochasticEngine:
 # construction, so the checks cannot fire on a variate the engine draws.
 
 
-def _gaussian_cdfs(xs: list[float], mu: float, sigma: float) -> list[float]:
-    erf, width = math.erf, sigma * _SQRT2
-    return [0.5 * (1.0 + erf((x - mu) / width)) for x in xs]
+def _gaussian_cdfs(xs: list[float]) -> list[float]:
+    erf = math.erf
+    return [0.5 * (1.0 + erf(x / _SQRT2)) for x in xs]
 
 
-def _weibull_cdfs(xs: list[float], lam: float, k: float) -> list[float]:
+def _weibull_cdfs(xs: list[float], k: float) -> list[float]:
     exp = math.exp
-    return [1.0 - exp(-((x / lam) ** k)) for x in xs]
+    return [1.0 - exp(-(x**k)) for x in xs]
 
 
-def _gamma_cdfs(xs: list[float], alpha: int, beta: float) -> list[float]:
+def _gamma_cdfs(xs: list[float], alpha: int) -> list[float]:
     exp, orders = math.exp, range(1, alpha)
     values = []
     for x in xs:
-        bx = beta * x
         term = total = 1.0
         for i in orders:
-            term *= bx / i
+            term *= x / i
             total += term
-        values.append(1.0 - total * exp(-bx))
+        values.append(1.0 - total * exp(-x))
     return values
 
 
@@ -279,43 +259,43 @@ def _identity(xs: list[float]) -> list[float]:
     return xs
 
 
-def gaussian_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    """Normal cumulative distribution function."""
-    return _gaussian_cdfs([x], mu, sigma)[0]
+def gaussian_cdf(x: float) -> float:
+    """Standard normal cumulative distribution function."""
+    return _gaussian_cdfs([x])[0]
 
 
-def weibull_cdf(x: float, lam: float = 1.0, k: float = 1.0) -> float:
-    """Weibull cumulative distribution function ``1 - exp(-(x/lam)**k)``."""
+def weibull_cdf(x: float, k: float = 1.0) -> float:
+    """Unit-scale Weibull cumulative distribution function ``1 - exp(-x**k)``."""
     if x < 0.0:
         raise DomainError(f"weibull support is x >= 0, got {x}")
-    return _weibull_cdfs([x], lam, k)[0]
+    return _weibull_cdfs([x], k)[0]
 
 
-def weibull_inverse_cdf(u: float, lam: float = 1.0, k: float = 1.0) -> float:
-    """Weibull quantile function; ``u`` must lie in [0, 1)."""
+def weibull_inverse_cdf(u: float, k: float = 1.0) -> float:
+    """Unit-scale Weibull quantile function; ``u`` must lie in [0, 1)."""
     if not 0.0 <= u < 1.0:
         raise DomainError(f"quantile argument must lie in [0, 1), got {u}")
-    return lam * (-math.log1p(-u)) ** (1.0 / k)
+    return (-math.log1p(-u)) ** (1.0 / k)
 
 
-def gamma_cdf(x: float, alpha: int, beta: float) -> float:
-    """Gamma cumulative distribution for integer shape ``alpha``.
+def gamma_cdf(x: float, alpha: int) -> float:
+    """Unit-rate gamma cumulative distribution for integer shape ``alpha``.
 
     Uses the closed-form finite sum available when the shape is integral:
-    ``1 - sum_{i<alpha} (beta*x)^i / i! * exp(-beta*x)``.
+    ``1 - sum_{i<alpha} x^i / i! * exp(-x)``.
     """
     if not (isinstance(alpha, int) and alpha >= 1):
         raise DomainError(f"alpha must be an integer >= 1, got {alpha!r}")
     if x < 0.0:
         raise DomainError(f"gamma support is x >= 0, got {x}")
-    return _gamma_cdfs([x], alpha, beta)[0]
+    return _gamma_cdfs([x], alpha)[0]
 
 
 # kind -> (raw block sampler, block map into [0, 1], config fields the map takes);
 # named functions pickle
 _SAMPLERS = {
-    EngineKind.GAUSSIAN: (StochasticEngine._gaussian_raws, _gaussian_cdfs, ("mu", "sigma")),
-    EngineKind.WEIBULL: (StochasticEngine._weibull_raws, _weibull_cdfs, ("lam", "k")),
-    EngineKind.GAMMA: (StochasticEngine._gamma_raws, _gamma_cdfs, ("alpha", "beta")),
+    EngineKind.GAUSSIAN: (StochasticEngine._gaussian_raws, _gaussian_cdfs, ()),
+    EngineKind.WEIBULL: (StochasticEngine._weibull_raws, _weibull_cdfs, ("k",)),
+    EngineKind.GAMMA: (StochasticEngine._gamma_raws, _gamma_cdfs, ("alpha",)),
     EngineKind.CHAOTIC: (StochasticEngine._chaotic_raws, _identity, ()),
 }

@@ -38,10 +38,12 @@ class DegenerateTraceError(BforageError):
 
 
 class SchemaError(BforageError):
-    """A data file does not match its expected schema."""
+    """A data file does not match its expected schema; the message names the file and line."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line

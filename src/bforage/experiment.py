@@ -214,7 +214,7 @@ def _sweep_task(batch) -> _BatchResult:
                 try:
                     wrapped = type(exc)(f"{context}: {exc}")
                 except TypeError:  # exception type with a non-string constructor
-                    raise
+                    raise exc from None
                 raise wrapped from exc
         raise
 
@@ -380,30 +380,30 @@ def _read_csv(path, header: Sequence[str], parse_row) -> list:
     Blank rows are skipped. ``parse_row(row, count)`` gets the fields of one
     row and the number of rows parsed before it; a ``ValueError`` or
     ``ConfigError`` it raises becomes a :class:`SchemaError` at that line.
-    A file that is not UTF-8 text is a :class:`SchemaError` naming it.
+    Every :class:`SchemaError` it raises names the file, so a bad input among several is known.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise SchemaError(f"not UTF-8 text ({exc.reason})", path=path) from None
     if not rows:
-        raise SchemaError("empty file", line=1)
+        raise SchemaError("empty file", line=1, path=path)
     if rows[0] != header:
         missing = [c for c in header if c not in rows[0]]
         if missing:
-            raise SchemaError(f"missing column {missing[0]!r}", line=1)
-        raise SchemaError(f"unexpected header {rows[0]!r}", line=1)
+            raise SchemaError(f"missing column {missing[0]!r}", line=1, path=path)
+        raise SchemaError(f"unexpected header {rows[0]!r}", line=1, path=path)
     parsed = []
     for line_no, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(header):
-            raise SchemaError(f"expected {len(header)} fields, got {len(row)}", line=line_no)
+            raise SchemaError(f"expected {len(header)} fields, got {len(row)}", line=line_no, path=path)
         try:
             parsed.append(parse_row(row, len(parsed)))
         except (ValueError, ConfigError) as exc:
-            raise SchemaError(str(exc), line=line_no) from exc
+            raise SchemaError(str(exc), line=line_no, path=path) from exc
     return parsed
 
 

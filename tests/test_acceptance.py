@@ -130,14 +130,14 @@ def test_criterion_5_sampler_statistics():
         xs = [e.sample_raw() for _ in range(100_000)]
         assert abs(sum(xs) / len(xs) - 1.0) <= 0.02
 
-        e = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2024, alpha=2, beta=1.0))
+        e = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2024, alpha=2))
         xs = [e.sample_raw() for _ in range(100_000)]
         mean = sum(xs) / len(xs)
         var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
         assert abs(mean - 2.0) <= 0.03 and abs(var - 2.0) <= 0.1
 
         sorted_xs = np.sort(np.array(xs))
-        cdf = np.array([gamma_cdf(float(x), 2, 1.0) for x in sorted_xs])
+        cdf = np.array([gamma_cdf(float(x), 2) for x in sorted_xs])
         n = len(sorted_xs)
         ks = max(float((np.arange(1, n + 1) / n - cdf).max()),
                  float((cdf - np.arange(0, n) / n).max()))
@@ -201,9 +201,9 @@ def test_criterion_7_hill_climb_sanity():
         def surrogate(u):
             return -float(np.sum((np.asarray(u) - 0.5) ** 2))
 
-        # swarming off: at default signal heights the cell-to-cell term
-        # dwarfs the surrogate's dynamic range and this is a chemotaxis check
-        params = BfaParams(n_total=30, pop_size=25, swarming=False)
+        # swarming off (zero heights): at default signal heights the cell-to-cell
+        # term dwarfs the surrogate's dynamic range and this is a chemotaxis check
+        params = BfaParams(n_total=30, pop_size=25, h_att=0.0, h_rep=0.0)
         for kind in ALL_KINDS:
             for seed in (1, 2, 4):
                 result = run_custom(surrogate, params, EngineConfig(kind=kind, seed=seed))

@@ -216,7 +216,7 @@ def test_directions_equal_one_tumble_at_a_time(kind):
 
 
 def test_move_steps_along_the_axis():
-    params = BfaParams(step_size=0.1, swarming=False)
+    params = BfaParams(step_size=0.1, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.5, 0.5, 0.5, 0.5)], params)
     chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
     assert swarm.theta[0].tolist() == pytest.approx([0.6, 0.5, 0.5, 0.5], abs=1e-15)
@@ -224,7 +224,7 @@ def test_move_steps_along_the_axis():
 
 
 def test_move_clamps_at_the_boundary():
-    params = BfaParams(step_size=0.1, swarming=False)
+    params = BfaParams(step_size=0.1, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.98, 0.5, 0.5, 0.5)], params)
     chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
     assert swarm.theta[0].tolist() == [1.0, 0.5, 0.5, 0.5]
@@ -233,7 +233,7 @@ def test_move_clamps_at_the_boundary():
 def test_zero_step_leaves_position_and_cost_unchanged():
     # parameter objects forbid step 0, so exercise the op with a stand-in
     params = SimpleNamespace(step_size=0.0, swarming=False,
-                             w_rep=10.0, w_att=0.2, h_rep=0.1, h_att=0.1)
+                             w_rep=10.0, w_att=0.2, h_rep=0.0, h_att=0.0)
     swarm = small_swarm([(0.25, 0.5, 0.5, 0.5)], params)
     before_cost = sphere_score(swarm.theta[0])
     chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
@@ -242,7 +242,7 @@ def test_zero_step_leaves_position_and_cost_unchanged():
 
 
 def test_move_accumulates_health():
-    params = BfaParams(step_size=0.05, swarming=False)
+    params = BfaParams(step_size=0.05, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.5, 0.5, 0.5, 0.5)], params)
     chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere_score, params)
     first = swarm.cost[0]
@@ -274,14 +274,30 @@ def test_swarming_zero_heights_zero_term():
 
 
 @pytest.mark.parametrize("kind", list(EngineKind))
-def test_run_without_swarming_equals_a_run_with_a_zero_term(kind):
-    # reproductions at generations 3, 6 and 9, a dispersal at 6
-    params = BfaParams(n_total=12, pop_size=6, n_chemo=3, n_repro=2, p_elim=0.5)
+def test_run_without_swarming_equals_a_run_with_a_zero_term(kind, monkeypatch):
+    # reproductions at generations 3, 6 and 9, a dispersal at 6; zero heights
+    # skip the term, which must give the run that computes it at every point
+    params = BfaParams(n_total=12, pop_size=6, n_chemo=3, n_repro=2, p_elim=0.5,
+                       h_att=0.0, h_rep=0.0)
+    assert not params.swarming
     for seed in (1, 2):
         config = EngineConfig(kind=kind, seed=seed)
-        off = run_bfa(WEIGHTS, replace(params, swarming=False), config)
-        zero = run_bfa(WEIGHTS, replace(params, h_att=0.0, h_rep=0.0), config)
+        off = run_bfa(WEIGHTS, params, config)
+        with monkeypatch.context() as m:
+            m.setattr(BfaParams, "swarming", True)
+            zero = run_bfa(WEIGHTS, params, config)
         assert repr(off) == repr(zero)
+
+
+def test_swarming_is_on_unless_both_heights_are_zero():
+    assert BfaParams().swarming and BfaParams(h_att=0.0).swarming and BfaParams(h_rep=-1.0).swarming
+    assert not BfaParams(h_att=0.0, h_rep=-0.0).swarming
+    with pytest.raises(TypeError):
+        BfaParams(swarming=False)
+    # without swarming the largest array is the generation's block of swim paths
+    params = BfaParams(pop_size=25, n_swim=5, h_att=0.0, h_rep=0.0)
+    assert bfa._run_floats(params) == 25 * (5 + 2) * 4
+    assert bfa._run_floats(replace(params, h_att=0.1)) == 4 * 25 * 25
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 8, 9, 25])
@@ -325,7 +341,7 @@ def test_swim_path_equals_iterated_clamp(step):
 
 
 def test_generation_with_swim_disabled_takes_one_move_each():
-    params = BfaParams(pop_size=5, n_swim=0, swarming=False)
+    params = BfaParams(pop_size=5, n_swim=0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
     theta, (swarm,) = _initialize([engine], params, [sphere_score])
     evals_before = swarm.evaluations
@@ -336,7 +352,7 @@ def test_generation_with_swim_disabled_takes_one_move_each():
 
 
 def test_swim_stops_after_a_worsening_first_move():
-    params = BfaParams(pop_size=1, n_swim=5, swarming=False)
+    params = BfaParams(pop_size=1, n_swim=5, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
 
     calls = {"n": 0}
@@ -355,8 +371,10 @@ def test_swim_stops_after_a_worsening_first_move():
 def test_score_calls_match_the_stepwise_swim(monkeypatch, swarming):
     # the batched swim scores exactly the positions the one-move-at-a-time
     # swim commits, in the same order, once per counted evaluation
+    heights = 0.1 if swarming else 0.0
     params = BfaParams(n_total=12, pop_size=9, n_chemo=4, n_repro=2, step_size=0.2,
-                       swarming=swarming)
+                       h_att=heights, h_rep=heights)
+    assert params.swarming is swarming
     config = EngineConfig(kind=EngineKind.WEIBULL, seed=4)
 
     def recorded_run():
@@ -436,7 +454,7 @@ def test_generation_never_draws_ahead_of_its_tumbles(kind):
 
 
 def test_swim_bound_is_never_exceeded():
-    params = BfaParams(pop_size=8, n_swim=3, swarming=False)
+    params = BfaParams(pop_size=8, n_swim=3, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.WEIBULL, seed=12))
     theta, (swarm,) = _initialize([engine], params, [sphere_score])
     for _ in range(20):
@@ -445,7 +463,7 @@ def test_swim_bound_is_never_exceeded():
 
 
 def test_trace_grows_by_one_per_generation():
-    params = BfaParams(pop_size=4, swarming=False)
+    params = BfaParams(pop_size=4, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=8))
     theta, (swarm,) = _initialize([engine], params, [sphere_score])
     for expected_len in range(1, 11):
@@ -513,7 +531,7 @@ def test_clones_are_independent_copies():
 
 
 def test_dispersal_probability_zero_is_a_no_op():
-    params = BfaParams(pop_size=5, p_elim=0.0, swarming=False)
+    params = BfaParams(pop_size=5, p_elim=0.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
     theta, (swarm,) = _initialize([engine], params, [sphere_score])
     before = swarm.theta.copy()
@@ -525,7 +543,7 @@ def test_dispersal_probability_zero_is_a_no_op():
 
 
 def test_dispersal_probability_one_redraws_everyone():
-    params = BfaParams(pop_size=5, p_elim=1.0, swarming=False)
+    params = BfaParams(pop_size=5, p_elim=1.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
     theta, (swarm,) = _initialize([engine], params, [sphere_score])
     before = swarm.theta.copy()
@@ -538,7 +556,7 @@ def test_dispersal_probability_one_redraws_everyone():
 
 
 def test_dispersal_never_erases_the_archive():
-    params = BfaParams(pop_size=5, p_elim=1.0, swarming=False)
+    params = BfaParams(pop_size=5, p_elim=1.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
     theta, (swarm,) = _initialize([engine], params, [sphere_score])
     best_before = swarm.best_f
@@ -592,7 +610,7 @@ def test_population_and_feasibility_invariants_throughout_a_run():
 
 
 def test_engine_draws_replay_exactly():
-    params = BfaParams(pop_size=7, swarming=False)
+    params = BfaParams(pop_size=7, h_att=0.0, h_rep=0.0)
     counts = []
     for _ in range(2):
         engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=17))
@@ -610,7 +628,7 @@ def test_swarming_disabled_means_cost_equals_plain_objective():
     def watch(_, swarm):
         costs_match.append(bool(np.all(swarm.cost == swarm.f_plain)))
 
-    run_bfa(WEIGHTS, BfaParams(n_total=10, pop_size=6, swarming=False),
+    run_bfa(WEIGHTS, BfaParams(n_total=10, pop_size=6, h_att=0.0, h_rep=0.0),
             EngineConfig(kind=EngineKind.GAUSSIAN, seed=10), observer=watch)
     assert all(costs_match)
 
@@ -634,7 +652,7 @@ def test_every_run_of_a_lockstep_batch_equals_the_run_alone(size, heights, pop):
     # depend on its neighbours. Strong swarming signals make a swarming
     # term taken from the wrong run change gates and health ranks.
     params = BfaParams(n_total=7, pop_size=pop, n_chemo=2, n_repro=2, p_elim=0.5,
-                       swarming=heights is not None, h_att=heights or 0.1, h_rep=heights or 0.1)
+                       h_att=heights or 0.0, h_rep=heights or 0.0)
     weights = [WeightVector(0.7, 0.1, 0.1, 0.1), WeightVector(0.1, 0.2, 0.3, 0.4),
                WeightVector(0.25, 0.25, 0.25, 0.25)]
     kinds = list(EngineKind)
@@ -704,19 +722,19 @@ def test_potentials_peak_stays_near_the_largest_array():
     # (B, S, n_swim + 2, 4) block of swim paths, the same count
     (dict(pop_size=2, n_swim=2**24 - 2), 1),
     (dict(pop_size=2, n_swim=2**24 - 1), 0),
-    (dict(pop_size=2, n_swim=2**24 - 2, swarming=False), 1),
-    (dict(pop_size=2, n_swim=2**24 - 1, swarming=False), 0),
+    (dict(pop_size=2, n_swim=2**24 - 2, h_att=0.0, h_rep=0.0), 1),
+    (dict(pop_size=2, n_swim=2**24 - 1, h_att=0.0, h_rep=0.0), 0),
     # 4 * S * S at the initial placement: 4 * 5792**2 <= 2**27 < 4 * 5793**2
     (dict(pop_size=5792), 1),
     (dict(pop_size=5793), 0),
     # without swarming S multiplies the path length: 4 * S * 2 at n_swim = 0
-    (dict(pop_size=2**24, n_swim=0, swarming=False), 1),
-    (dict(pop_size=2**24 + 1, n_swim=0, swarming=False), 0),
+    (dict(pop_size=2**24, n_swim=0, h_att=0.0, h_rep=0.0), 1),
+    (dict(pop_size=2**24 + 1, n_swim=0, h_att=0.0, h_rep=0.0), 0),
     (dict(), 2**27 // (4 * 25 * 25)),
     # one run fitted while each tumble built only its own path; its block
     # of swim paths alone now exceeds 2**27 float64s
-    (dict(pop_size=2, n_swim=2**25 - 2, swarming=False), 0),
-    (dict(pop_size=2**25, swarming=False), 0),
+    (dict(pop_size=2, n_swim=2**25 - 2, h_att=0.0, h_rep=0.0), 0),
+    (dict(pop_size=2**25, h_att=0.0, h_rep=0.0), 0),
 ])
 def test_batch_limit_counts_the_largest_array(fields, runs):
     assert bfa._batch_limit(BfaParams(**fields)) == runs
@@ -732,7 +750,7 @@ def test_a_batch_too_large_for_memory_is_rejected_before_any_draw(monkeypatch):
 
 
 def test_custom_objective_hill_climb():
-    params = BfaParams(n_total=30, swarming=False)
+    params = BfaParams(n_total=30, h_att=0.0, h_rep=0.0)
     for kind in (EngineKind.GAUSSIAN, EngineKind.WEIBULL):
         result = run_custom(sphere_score, params, EngineConfig(kind=kind, seed=1))
         assert result.best_f >= -0.01

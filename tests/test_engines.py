@@ -36,11 +36,12 @@ def engine(kind, seed=42, **kwargs):
 
 def test_defaults_match_documented_values():
     cfg = EngineConfig(kind=EngineKind.GAUSSIAN, seed=0)
-    assert (cfg.mu, cfg.sigma) == (0.0, 1.0)
-    assert (cfg.lam, cfg.k) == (1.0, 1.0)
-    assert (cfg.alpha, cfg.beta) == (2, 1.0)
+    assert (cfg.k, cfg.alpha) == (1.0, 2)
     assert cfg.dr == 0.01
     assert cfg.warmup == 10
+    # no location, scale or rate: each would cancel in the CDF of a unit draw
+    assert list(EngineConfig.__dataclass_fields__) == [
+        "kind", "seed", "k", "alpha", "psi0", "r0", "dr", "warmup"]
 
 
 def test_chaotic_construction_echoes_config():
@@ -51,11 +52,11 @@ def test_chaotic_construction_echoes_config():
 @pytest.mark.parametrize("bad", [
     dict(alpha=0),
     dict(alpha=2.0),  # must be an int, not a float
-    dict(sigma=0.0),
-    dict(sigma=-1.0),
-    dict(lam=0.0),
+    dict(k=0.0),
+    dict(k=-0.0),
+    dict(k=-5e-324),
     dict(k=-2.0),
-    dict(beta=0.0),
+    dict(alpha=-1),
     dict(psi0=0.0),
     dict(psi0=1.0),
     dict(r0=-0.1),
@@ -63,8 +64,8 @@ def test_chaotic_construction_echoes_config():
     dict(warmup=-1),
     dict(seed=-1),
     dict(seed=2**64),
-    dict(mu=math.nan),
-    dict(sigma=math.inf),
+    dict(k=math.nan),
+    dict(k=math.inf),
     dict(dr=math.nan),
     dict(dr=-math.inf),
 ])
@@ -75,10 +76,11 @@ def test_invalid_config_rejected(bad):
 
 @pytest.mark.parametrize("kind,bad", [
     (EngineKind.WEIBULL, dict(k=0.001)),
-    (EngineKind.WEIBULL, dict(k=0.005)),  # lam * (53 ln 2)**200 is past the largest float
-    (EngineKind.WEIBULL, dict(lam=1e307)),
-    (EngineKind.GAMMA, dict(beta=1e-320)),
-    (EngineKind.GAMMA, dict(beta=1e-307)),  # 2 * 53 ln 2 / beta is past the largest float
+    (EngineKind.WEIBULL, dict(k=0.005)),  # (53 ln 2)**200 is past the largest float
+    (EngineKind.WEIBULL, dict(k=0.00507)),  # just below the bound, ln(53 ln 2) / ln(max float)
+    # the CDF's finite sum at the largest variate overflows from alpha = 156 on
+    (EngineKind.GAMMA, dict(alpha=156)),
+    (EngineKind.GAMMA, dict(alpha=800)),
     (EngineKind.GAMMA, dict(alpha=10**400)),
 ])
 def test_config_whose_largest_variate_overflows_is_rejected(kind, bad):
@@ -87,11 +89,6 @@ def test_config_whose_largest_variate_overflows_is_rejected(kind, bad):
     for other in ALL_KINDS:  # the fields are inert for the other kinds
         if other is not kind:
             EngineConfig(kind=other, seed=1, **bad)
-
-
-# the polar transform's largest |deviate|: 2u - 1 = 2**-52 and v = 0 give s = 2**-104
-Z_MAX = math.sqrt(208.0 * math.log(2.0))
-LARGEST_SIGMA = sys.float_info.max / Z_MAX
 
 
 class ScriptedUniform:
@@ -104,32 +101,27 @@ class ScriptedUniform:
         return self.values.pop(0)
 
 
-def test_gaussian_config_is_rejected_just_past_the_largest_finite_deviate():
-    accepted = engine(EngineKind.GAUSSIAN, sigma=LARGEST_SIGMA)
-    accepted._uniform = ScriptedUniform([0.5 + 2.0**-53, 0.5])
-    assert accepted.sample_raw() == sys.float_info.max
-    scalar, block = (engine(EngineKind.GAUSSIAN, sigma=LARGEST_SIGMA) for _ in range(2))
+def test_largest_gaussian_deviate_is_finite_and_maps_to_one():
+    # 2u - 1 = 2**-52 and v = 0 give the smallest nonzero s, 2**-104, so the
+    # polar transform's largest |deviate| is sqrt(208 ln 2), about 12.0073
+    largest = engine(EngineKind.GAUSSIAN)
+    largest._uniform = ScriptedUniform([0.5 + 2.0**-53, 0.5])
+    assert largest.sample_raw() == math.sqrt(208.0 * math.log(2.0))
+    scalar, block = (engine(EngineKind.GAUSSIAN) for _ in range(2))
     for e in (scalar, block):
         e._uniform = ScriptedUniform([0.5 + 2.0**-53, 0.5])
     assert block.sample_units(2) == [scalar.sample_unit(), scalar.sample_unit()] == [1.0, 0.5]
-    with pytest.raises(ConfigError, match="sigma="):
-        EngineConfig(kind=EngineKind.GAUSSIAN, seed=1, sigma=math.nextafter(LARGEST_SIGMA, math.inf))
-    with pytest.raises(ConfigError, match="mu="):
-        EngineConfig(kind=EngineKind.GAUSSIAN, seed=1, mu=-1e308, sigma=1e307)
-    EngineConfig(kind=EngineKind.GAUSSIAN, seed=1, mu=-1e308, sigma=1e306)
-    EngineConfig(kind=EngineKind.WEIBULL, seed=1, sigma=1e308)  # inert for the other kinds
 
 
 def test_gamma_config_is_rejected_where_its_cdf_stops_being_finite():
-    # beta * x at the largest variate is alpha * 53 ln 2, so the limit is on alpha alone
-    for beta in (1e-3, 1.0, 7.3):
-        accepted = engine(EngineKind.GAMMA, alpha=155, beta=beta)
-        accepted._uniform = LargestUniform()
-        assert accepted.sample_unit() == 1.0
-        assert accepted.sample_units(3) == [1.0] * 3
-        for alpha in (156, 800):
-            with pytest.raises(ConfigError, match=f"alpha={alpha}"):
-                EngineConfig(kind=EngineKind.GAMMA, seed=1, alpha=alpha, beta=beta)
+    # the largest variate is alpha * 53 ln 2, so the limit is on alpha alone
+    accepted = engine(EngineKind.GAMMA, alpha=155)
+    accepted._uniform = LargestUniform()
+    assert accepted.sample_unit() == 1.0
+    assert accepted.sample_units(3) == [1.0] * 3
+    for alpha in (156, 800):
+        with pytest.raises(ConfigError, match=f"alpha={alpha}"):
+            EngineConfig(kind=EngineKind.GAMMA, seed=1, alpha=alpha)
     bforage.run_bfa(bforage.WeightVector(0.25, 0.25, 0.25, 0.25), bforage.BfaParams(n_total=3, pop_size=4),
                     EngineConfig(kind=EngineKind.GAMMA, seed=1, alpha=155))
 
@@ -144,7 +136,7 @@ class LargestUniform:
 @pytest.mark.parametrize("kind,params", [
     (EngineKind.WEIBULL, dict(k=0.01)),
     (EngineKind.WEIBULL, dict(k=0.0051)),
-    (EngineKind.GAMMA, dict(beta=1e-306)),
+    (EngineKind.GAMMA, dict(alpha=155)),
 ])
 def test_accepted_bounds_keep_the_largest_variate_finite(kind, params):
     e = engine(kind, **params)
@@ -203,9 +195,8 @@ BLOCK_SIZES = (0, 1, 3, 0, 1, 8, 5, 2, 17, 1, 40, 7)
 
 @pytest.mark.parametrize("kind,params", [
     *((kind, {}) for kind in ALL_KINDS),
-    (EngineKind.GAUSSIAN, dict(sigma=2.0, mu=0.5)),
-    (EngineKind.WEIBULL, dict(lam=2.5, k=0.7)),
-    (EngineKind.GAMMA, dict(alpha=5, beta=0.7)),
+    (EngineKind.WEIBULL, dict(k=0.7)),
+    (EngineKind.GAMMA, dict(alpha=5)),
     (EngineKind.CHAOTIC, dict(r0=4.5)),  # every step re-seeds from the uniform stream
 ], ids=lambda v: (",".join(f"{k}={x}" for k, x in v.items()) or "defaults")
    if isinstance(v, dict) else v.value)
@@ -223,8 +214,8 @@ def test_block_draws_equal_single_draws(kind, params):
     # each unit value is the kind's CDF at the raw variate of the same draw
     cdf = {EngineKind.GAUSSIAN: gaussian_cdf, EngineKind.WEIBULL: weibull_cdf,
            EngineKind.GAMMA: gamma_cdf, EngineKind.CHAOTIC: lambda x: x}[kind]
-    fields = {EngineKind.GAUSSIAN: ("mu", "sigma"), EngineKind.WEIBULL: ("lam", "k"),
-              EngineKind.GAMMA: ("alpha", "beta"), EngineKind.CHAOTIC: ()}[kind]
+    fields = {EngineKind.GAUSSIAN: (), EngineKind.WEIBULL: ("k",),
+              EngineKind.GAMMA: ("alpha",), EngineKind.CHAOTIC: ()}[kind]
     cdf_params = [getattr(raws.config, name) for name in fields]
     assert values == [cdf(raws.sample_raw(), *cdf_params) for _ in values]
     assert raws.draws == len(values)
@@ -322,15 +313,15 @@ def test_cdf_hand_values():
     assert gaussian_cdf(0.0) == 0.5
     assert weibull_cdf(0.0) == 0.0
     assert weibull_cdf(1.0) == 1.0 - math.exp(-1.0)
-    assert gamma_cdf(1.0, 1, 1.0) == 1.0 - math.exp(-1.0)
-    assert gamma_cdf(1.0, 2, 1.0) == pytest.approx(1.0 - 2.0 * math.exp(-1.0), abs=1e-15)
+    assert gamma_cdf(1.0, 1) == 1.0 - math.exp(-1.0)
+    assert gamma_cdf(1.0, 2) == pytest.approx(1.0 - 2.0 * math.exp(-1.0), abs=1e-15)
 
 
 def test_cdf_domain_errors():
     with pytest.raises(DomainError):
         weibull_cdf(-0.5)
     with pytest.raises(DomainError):
-        gamma_cdf(-0.5, 2, 1.0)
+        gamma_cdf(-0.5, 2)
     with pytest.raises(DomainError):
         weibull_inverse_cdf(1.0)
 
@@ -343,9 +334,9 @@ def test_cdf_domain_errors():
 @settings(max_examples=200, deadline=None)
 def test_cdf_monotone_with_proper_limits(x1, x2, kind):
     cdf = {
-        EngineKind.GAUSSIAN: lambda x: gaussian_cdf(x, 0.0, 1.0),
-        EngineKind.WEIBULL: lambda x: weibull_cdf(x, 1.4, 2.0),
-        EngineKind.GAMMA: lambda x: gamma_cdf(x, 3, 0.8),
+        EngineKind.GAUSSIAN: gaussian_cdf,
+        EngineKind.WEIBULL: lambda x: weibull_cdf(x, 2.0),
+        EngineKind.GAMMA: lambda x: gamma_cdf(x, 3),
     }[kind]
     lo, hi = sorted((x1, x2))
     assert cdf(lo) <= cdf(hi)
@@ -355,13 +346,13 @@ def test_cdf_monotone_with_proper_limits(x1, x2, kind):
 
 @pytest.mark.parametrize("u", [0.01, 0.5, 0.99])
 def test_weibull_inverse_round_trip(u):
-    for lam, k in [(1.0, 1.0), (2.5, 0.7), (0.4, 3.0)]:
-        assert weibull_cdf(weibull_inverse_cdf(u, lam, k), lam, k) == pytest.approx(u, abs=1e-12)
+    for k in (1.0, 0.7, 3.0):
+        assert weibull_cdf(weibull_inverse_cdf(u, k), k) == pytest.approx(u, abs=1e-12)
 
 
 def test_unit_mapping_examples():
     assert gaussian_cdf(0.0) == 0.5                      # raw 0 -> unit 0.5
-    u = weibull_cdf(1.0, 1.0, 1.0)                       # raw 1 -> 1 - 1/e
+    u = weibull_cdf(1.0, 1.0)                            # raw 1 -> 1 - 1/e
     assert u == pytest.approx(0.63212, abs=5e-6)
     assert 2.0 * u - 1.0 == pytest.approx(0.26424, abs=1e-5)
 
@@ -385,7 +376,7 @@ def test_weibull_unit_scale_mean_is_one():
 
 
 def test_gamma_erlang_moments():
-    e = engine(EngineKind.GAMMA, seed=2024, alpha=2, beta=1.0)
+    e = engine(EngineKind.GAMMA, seed=2024, alpha=2)
     xs = [e.sample_raw() for _ in range(100_000)]
     mean = sum(xs) / len(xs)
     var = sum((x - mean) ** 2 for x in xs) / (len(xs) - 1)
@@ -394,13 +385,12 @@ def test_gamma_erlang_moments():
 
 
 @pytest.mark.parametrize("alpha", [1, 2, 5])
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
-def test_gamma_sampler_matches_distribution_function(alpha, beta):
+def test_gamma_sampler_matches_distribution_function(alpha):
     import numpy as np
 
-    e = engine(EngineKind.GAMMA, seed=99, alpha=alpha, beta=beta)
+    e = engine(EngineKind.GAMMA, seed=99, alpha=alpha)
     xs = np.sort(np.array([e.sample_raw() for _ in range(100_000)]))
-    cdf = np.array([gamma_cdf(float(x), alpha, beta) for x in xs])
+    cdf = np.array([gamma_cdf(float(x), alpha) for x in xs])
     n = len(xs)
     ks = max(
         float((np.arange(1, n + 1) / n - cdf).max()),

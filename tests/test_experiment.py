@@ -250,6 +250,22 @@ def test_failed_run_aborts_with_task_context(monkeypatch):
     assert "gaussian" not in message
 
 
+def test_failed_run_whose_error_takes_no_message_keeps_its_own_error(monkeypatch):
+    # UnicodeDecodeError cannot be rebuilt from one string, so the sweep
+    # raises the run's error itself, not the TypeError of the rebuild
+    import bforage.experiment as xp
+
+    error = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "x")
+
+    def explode(weights, params, engine_configs, observer=None):
+        raise error
+
+    monkeypatch.setattr(xp, "run_batch", explode)
+    with pytest.raises(UnicodeDecodeError) as err:
+        run_sweep(tiny_config())
+    assert err.value is error
+
+
 def test_sweep_batches_stay_under_the_array_limit(monkeypatch):
     # with room for two runs in one array, nine runs go out as 2+2+2+2+1,
     # with the same results as in batches of 8

@@ -18,6 +18,15 @@ model score became the unit-coordinate quadratic of
 the trace and the ``F`` column moved, in their last bits. The engine
 streams and the ``run_custom`` digests, whose score is the checked model
 path, did not move.
+
+When the engines lost their location and scale parameters (gaussian
+``mu``/``sigma``, weibull ``lam``, gamma ``beta``), the cases that had
+set them moved to the standard forms: the engine streams of gaussian,
+weibull and gamma, the gaussian ``run_custom`` digest and the weibull
+``solution.csv`` were re-recorded once. A unit draw is the variate's own
+CDF, where location and scale cancel, so those unit streams moved by at
+most 2.2e-16 (gamma's not at all); the raw streams are now the standard
+variates.
 """
 
 import contextlib
@@ -70,17 +79,17 @@ RUN_CASE_IDS = [
 ]
 
 RUN_ARGV = {
-    "gaussian": ["--engine-param", "mu=0.5", "--engine-param", "sigma=2"],
-    "weibull": ["--engine-param", "lambda=1.5", "--engine-param", "k=2"],
-    "gamma": ["--engine-param", "alpha=3", "--engine-param", "beta=2"],
-    "chaotic": ["--engine-param", "r0=3.7", "--engine-param", "warmup=4", "--no-swarming"],
+    "gaussian": [],
+    "weibull": ["--engine-param", "k=2"],
+    "gamma": ["--engine-param", "alpha=3"],
+    "chaotic": ["--engine-param", "r0=3.7", "--engine-param", "warmup=4", "--hatt", "0", "--hrep", "0"],
 }
 
-# the engine fields RUN_ARGV sets, none at its default
+# the engine fields RUN_ARGV sets, none at its default; the gaussian engine has none
 ENGINE_PARAMS = {
-    "gaussian": dict(mu=0.5, sigma=2.0),
-    "weibull": dict(lam=1.5, k=2.0),
-    "gamma": dict(alpha=3, beta=2.0),
+    "gaussian": {},
+    "weibull": dict(k=2.0),
+    "gamma": dict(alpha=3),
     "chaotic": dict(r0=3.7, warmup=4),
 }
 
@@ -89,19 +98,20 @@ ENGINE_PARAMS = {
 # and run digests see only through a CDF that hides rounding and parameter
 # swaps, and the unit stream pins each kind's map into [0, 1]
 ENGINE_STREAM_DIGESTS = {
-    "gaussian": "e16036aab49b1ef46ed976dc0351fd6d78e340186c92f0355725e3c429c46512",
-    "weibull": "aac4d33468262a71b56b0aa6338b6af2f360758303ceba4844600dc5fcb484f2",
-    "gamma": "10869cbded8d22863ed400c0111f97c3025f8fb558533ea082ed81fa132c2c86",
+    "gaussian": "f0ff9cbe445028f2546af4ae50c77a8fa48851e6ebb30b03448e4e065a56334d",
+    "weibull": "494c0ee8924e4f261711319485a008c44421946a6be29b9c8fd143b87bc30ec7",
+    "gamma": "9496089e8a49b3388f9b931bd734ef2b8e4a34d3a8c010a2d926168674f2fb3d",
     "chaotic": "9df06f0f2859b237d26bd072704380407fcb56ca86245b4c92491f4d7ecac607",
 }
 
-# one run per engine with swarming off, default engine parameters, recorded
-# before every evaluation went through one commit routine: the fitness is
+# one run per engine with swarming off (both signal heights zero), default
+# engine parameters, recorded before every evaluation went through one
+# commit routine (with the old ``swarming=False``): the fitness is
 # the plain objective, the swarm reproduces at generations 3, 6 and 9, and
 # at 6 each run disperses at least one bacterium; at most seeds the
 # cell-to-cell term is too small to change a run at these weights, so each
 # seed is one whose run with swarming on differs from its run here
-NO_SWARMING_PARAMS = replace(PARAMS, swarming=False)
+NO_SWARMING_PARAMS = replace(PARAMS, h_att=0.0, h_rep=0.0)
 NO_SWARMING_DIGESTS = {
     ("gaussian", 2): "f6d88602169a0096dad85ca83af28722342c91ab934f89770fe8e5a5d26c4f9d",
     ("weibull", 70): "2ae18cbc70160523ebb533cbeda56843480e80ac229f52ff438e3c2e6ed7f40a",
@@ -118,7 +128,7 @@ CUSTOM_PARAMS = replace(PARAMS, pop_size=25, n_total=15)
 CUSTOM_DIGESTS = {
     "chaotic": "78f95ff36022d62ccbf186fb4300eccd3f257ffea5407bba68e10f1a53720961",
     "gamma": "2f189d5b44d69ec688a2061f9d3da84a7ea88610e8fe30783fa80727623e50e4",
-    "gaussian": "d4f858657d4345c843b90cb4e3fe1c87fdea0aaf6c158640f0e730c7fb9c8c9e",
+    "gaussian": "a5d5e06e609d5bff62bf5665e70a36c44aa1b7573adc7789a08e51b30a345888",
     "weibull": "5f3cb2626ac7f3e77f2135c3fe076a1a945440a66c6b4c49c68dad326daf5e99",
 }
 
@@ -128,7 +138,7 @@ RUN_FILE_DIGESTS = {
         "trace.csv": "ffa9f60d553ea2e52aff6177d1055971fb8d899270b7749d3fdbccf7916cf0ff",
     },
     "weibull": {
-        "solution.csv": "84bb5423b436b3e961edcd242e2f27cc80f00f34ea35efba42a340679f0a0574",
+        "solution.csv": "e4e93d341ab90e07cc96e758ba6aa90e84681681bf2a8452e4425d125aa49000",
         "trace.csv": "7104adab33798d11c14452339ec0583047e990caba6da5be9f1276e5cf212d53",
     },
     "gamma": {
