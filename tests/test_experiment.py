@@ -430,6 +430,32 @@ def test_frontier_impossible_ids_fail_audit(tmp_path, field, value, message):
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("edits,message", [
+    ({"engine": "marsaglia", "w2": "heavy"}, "'marsaglia' is not a valid EngineKind"),
+    ({"w3": "-0.25", "run_id": "-3"}, "w3 must be non-negative, got -0.25"),
+    ({"w1": "0.5", "A": "two"}, "weights must sum to 1 (within 1e-9), got 1.25"),
+    ({"F": "nan", "A": "9.0"}, "aggregate mismatch: stored F=nan, recomputed 250.0"),
+    ({"aer": "1.5", "D": "120.0"}, "aer=1.5 outside [0, 1]"),
+    ({"A": "9.0", "D": "120.0"}, "decision A=9.0 outside [1.5, 2.5]"),
+], ids=["engine-then-weight", "weight-sign-then-run-id", "weight-sum-then-A", "F-then-bounds",
+        "aer-then-bounds", "A-then-D"])
+def test_frontier_audit_reports_the_first_of_two_faults(tmp_path, edits, message):
+    # the audit order: engine, weight parse and signs, weight sum, run_id, seed,
+    # decision, objective, F and aer parse, run_id sign, seed range, aggregate,
+    # aer range, decision bounds in A..D order
+    record = make_record((100.0, 200.0, 300.0, 400.0))
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv([record, record], path)
+    header, first, second = path.read_text().splitlines()
+    fields = dict(zip(header.split(","), second.split(",")))
+    fields.update(edits)
+    path.write_text("\n".join([header, first, ",".join(fields.values())]) + "\n")
+    with pytest.raises(SchemaError) as err:
+        read_frontier_csv(path)
+    assert str(err.value) == f"{path}: line 3: {message}"
+    assert err.value.line == 3
+
+
 def test_trace_round_trip(tmp_path):
     trace = [100.0, 101.5, 101.5, 230.0 / 7.0]
     path = tmp_path / "trace.csv"

@@ -199,6 +199,13 @@ def test_weight_vector_validation():
             WeightVector(bad, 0.3, 0.3, 0.4)
 
 
+@pytest.mark.parametrize("bad,shown", [(-0.1, "-0.1"), (math.nan, "nan")], ids=["negative", "nan"])
+def test_weight_vector_names_the_first_bad_field(bad, shown):
+    with pytest.raises(ConfigError) as err:
+        WeightVector(0.6, 0.5, bad, -0.2)
+    assert str(err.value) == f"w3 must be non-negative, got {shown}"
+
+
 def test_weight_vector_tolerates_float_noise_in_the_sum():
     # 0.1 + 0.7 + 0.1 + 0.1 lands one ulp below 1.0 in binary; still accepted
     parts = (0.1, 0.7, 0.1, 0.1)
