@@ -333,6 +333,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_hvi(args) -> int:
     records = xp.read_frontier_csv(args.input)
+    if not records:
+        raise ConfigError(f"{args.input}: no records")
     points = [r.objectives for r in records]
     ref = _parse_floats(args.ref, 4, "--ref")
     if args.method == "exact":

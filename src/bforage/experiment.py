@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -384,18 +385,20 @@ def _read_csv(path, header: Sequence[str], parse_row) -> list:
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()  # decoded whole, so a bad byte anywhere is reported before any row
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text ({exc.reason})", path=path) from None
-    if not rows:
+    rows = csv.reader(io.StringIO(text, newline=""))
+    first = next(rows, None)
+    if first is None:
         raise SchemaError("empty file", line=1, path=path)
-    if rows[0] != header:
-        missing = [c for c in header if c not in rows[0]]
+    if first != header:
+        missing = [c for c in header if c not in first]
         if missing:
             raise SchemaError(f"missing column {missing[0]!r}", line=1, path=path)
-        raise SchemaError(f"unexpected header {rows[0]!r}", line=1, path=path)
+        raise SchemaError(f"unexpected header {first!r}", line=1, path=path)
     parsed = []
-    for line_no, row in enumerate(rows[1:], start=2):
+    for line_no, row in enumerate(rows, start=2):
         if not row:
             continue
         if len(row) != len(header):
@@ -423,35 +426,41 @@ def write_frontier_csv(records: Sequence[SolutionRecord], path) -> None:
     _write_csv(path, FRONTIER_HEADER, map(_record_fields, records))
 
 
+_ENGINES = {kind.value: kind for kind in EngineKind}
+
 # plain floats: comparing against np.float64 scalars costs about 0.6 us more a row
+(_A_LO, _B_LO, _C_LO, _D_LO), (_A_HI, _B_HI, _C_HI, _D_HI) = LOWER_BOUNDS.tolist(), UPPER_BOUNDS.tolist()
 _DECISION_BOUNDS = tuple(zip("ABCD", LOWER_BOUNDS.tolist(), UPPER_BOUNDS.tolist()))
 
 
 def _frontier_record(row: list[str], _count: int) -> SolutionRecord:
-    record = SolutionRecord(
-        engine=EngineKind(row[0]),
-        weights=WeightVector(*(float(v) for v in row[1:5])),
-        run_id=int(row[5]),
-        seed=int(row[6]),
-        decision=DecisionVector(*(float(v) for v in row[7:11])),
-        objectives=ObjectiveVector(*(float(v) for v in row[11:15])),
-        F=float(row[15]),
-        aer=float(row[16]),
-    )
-    if record.run_id < 0:
-        raise ValueError(f"run_id={record.run_id} is negative")
-    if not 0 <= record.seed < 2**64:
-        raise ValueError(f"seed={record.seed} outside [0, 2**64)")
+    # fields parse in FRONTIER_HEADER order, then the audit runs; each
+    # object is built once, and the record holds the objects it checked
+    engine = _ENGINES.get(row[0])
+    if engine is None:
+        engine = EngineKind(row[0])  # raises the enum's own error
+    weights = WeightVector(*map(float, row[1:5]))
+    run_id = int(row[5])
+    seed = int(row[6])
+    a, b, c, d, f1, f2, f3, f4, F, rate = map(float, row[7:])
+    if run_id < 0:
+        raise ValueError(f"run_id={run_id} is negative")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed={seed} outside [0, 2**64)")
+    objectives = ObjectiveVector(f1, f2, f3, f4)
     # negated comparisons, so that NaN fails them too
-    recomputed = aggregate(record.objectives, record.weights)
-    if not abs(recomputed - record.F) <= 1e-9:
-        raise ValueError(f"aggregate mismatch: stored F={record.F!r}, recomputed {recomputed!r}")
-    if not 0.0 <= record.aer <= 1.0:
-        raise ValueError(f"aer={record.aer!r} outside [0, 1]")
-    for value, (name, lo, hi) in zip(record.decision, _DECISION_BOUNDS):
-        if not lo <= value <= hi:
-            raise ValueError(f"decision {name}={value} outside [{lo}, {hi}]")
-    return record
+    recomputed = aggregate(objectives, weights)
+    if not abs(recomputed - F) <= 1e-9:
+        raise ValueError(f"aggregate mismatch: stored F={F!r}, recomputed {recomputed!r}")
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"aer={rate!r} outside [0, 1]")
+    decision = DecisionVector(a, b, c, d)
+    if not (_A_LO <= a <= _A_HI and _B_LO <= b <= _B_HI
+            and _C_LO <= c <= _C_HI and _D_LO <= d <= _D_HI):
+        for value, (name, lo, hi) in zip(decision, _DECISION_BOUNDS):
+            if not lo <= value <= hi:
+                raise ValueError(f"decision {name}={value} outside [{lo}, {hi}]")
+    return SolutionRecord(engine, weights, run_id, seed, decision, objectives, F, rate)
 
 
 def read_frontier_csv(path) -> list[SolutionRecord]:

@@ -84,10 +84,12 @@ class WeightVector:
     w4: float
 
     def __post_init__(self):
-        for name, value in zip(("w1", "w2", "w3", "w4"), self):
-            if not value >= 0:  # NaN fails too
-                raise ConfigError(f"{name} must be non-negative, got {value}")
-        total = self.w1 + self.w2 + self.w3 + self.w4
+        w1, w2, w3, w4 = self.w1, self.w2, self.w3, self.w4
+        if not (w1 >= 0 and w2 >= 0 and w3 >= 0 and w4 >= 0):  # NaN fails too
+            for name, value in zip(("w1", "w2", "w3", "w4"), self):
+                if not value >= 0:
+                    raise ConfigError(f"{name} must be non-negative, got {value}")
+        total = w1 + w2 + w3 + w4
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"weights must sum to 1 (within 1e-9), got {total!r}")
 

@@ -460,6 +460,17 @@ def test_hvi_monte_carlo_requires_seed(capsys, tmp_path):
     assert "samples=1000" in out
 
 
+@pytest.mark.parametrize("method", [["--method", "exact"], ["--method", "mc", "--seed", "1"]],
+                         ids=["exact", "mc"])
+def test_hvi_of_a_header_only_frontier_is_config_error(capsys, tmp_path, method):
+    # a volume of 0.0 from no data would read as an answer
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv([], path)
+    code, out, err = run_cli(capsys, "hvi", "--input", str(path), *method)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {path}: no records"
+
+
 def test_hvi_bad_reference_is_metric_error(capsys, tmp_path):
     from test_experiment import make_record
 

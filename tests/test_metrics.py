@@ -77,12 +77,24 @@ def test_pareto_mask_matches_the_unblocked_reference(n):
     # integer grids tie in every coordinate and repeat whole rows, across
     # block boundaries too; the first of equal rows is the one kept
     rng = np.random.default_rng(n)
+    cases = []
     for dim in (1, 2, 3, 4):
-        pts = rng.integers(0, 5, size=(n, dim)).astype(float)
-        assert np.array_equal(_nondominated_mask(pts), nondominated_mask(pts))
+        cases.append(rng.integers(0, 5, size=(n, dim)).astype(float))
+        cases.append(rng.integers(-3, 2, size=(n, dim)) * 0.5)  # negative coordinates
+        cases.append(rng.choice([0.0, -0.0, 1.0], size=(n, dim)))  # 0.0 and -0.0 are equal
+        cases.append(np.full((n, dim), -0.25))  # all rows equal: only the first is kept
     front = sphere_front(n, n)
-    pts = np.vstack([front, front[rng.permutation(n)[: n // 2 + 1]]])[rng.permutation(n + n // 2 + 1)]
-    assert np.array_equal(_nondominated_mask(pts), nondominated_mask(pts))
+    cases.append(np.vstack([front, front[rng.permutation(n)[: n // 2 + 1]]])[rng.permutation(n + n // 2 + 1)])
+    if n >= _PARETO_BLOCK:
+        # the mask compares blocks in descending lexicographic order, so two
+        # copies of the row ranked last in the first block straddle its end
+        ranked = front[np.lexsort(-front.T[::-1])]
+        straddle = np.insert(ranked, _PARETO_BLOCK, ranked[_PARETO_BLOCK - 1], axis=0)
+        cases += [straddle, straddle[rng.permutation(n + 1)]]
+    for pts in cases:
+        mask = nondominated_mask(pts)
+        assert np.array_equal(_nondominated_mask(pts), mask)
+        assert np.array_equal(pareto_filter(pts), pts[mask])  # kept rows in input order
 
 
 def test_pareto_mask_memory_is_bounded():
