@@ -33,6 +33,7 @@ from .problem import (
     WeightVector,
     evaluate,
     to_physical,
+    unit_block_scorer,
     unit_scorer,
 )
 
@@ -223,8 +224,9 @@ def chemotaxis_move(
 ) -> float:
     """Step bacterium ``i`` along ``direction``, clamp, re-evaluate; returns the new cost."""
     swarm.theta[i] = np.clip(swarm.theta[i] + params.step_size * direction, 0.0, 1.0)
-    potentials = _potentials(swarm.theta[None, i : i + 1], swarm.theta[None], params, i)
-    _swim(i, swarm.theta[i : i + 1], potentials[0], math.inf, swarm, score)
+    path = swarm.theta[i : i + 1]
+    potentials = _potentials(path[None], swarm.theta[None], params, i)
+    _swim(i, path, map(score, path), potentials[0], math.inf, swarm)
     return swarm.cost[i]
 
 
@@ -236,6 +238,31 @@ def chemotaxis_move(
 # calls and each run's own bookkeeping see the same positions. Every run
 # keeps its own engine and score, and draws and scores in the order it
 # would alone, so a run's result does not depend on the batch around it.
+# A model batch's scores are _BlockScores: they score every point a
+# placement or a generation can reach in one call, and each swim reads its
+# values from that block. Any other score is called lazily, at committed
+# points only, in order.
+
+
+class _BlockScores(list):
+    """Each run's score, plus ``block``: the same scores over a (B, ..., 4)
+    block of points, one run per leading index, as a (B, ...) array."""
+
+    def __init__(self, scores: Sequence[ScoreFn], block: Callable[[np.ndarray], np.ndarray]):
+        super().__init__(scores)
+        self.block = block
+
+
+def _scored(points: np.ndarray, scores: Sequence[ScoreFn]) -> list:
+    """For each run ``b``, the values along each of its paths ``points[b, j]`` (K, 4).
+
+    Block scores give all (B, J, K) values from one call, as nested lists;
+    any other score maps each path lazily, so a swim calls it only at the
+    points it commits, in order.
+    """
+    if isinstance(scores, _BlockScores):
+        return scores.block(points).tolist()
+    return [[map(score, path) for path in paths] for score, paths in zip(scores, points)]
 
 
 def _initialize(
@@ -246,18 +273,20 @@ def _initialize(
     Returns the (B, S, 4) block of positions and each run's swarm. Draw
     order is fixed: all positions first, bacterium by bacterium, one unit
     draw per component, as one ``sample_units`` block of ``4 * S`` draws per
-    run; then every cost is evaluated against the complete initial swarm.
+    run; then every cost is evaluated against the complete initial swarm,
+    block scores in one call.
     """
     theta = np.array([engine.sample_units(N_DIMENSIONS * params.pop_size) for engine in engines])
     theta = theta.reshape(len(engines), params.pop_size, N_DIMENSIONS)
     potentials = _potentials(theta, theta, params).tolist()
+    values = _scored(theta[:, :, None], scores)
     swarms = []
-    for b, score in enumerate(scores):
+    for b in range(len(engines)):
         zeros = np.zeros(params.pop_size)
         swarm = SwarmState(theta=theta[b], f_plain=zeros.copy(), cost=zeros.copy(), health=zeros,
                            best_theta=theta[b, 0].copy(), best_f=-math.inf)
         for i in range(swarm.size):
-            _swim(i, theta[b, i : i + 1], potentials[b][i : i + 1], math.inf, swarm, score)
+            _swim(i, theta[b, i : i + 1], values[b][i], potentials[b][i : i + 1], math.inf, swarm)
         swarms.append(swarm)
     return theta, swarms
 
@@ -279,32 +308,33 @@ def _swim_path(start: np.ndarray, direction: np.ndarray, params: BfaParams) -> n
     return path
 
 
-def _swim(i: int, path: np.ndarray, potentials, previous: float, swarm: SwarmState,
-          score: ScoreFn) -> int:
-    """Move bacterium ``i`` along ``path`` (K, 4), scoring each point, while
-    its augmented cost improves; returns the number of moves.
+def _swim(i: int, path: np.ndarray, values, potentials, previous: float,
+          swarm: SwarmState) -> int:
+    """Move bacterium ``i`` along ``path`` (K, 4) while its augmented cost
+    improves; returns the number of moves.
 
     Every evaluation of the optimizer commits here: the initial placement,
     a dispersal and ``chemotaxis_move`` as a one-point path, which commits
-    one evaluation whatever ``previous`` is. ``potentials[k]`` is the
-    swarming term at ``path[k]``, and ``previous`` the cost the first point
-    must beat before a second may follow. Keeping the health sum in a
-    local and writing the row once per swim makes a batch of 8 default
-    runs about 9 % faster than a write per move.
+    one evaluation whatever ``previous`` is. ``values`` yields the
+    objective at each point of ``path`` in turn: a list scored ahead, or a
+    lazy ``map(score, path)``, which the swim advances only to the points
+    it commits. ``potentials[k]`` is the swarming term at ``path[k]``, and
+    ``previous`` the cost the first point must beat before a second may
+    follow. Keeping the health sum in a local and writing the row once per
+    swim makes a batch of 8 default runs about 9 % faster than a write per
+    move.
     """
     health = float(swarm.health[i])
-    for k in range(len(path)):
-        point = path[k]
-        f_plain = score(point)
+    for k, f_plain in enumerate(values):
         cost = f_plain - potentials[k]
         health += cost
         if f_plain > swarm.best_f:
             swarm.best_f = f_plain
-            swarm.best_theta = point.copy()
+            swarm.best_theta = path[k].copy()
         if not cost > previous:
             break
         previous = cost
-    swarm.theta[i] = point
+    swarm.theta[i] = path[k]
     swarm.f_plain[i] = f_plain
     swarm.cost[i] = cost
     swarm.health[i] = health
@@ -323,8 +353,11 @@ def _generation(
 
     The swim gate compares augmented fitness before and after each move; a
     move is always committed, the gate only decides whether another one
-    follows. ``score`` is called only at committed positions, in order.
-    Appends each run's best-so-far value to its trace.
+    follows. Block scores give the objective at every step of every run's
+    swim paths, the (B, S, n_swim + 1) values, in one call before the
+    first swim, and each swim reads its values from that block; any other
+    score is called only at committed positions, in order. Appends each
+    run's best-so-far value to its trace.
 
     Draw order is fixed: every tumble of a run is drawn before its first
     swim, in row order, four unit draws per bacterium, a zero direction
@@ -339,6 +372,7 @@ def _generation(
     directions = np.array([_directions(engine, size) for engine in engines])
     paths = _swim_path(theta, directions, params)
     steps = paths[:, :, 1:]
+    values = _scored(steps, scores)
     for i in range(size):
         # the other bacteria stand still during a swim, so the swarming term
         # at every run's start and along its reachable path is one call
@@ -346,7 +380,7 @@ def _generation(
         for b, swarm in enumerate(swarms):
             terms = potentials[b]
             start = terms.pop(0)  # where bacterium i stands; the rest pair with steps[b, i]
-            taken = _swim(i, steps[b, i], terms, swarm.f_plain[i] - start, swarm, scores[b])
+            taken = _swim(i, steps[b, i], values[b][i], terms, swarm.f_plain[i] - start, swarm)
             moves[b].append(taken)
     for swarm, taken in zip(swarms, moves):
         swarm.last_moves = taken
@@ -395,7 +429,8 @@ def _disperse(
             # its swarm as it stands at this index
             potentials = _potentials(theta[:, i : i + 1], theta, params, i).tolist()
             for b in moved:
-                _swim(i, theta[b, i : i + 1], potentials[b], math.inf, swarms[b], scores[b])
+                point = theta[b, i : i + 1]
+                _swim(i, point, map(scores[b], point), potentials[b], math.inf, swarms[b])
 
 
 def _run_floats(params: BfaParams) -> int:
@@ -492,15 +527,16 @@ def run_batch(
 ) -> list[RunResult]:
     """``run_bfa`` of each (weights, engine config) pair, advanced in lockstep.
 
-    The runs share ``params``; the batch builds all its swim paths in one
-    call per generation and makes one swarming-term call per tumble index
-    for all of them. Each result is bit-identical to ``run_bfa`` of that
-    run alone. ``observer``, if given, sees every run's swarm after each
-    generation, in batch order.
+    The runs share ``params``; the batch builds and scores all its swim
+    paths in one call each per generation and makes one swarming-term call
+    per tumble index for all of them. Each result is bit-identical to
+    ``run_bfa`` of that run alone. ``observer``, if given, sees every run's
+    swarm after each generation, in batch order.
     """
     if len(weights) != len(engine_configs):
         raise ConfigError(f"{len(weights)} weight vectors for {len(engine_configs)} engine configs")
-    results = _run_lockstep([unit_scorer(w) for w in weights], params, engine_configs, observer)
+    scores = _BlockScores([unit_scorer(w) for w in weights], unit_block_scorer(weights))
+    results = _run_lockstep(scores, params, engine_configs, observer)
     out = []
     for result in results:
         decision = to_physical(result.best_theta)

@@ -174,10 +174,11 @@ def derive_seed(master_seed: int, engine_index: int, weight_index: int, run_inde
     return int.from_bytes(digest, "little")
 
 
-# the most runs per lockstep batch: by 8 runs numpy's fixed cost per call is
-# mostly spread (a default run took 0.21 s of CPU at 8 and 0.20 s at 16),
-# and small batches keep the workers' shares of a sweep even
-_MAX_BATCH = 8
+# the most runs per lockstep batch: numpy's fixed cost per call is spread
+# over the batch (a default run took 0.108 s of CPU alone, 0.042 s at 8 and
+# 0.036 s at 16, on a shared 2-vCPU host), and a sweep of 32 runs on two
+# workers still gives each worker one batch
+_MAX_BATCH = 16
 
 
 @dataclass

@@ -30,6 +30,7 @@ __all__ = [
     "aggregate",
     "to_physical",
     "unit_scorer",
+    "unit_block_scorer",
 ]
 
 VARIABLE_NAMES = ("A", "B", "C", "D")
@@ -156,36 +157,76 @@ def _unit_quadratic(w: WeightVector) -> tuple[float, np.ndarray, np.ndarray]:
     return float(c), _SPAN * (b + q_lo), _SPAN[:, None] * q * _SPAN
 
 
+def _unit_coefficients(w: WeightVector) -> list[float]:
+    """The 15 coefficients of :func:`_unit_polynomial` for ``w``, in its argument order."""
+    c, g, h = _unit_quadratic(w)
+    return [c, *g.tolist(), *(h.diagonal() / 2).tolist(), *h[_CROSS_ROWS, _CROSS_COLS].tolist()]
+
+
+def _unit_polynomial(c, g0, g1, g2, g3, h00, h11, h22, h33, h01, h02, h03, h12, h13, h23,
+                     u0, u1, u2, u3):
+    """The quadratic of :func:`_unit_quadratic` at ``(u0, u1, u2, u3)``, nested by
+    the first variable of each term (``h_ii = H_ii / 2``, ``h_ij = H_ij`` for
+    ``i < j``) and summed left to right.
+
+    Written once for both callers: on Python floats for :func:`unit_scorer`,
+    on arrays for :func:`unit_block_scorer`. Each ``+`` and ``*`` is one
+    correctly rounded float64 operation either way, taken in the same order,
+    so an array element has the bits of the scalar call at its point.
+    """
+    return (c + u0 * (g0 + h00 * u0 + h01 * u1 + h02 * u2 + h03 * u3)
+            + u1 * (g1 + h11 * u1 + h12 * u2 + h13 * u3)
+            + u2 * (g2 + h22 * u2 + h23 * u3)
+            + u3 * (g3 + h33 * u3))
+
+
 def unit_scorer(w: WeightVector) -> Callable[[np.ndarray], float]:
     """The weighted objective at a unit-cube point, as a function of the point.
 
-    The score is the quadratic of :func:`_unit_quadratic`, evaluated as one
-    straight-line expression in plain floats, nested by the first variable
-    of each term::
+    The score is :func:`_unit_polynomial`, one straight-line expression in
+    plain floats over the quadratic of :func:`_unit_quadratic`::
 
         c + u0*(g0 + h00*u0 + h01*u1 + h02*u2 + h03*u3)
           + u1*(g1 + h11*u1 + h12*u2 + h13*u3)
           + u2*(g2 + h22*u2 + h23*u3)
           + u3*(g3 + h33*u3)
 
-        (h_ii = H_ii / 2, h_ij = H_ij for i < j)
-
     left to right, with no bounds check, since the model is a polynomial
     defined everywhere. It agrees with ``aggregate(evaluate(to_physical(u)),
     w)`` to 1e-12 relative on [0, 1]⁴, but not bit for bit: the two sum in
-    different orders. ``u`` must be a float array of shape (4,); the result
-    is a Python ``float``.
+    different orders. It equals :func:`unit_block_scorer` at every point, bit
+    for bit. ``u`` must be a float array of shape (4,); the result is a
+    Python ``float``.
     """
-    c, g, h = _unit_quadratic(w)
-    g0, g1, g2, g3 = g.tolist()
-    h00, h11, h22, h33 = (h.diagonal() / 2).tolist()
-    h01, h02, h03, h12, h13, h23 = h[_CROSS_ROWS, _CROSS_COLS].tolist()
+    coefficients = _unit_coefficients(w)
 
     def score(u: np.ndarray) -> float:
-        u0, u1, u2, u3 = u.tolist()
-        return (c + u0 * (g0 + h00 * u0 + h01 * u1 + h02 * u2 + h03 * u3)
-                + u1 * (g1 + h11 * u1 + h12 * u2 + h13 * u3)
-                + u2 * (g2 + h22 * u2 + h23 * u3)
-                + u3 * (g3 + h33 * u3))
+        return _unit_polynomial(*coefficients, *u.tolist())
+
+    return score
+
+
+def unit_block_scorer(weights: Sequence[WeightVector]) -> Callable[[np.ndarray], np.ndarray]:
+    """The weighted objective of each of B weight vectors over a block of points.
+
+    The returned function maps a float array ``points`` of shape
+    (B, ..., 4) to the (B, ...) array whose entries ``[b, ...]`` are
+    ``unit_scorer(weights[b])(points[b, ...])``, bit for bit: the same
+    :func:`_unit_polynomial`, with run ``b``'s coefficients broadcast over its
+    points. The coefficients are derived once, here; a lone run keeps them
+    as Python floats, which numpy applies to an array faster than it
+    broadcasts (1, 1, 1) arrays, with the same bits. Each call copies the
+    points into four contiguous coordinate arrays, which cuts the cost of
+    the polynomial's 28 operations by about a third at B = 16.
+    """
+    columns = np.array([_unit_coefficients(w) for w in weights]).T.copy()  # (15, B)
+    alone = columns[:, 0].tolist() if len(weights) == 1 else None
+
+    def score(points: np.ndarray) -> np.ndarray:
+        coordinates = points.transpose(points.ndim - 1, *range(points.ndim - 1)).copy()
+        if alone is not None:
+            return _unit_polynomial(*alone, *coordinates)
+        return _unit_polynomial(*columns.reshape(columns.shape + (1,) * (points.ndim - 2)),
+                                *coordinates)
 
     return score

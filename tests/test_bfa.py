@@ -20,7 +20,8 @@ from bforage.bfa import (
 )
 from bforage.engines import EngineConfig, EngineKind, StochasticEngine
 from bforage.errors import BudgetError, ConfigError, DomainError
-from bforage.problem import WeightVector
+from bforage.experiment import generate_weights
+from bforage.problem import WeightVector, unit_block_scorer, unit_scorer
 
 WEIGHTS = WeightVector(0.1, 0.7, 0.1, 0.1)
 
@@ -645,23 +646,82 @@ def test_archive_equals_trace_even_when_dispersal_lands_on_the_budget_boundary()
 
 @pytest.mark.parametrize("pop", [5, 25])
 @pytest.mark.parametrize("heights", [None, 0.1, 100.0], ids=["off", "default", "strong"])
-@pytest.mark.parametrize("size", [1, 2, 3, 8])
+@pytest.mark.parametrize("size", [1, 2, 3, 8, 16])
 def test_every_run_of_a_lockstep_batch_equals_the_run_alone(size, heights, pop):
     # three reproductions and a dispersal followed by one in 7 generations,
     # mixed engine kinds, weights and seeds; a batch's result must not
     # depend on its neighbours. Strong swarming signals make a swarming
-    # term taken from the wrong run change gates and health ranks.
+    # term taken from the wrong run change gates and health ranks; at 16,
+    # the sweep's largest batch, every run has its own weights, so a score
+    # taken from the wrong run's coefficients changes its path too.
     params = BfaParams(n_total=7, pop_size=pop, n_chemo=2, n_repro=2, p_elim=0.5,
                        h_att=heights or 0.0, h_rep=heights or 0.0)
     weights = [WeightVector(0.7, 0.1, 0.1, 0.1), WeightVector(0.1, 0.2, 0.3, 0.4),
                WeightVector(0.25, 0.25, 0.25, 0.25)]
+    if size == 16:
+        weights += generate_weights(0.1, 0.1)[::6][:13]
     kinds = list(EngineKind)
-    runs = [(weights[b % 3], EngineConfig(kind=kinds[(b + size) % 4], seed=1000 * size + b))
+    runs = [(weights[b % len(weights)], EngineConfig(kind=kinds[(b + size) % 4],
+                                                     seed=1000 * size + b))
             for b in range(size)]
+    if size == 16:
+        assert len({w for w, _ in runs}) == 16
     batch = run_batch([w for w, _ in runs], params, [c for _, c in runs])
     assert len(batch) == size
     for result, (w, config) in zip(batch, runs):
         assert repr(result) == repr(run_bfa(w, params, config))
+
+
+def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypatch):
+    # one block call for the initial placement and one per generation, for
+    # the whole batch; dispersal re-evaluations use each run's own scorer
+    params = BfaParams(n_total=5, pop_size=6, n_chemo=2, n_repro=2)
+    shapes = []
+
+    def counting_block_scorer(weights):
+        block = unit_block_scorer(weights)
+
+        def score(points):
+            shapes.append(points.shape)
+            return block(points)
+
+        return score
+
+    monkeypatch.setattr(bfa, "unit_block_scorer", counting_block_scorer)
+    weights = [WEIGHTS, WeightVector(0.4, 0.3, 0.2, 0.1), WeightVector(0.1, 0.1, 0.1, 0.7)]
+    configs = [EngineConfig(kind=kind, seed=5) for kind in list(EngineKind)[:3]]
+    run_batch(weights, params, configs)
+    assert shapes == [(3, 6, 1, 4)] + [(3, 6, params.n_swim + 1, 4)] * params.n_total
+
+
+def test_a_custom_score_is_called_lazily_at_committed_points_in_order(monkeypatch):
+    # the model's score behind a custom one: no block form, so each call
+    # gets one (4,) point the swim commits, in commit order, and the run
+    # still equals the model run, whose swims read a block scored ahead
+    params = BfaParams(n_total=9, pop_size=7, n_chemo=3, n_repro=2, p_elim=0.5)
+    config = EngineConfig(kind=EngineKind.GAMMA, seed=8)
+    model = unit_scorer(WEIGHTS)
+    received = []
+
+    def score(u):
+        assert type(u) is np.ndarray and u.shape == (4,) and u.dtype == np.float64
+        received.append(u.tolist())
+        return model(u)
+
+    committed = []
+    swim = bfa._swim
+
+    def recording_swim(i, path, values, potentials, previous, swarm):
+        taken = swim(i, path, values, potentials, previous, swarm)
+        committed.extend(path[:taken].tolist())
+        return taken
+
+    monkeypatch.setattr(bfa, "_swim", recording_swim)
+    custom = run_custom(score, params, config)
+    assert received == committed
+    assert len(received) == custom.evaluations
+    assert custom == replace(run_bfa(WEIGHTS, params, config), best_decision=None,
+                             best_objectives=None)
 
 
 def test_lockstep_observer_sees_each_run_as_alone():

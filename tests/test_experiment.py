@@ -9,6 +9,7 @@ import pytest
 
 from bforage import experiment
 from bforage.bfa import BfaParams, run_bfa
+from bforage.cli import dispatch
 from bforage.engines import EngineConfig, EngineKind
 from bforage.errors import ConfigError, LatticeError, SchemaError
 from bforage.experiment import (
@@ -156,14 +157,31 @@ def test_sweep_is_deterministic():
     assert run_sweep(tiny_config()) == run_sweep(tiny_config())
 
 
-def test_sweep_serial_equals_parallel():
+def test_sweep_serial_equals_parallel(monkeypatch, tmp_path):
+    # 2 engines x 6 weights x 3 runs = 36 tasks. Batch caps 1, 8 and 16 cut
+    # them into 36 batches of 1, 8 + 8 + 8 + 8 + 4 or 16 + 16 + 4, which
+    # run in this process at one job and in two workers at two; neither the
+    # reports nor the written bytes may notice
     config = tiny_config(
         engines=(EngineConfig(kind=EngineKind.GAUSSIAN, seed=0),
                  EngineConfig(kind=EngineKind.CHAOTIC, seed=0)),
-        weights=tuple(generate_weights(0.5, 0.0)[:3]),
-        runs_per_weight=2,
+        weights=tuple(generate_weights(0.5, 0.0)[:6]),
+        runs_per_weight=3,
     )
-    assert run_sweep(config, jobs=1) == run_sweep(config, jobs=2)
+    argv = ["sweep", "--engines", "gaussian,chaotic", "--seed", "7", "--runs", "3",
+            "--weight-step", "0.5", "--weight-min", "0.0", "--pop", "5", "--nc", "2",
+            "--nr", "2", "--nt", "5"]
+    reports, files = [], []
+    for cap in (1, 8, 16):
+        monkeypatch.setattr(experiment, "_MAX_BATCH", cap)
+        for jobs in (1, 2):
+            reports.append(run_sweep(config, jobs=jobs))
+            out_dir = tmp_path / f"cap{cap}-jobs{jobs}"
+            assert dispatch([*argv, "--jobs", str(jobs), "--out", str(out_dir)]) == 0
+            files.append({path.name: path.read_bytes() for path in sorted(out_dir.iterdir())})
+    assert all(report == reports[0] for report in reports[1:])
+    assert all(written == files[0] for written in files[1:])
+    assert {"report.json", "frontier_gaussian.csv", "frontier_chaotic.csv"} <= set(files[0])
 
 
 def test_sweep_starts_no_more_workers_than_batches(monkeypatch):

@@ -288,7 +288,7 @@ def test_sweep_out_and_plot_files_match_golden(tmp_path):
 
 
 def test_sweep_files_do_not_depend_on_jobs(tmp_path):
-    # ten runs go out as lockstep batches of 8 + 2 with one job, 5 + 5 with
+    # ten runs go out as one lockstep batch of 10 with one job, 5 + 5 with
     # two and 4 + 4 + 2 with three; the written bytes must not notice
     argv = ["sweep", "--engines", "gaussian,chaotic", "--seed", "7", "--runs", "5",
             "--weight-step", "0.5", "--weight-min", "0.25", "--pop", "5", "--nc", "2",

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bforage.errors import ConfigError, InfeasibleError
+from bforage.experiment import generate_weights
 from bforage.problem import (
     COEFFICIENTS,
     DecisionVector,
@@ -16,6 +17,7 @@ from bforage.problem import (
     aggregate,
     evaluate,
     to_physical,
+    unit_block_scorer,
     unit_scorer,
 )
 from bforage.problem import _unit_quadratic
@@ -148,6 +150,52 @@ def test_unit_scorer_is_the_model_polynomial_outside_the_cube():
         for u in points:
             want = aggregate(oracle_objectives(*to_physical(u)), weights)
             assert abs(score(u) - want) <= 1e-12 * scale
+
+
+def bits(values) -> np.ndarray:
+    """The IEEE bit patterns of float64 ``values``, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def scored_points() -> np.ndarray:
+    """Seeded interior points, the 16 corners and 10 random points on each of the 8 faces."""
+    rng = np.random.Generator(np.random.PCG64(31))
+    corners = np.array(np.meshgrid(*[[0.0, 1.0]] * 4)).reshape(4, -1).T
+    faces = rng.random((4, 2, 10, 4))
+    for axis in range(4):
+        faces[axis, :, :, axis] = [[0.0], [1.0]]
+    return np.concatenate([rng.random((500, 4)), corners, faces.reshape(-1, 4)])
+
+
+def test_block_scorer_equals_unit_scorer_bit_for_bit_on_the_lattice():
+    # the sweep's 84 weights: each row of the block is scored with its own
+    # coefficients by the same polynomial as the scalar scorer
+    lattice = generate_weights(0.1, 0.1)
+    assert len(lattice) == 84
+    points = scored_points()
+    block = unit_block_scorer(lattice)(np.broadcast_to(points, (84,) + points.shape))
+    assert block.shape == (84, len(points))
+    for weights, values in zip(lattice, block):
+        score = unit_scorer(weights)
+        assert np.array_equal(bits(values), bits([score(u) for u in points]))
+        # a lone run takes its coefficients as floats rather than arrays
+        assert np.array_equal(bits(unit_block_scorer([weights])(points[None])[0]), bits(values))
+
+
+def test_block_scorer_takes_each_runs_coefficients_in_a_swim_block():
+    # a (B, S, K, 4) block like a generation's swim steps, one weight vector
+    # per run: a coefficient taken from another run would change the bits
+    lattice = generate_weights(0.1, 0.1)
+    weights = [lattice[k] for k in (0, 9, 30, 47, 62, 83)]
+    points = np.random.Generator(np.random.PCG64(37)).random((6, 5, 3, 4))
+    values = unit_block_scorer(weights)(points)
+    assert values.shape == (6, 5, 3)
+    for b, w in enumerate(weights):
+        score = unit_scorer(w)
+        want = [[score(u) for u in path] for path in points[b]]
+        assert np.array_equal(bits(values[b]), bits(want))
+    reversed_runs = unit_block_scorer(weights[::-1])(points)
+    assert not (reversed_runs == values).any()
 
 
 def test_unit_quadratic_is_the_model_in_unit_coordinates():
