@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from collections.abc import Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,11 +64,12 @@ class BfaParams:
     ``step_size`` is expressed in normalized (unit-cube) coordinates so a
     single scalar step is meaningful across all four dimensions. The
     signal widths must be non-negative, so every ``exp(-w * d)`` of the
-    swarming term lies in [0, 1]. The term is at most
-    ``pop_size * (|h_att| + |h_rep|)`` in size, and one health sum adds at
-    most ``min(n_chemo, n_total) * (n_swim + 1) + 1`` costs (a placement or
-    dispersal, then the swims up to the next reproduction), so their
-    product must be a finite float.
+    swarming term lies in [0, 1], and ``4.0 * w`` must be finite, so
+    ``w * d`` is finite at every squared distance ``d`` in the unit cube.
+    The term is at most ``pop_size * (|h_att| + |h_rep|)`` in size, and one
+    health sum adds at most ``min(n_chemo, n_total) * (n_swim + 1) + 1``
+    costs (a placement or dispersal, then the swims up to the next
+    reproduction), so their product must be a finite float.
     """
 
     n_total: int = 200        # chemotactic-generation budget for the whole run
@@ -98,6 +100,10 @@ class BfaParams:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
         if self.w_rep < 0 or self.w_att < 0:  # exp(-w * d) must stay at most 1
             raise ConfigError(f"w_rep and w_att must be non-negative, got {self.w_rep}, {self.w_att}")
+        for name in ("w_rep", "w_att"):  # a squared distance in the unit cube is at most 4.0
+            if not math.isfinite(4.0 * getattr(self, name)):
+                raise ConfigError(f"{name}={getattr(self, name)} overflows its signal "
+                                  f"{name} * d at the unit cube's largest squared distance d = 4.0")
         costs = min(self.n_chemo, self.n_total) * (self.n_swim + 1) + 1
         if not _finite(lambda: self.pop_size * (abs(self.h_att) + abs(self.h_rep)) * costs):
             raise ConfigError(f"the swarming term overflows a health sum of {costs} costs at "
@@ -153,32 +159,73 @@ class RunResult:
     seed: int
 
 
-def _directions(engine: StochasticEngine, count: int) -> np.ndarray:
-    """``count`` unit-length random directions, as a (count, 4) array.
+def _directions(engines: Sequence[StochasticEngine], count: int) -> np.ndarray:
+    """``count`` unit-length random directions per engine, as a (B, count, 4) array.
 
-    Each row takes the engine's next four unit draws, mapped onto [-1, 1];
-    the ``4 * count`` draws come as one ``sample_units`` block. A zero row
-    is redrawn from the four draws after it, in one more block for all the
-    rows still missing, so later rows shift and the engine is never asked
-    for more draws than the rows it fills. The stacked ``(1, 4) @ (4, 1)``
-    products take numpy's vector dot, so each squared norm has the bits of
+    One engine alone, not in a sequence, gives its (count, 4) block. Each
+    row takes its engine's next four unit draws, mapped onto [-1, 1]; the
+    ``4 * count`` draws of a run come as one ``sample_units`` block, and
+    every run's rows are normalised in one chain. A zero row is redrawn
+    from the four draws after it, from its own engine only: that run keeps
+    its other rows in order and draws one more block for all the rows it
+    still misses, so later rows shift and no engine is asked for more
+    draws than the rows it fills. The stacked ``(1, 4) @ (4, 1)`` products
+    take numpy's vector dot, so each squared norm has the bits of
     ``delta @ delta`` on its row alone.
     """
-    blocks = []
-    while count:
-        signed = np.array(engine.sample_units(N_DIMENSIONS * count))
-        signed = 2.0 * signed.reshape(count, N_DIMENSIONS) - 1.0
-        norms = np.sqrt((signed[:, None, :] @ signed[:, :, None])[:, 0])
-        kept = norms[:, 0] > 0.0
-        if not kept.all():
-            signed, norms = signed[kept], norms[kept]
-        blocks.append(signed / norms)
-        count -= len(norms)
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    if not isinstance(engines, Sequence):
+        return _directions([engines], count)[0]
+    signed = np.array([engine.sample_units(N_DIMENSIONS * count) for engine in engines])
+    signed = 2.0 * signed.reshape(len(engines), count, N_DIMENSIONS) - 1.0
+    norms = np.sqrt(signed[..., None, :] @ signed[..., :, None])[..., 0]
+    if norms.all():
+        return signed / norms
+    directions = np.empty_like(signed)
+    for b, engine in enumerate(engines):
+        kept = norms[b, :, 0] > 0.0
+        rows = signed[b, kept] / norms[b, kept]
+        if len(rows) < count:
+            rows = np.concatenate([rows, _directions(engine, count - len(rows))])
+        directions[b] = rows
+    return directions
+
+
+class _Work(NamedTuple):
+    """What one swarming-term call over B runs of K points against S bacteria writes and reads.
+
+    ``squares`` (4, B, K, S) holds the squared differences. Once
+    ``distances`` (B, K, S) holds their totals, its first half is
+    ``signals`` (2, B, K, S) and the start of its second half ``sums``
+    (2, B, K), each signal's sum over the swarm; ``attract`` and ``repel``
+    are the two rows of ``sums``. ``widths`` and ``heights`` are
+    ``(-w_att, -w_rep)`` and ``(-h_att, h_rep)`` as (2, 1, 1, 1) arrays.
+    Without swarming only ``attract`` exists, a (B, K) block of zeros.
+    """
+
+    squares: Optional[np.ndarray]
+    distances: Optional[np.ndarray]
+    signals: Optional[np.ndarray]
+    sums: Optional[np.ndarray]
+    attract: np.ndarray
+    repel: Optional[np.ndarray]
+    widths: Optional[np.ndarray]
+    heights: Optional[np.ndarray]
+
+
+def _work(params: BfaParams, batch: int, points: int, size: int) -> _Work:
+    """Fresh buffers and signal arrays for ``_potentials`` calls of one shape."""
+    if not params.swarming:
+        return _Work(None, None, None, None, np.zeros((batch, points)), None, None, None)
+    squares = np.empty((N_DIMENSIONS, batch, points, size))
+    sums = squares[2:].reshape(-1)[: 2 * batch * points].reshape(2, batch, points)
+    signal = (2, 1, 1, 1)
+    return _Work(squares, np.empty((batch, points, size)), squares[:2], sums, *sums,
+                 np.reshape((-params.w_att, -params.w_rep), signal),
+                 np.reshape((-params.h_att, params.h_rep), signal))
 
 
 def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
-                i: Optional[int] = None) -> np.ndarray:
+                i: Optional[int] = None, work: Optional[_Work] = None) -> np.ndarray:
     """Cell-to-cell potential at each point of ``points`` (B, K, 4), as (B, K).
 
     Run ``b`` of a lockstep batch scores its points ``points[b]`` against
@@ -189,6 +236,16 @@ def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
     distance the two cancel at equal heights), over squared distances in
     unit coordinates. With ``i`` given, bacterium ``i`` stands at each point
     in turn, so its distance is zero there whatever ``theta[b, i]`` holds.
+
+    A caller that makes many calls of one shape passes ``work`` from
+    ``_work`` and, in place of ``points`` and ``theta``, their coordinate
+    views ``points.transpose(2, 0, 1)[..., None]`` (4, B, K, 1) and
+    ``theta.transpose(2, 0, 1)[:, :, None]`` (4, B, 1, S); a call is then
+    one chain of numpy calls that write into ``work``, and the result is
+    ``work.attract``, valid until the next call with it. A call
+    without ``work`` makes both itself. The squared differences share one
+    buffer with the signals, so a call holds 1.25 times its largest array.
+
     The result is bit-identical to scoring each point of each run alone:
     the squared distances are summed over the leading axis of a
     (4, B, K, S) array, which adds the coordinates in order,
@@ -197,21 +254,23 @@ def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
     axis, whatever the axes before it; and numpy's ``exp`` gives the same
     value for an element whatever the shape of the array around it.
     """
-    if not params.swarming:
-        return np.zeros(points.shape[:2])
-    squares = np.subtract(theta.transpose(2, 0, 1)[:, :, None, :],
-                          points.transpose(2, 0, 1)[:, :, :, None], order="C")
-    squares *= squares
-    d = np.add.reduce(squares, axis=0)
-    del squares  # so the call peaks at 1.25x its largest array, not 1.75x
+    if work is None:
+        work = _work(params, points.shape[0], points.shape[1], theta.shape[1])
+        points = points.transpose(2, 0, 1)[..., None]
+        theta = theta.transpose(2, 0, 1)[:, :, None]
+    squares, distances, signals, sums, attract, repel, widths, heights = work
+    if squares is None:
+        return attract
+    np.subtract(theta, points, out=squares)
+    np.multiply(squares, squares, out=squares)
+    np.add.reduce(squares, axis=0, out=distances)
     if i is not None:
-        d[:, :, i] = 0.0
-    signals = np.multiply.outer((-params.w_att, -params.w_rep), d)
+        distances[:, :, i] = 0.0
+    np.multiply(widths, distances, out=signals)
     np.exp(signals, out=signals)
-    signals[0] *= -params.h_att  # attractant wells
-    signals[1] *= params.h_rep   # repellent hills
-    attract, repel = np.add.reduce(signals, axis=3)
-    return attract + repel
+    np.multiply(signals, heights, out=signals)  # attractant wells, repellent hills
+    np.add.reduce(signals, axis=3, out=sums)
+    return np.add(attract, repel, out=attract)
 
 
 # no run calls it: it stays as the tests' one-move reference and the hook perfbench's tracer patches
@@ -365,23 +424,28 @@ def _generation(
     exactly ``4 * S`` draws on (four more per redraw).
     """
     moves = [[] for _ in swarms]
-    size = theta.shape[1]
+    batch, size = theta.shape[:2]
     # only the tumbles draw within a generation, and a bacterium's start
     # changes only through its own swim, so every run's directions and every
     # reachable path are known before the first swim
-    directions = np.array([_directions(engine, size) for engine in engines])
-    paths = _swim_path(theta, directions, params)
+    paths = _swim_path(theta, _directions(engines, size), params)
     steps = paths[:, :, 1:]
     values = _scored(steps, scores)
+    # made after scoring, so they never add to the scorer's own arrays; the
+    # coordinate views stay valid as the swims write theta in place
+    work = _work(params, batch, params.n_swim + 2, size)
+    points = paths.transpose(3, 0, 1, 2)[..., None]
+    swarm_view = theta.transpose(2, 0, 1)[:, :, None]
     for i in range(size):
         # the other bacteria stand still during a swim, so the swarming term
         # at every run's start and along its reachable path is one call
-        potentials = _potentials(paths[:, i], theta, params, i).tolist()
+        potentials = _potentials(points[:, :, i], swarm_view, params, i, work).tolist()
         for b, swarm in enumerate(swarms):
             terms = potentials[b]
             start = terms.pop(0)  # where bacterium i stands; the rest pair with steps[b, i]
             taken = _swim(i, steps[b, i], values[b][i], terms, swarm.f_plain[i] - start, swarm)
             moves[b].append(taken)
+        del potentials, terms  # so this index's lists are gone before the next one's are made
     for swarm, taken in zip(swarms, moves):
         swarm.last_moves = taken
         swarm.trace.append(swarm.best_f)

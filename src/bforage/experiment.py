@@ -175,8 +175,8 @@ def derive_seed(master_seed: int, engine_index: int, weight_index: int, run_inde
 
 
 # the most runs per lockstep batch: numpy's fixed cost per call is spread
-# over the batch (a default run took 0.108 s of CPU alone, 0.042 s at 8 and
-# 0.036 s at 16, on a shared 2-vCPU host), and a sweep of 32 runs on two
+# over the batch (a default run took 0.088 s of CPU alone, 0.036 s at 8 and
+# 0.035 s at 16, on a shared 2-vCPU host), and a sweep of 32 runs on two
 # workers still gives each worker one batch
 _MAX_BATCH = 16
 

@@ -546,6 +546,8 @@ def test_run_too_large_for_memory_exits_2(capsys, flag, value, name):
     (["--watt=-500"], "w_rep and w_att must be non-negative"),
     (["--hrep=1e308", "--hatt=-1e308"], "the swarming term overflows"),
     (["--nt", "20", "--hrep", "2e307", "--hatt", "0", "--watt", "0"], "the swarming term overflows"),
+    (["--wrep", "1e308"], "w_rep=1e+308 overflows"),
+    (["--watt", "1e308"], "w_att=1e+308 overflows"),
 ])
 def test_swarming_signals_that_overflow_exit_2(capsys, flags, message):
     code, out, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--pop", "3", *flags)
