@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .problem import (
     evaluate,
     to_physical,
     unit_block_scorer,
-    unit_scorer,
 )
 
 __all__ = [
@@ -54,6 +53,7 @@ N_DIMENSIONS = 4
 _MAX_ARRAY_FLOATS = 2**27
 
 ScoreFn = Callable[[np.ndarray], float]
+_Scores = Union[Callable[[np.ndarray], np.ndarray], Sequence[ScoreFn]]
 Observer = Callable[[int, "SwarmState"], None]
 
 
@@ -94,7 +94,7 @@ class BfaParams:
         if self.pop_size < 1 or self.n_chemo < 1 or self.n_repro < 1:
             raise ConfigError("pop_size, n_chemo and n_repro must all be >= 1")
         for name in ("step_size", "w_rep", "w_att", "h_rep", "h_att"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(lambda: getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.step_size > 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
@@ -162,8 +162,7 @@ class RunResult:
 def _directions(engines: Sequence[StochasticEngine], count: int) -> np.ndarray:
     """``count`` unit-length random directions per engine, as a (B, count, 4) array.
 
-    One engine alone, not in a sequence, gives its (count, 4) block. Each
-    row takes its engine's next four unit draws, mapped onto [-1, 1]; the
+    Each row takes its engine's next four unit draws, mapped onto [-1, 1]; the
     ``4 * count`` draws of a run come as one ``sample_units`` block, and
     every run's rows are normalised in one chain. A zero row is redrawn
     from the four draws after it, from its own engine only: that run keeps
@@ -173,21 +172,16 @@ def _directions(engines: Sequence[StochasticEngine], count: int) -> np.ndarray:
     take numpy's vector dot, so each squared norm has the bits of
     ``delta @ delta`` on its row alone.
     """
-    if not isinstance(engines, Sequence):
-        return _directions([engines], count)[0]
     signed = np.array([engine.sample_units(N_DIMENSIONS * count) for engine in engines])
     signed = 2.0 * signed.reshape(len(engines), count, N_DIMENSIONS) - 1.0
     norms = np.sqrt(signed[..., None, :] @ signed[..., :, None])[..., 0]
     if norms.all():
         return signed / norms
-    directions = np.empty_like(signed)
     for b, engine in enumerate(engines):
         kept = norms[b, :, 0] > 0.0
         rows = signed[b, kept] / norms[b, kept]
-        if len(rows) < count:
-            rows = np.concatenate([rows, _directions(engine, count - len(rows))])
-        directions[b] = rows
-    return directions
+        signed[b] = np.concatenate([rows, _directions([engine], count - len(rows))[0]])
+    return signed
 
 
 class _Work(NamedTuple):
@@ -297,35 +291,26 @@ def chemotaxis_move(
 # calls and each run's own bookkeeping see the same positions. Every run
 # keeps its own engine and score, and draws and scores in the order it
 # would alone, so a run's result does not depend on the batch around it.
-# A model batch's scores are _BlockScores: they score every point a
-# placement or a generation can reach in one call, and each swim reads its
-# values from that block. Any other score is called lazily, at committed
-# points only, in order.
+# A model batch's scores are one block scorer: it scores every point a
+# placement, a generation or a dispersal can reach in one call, and each
+# swim reads its values from that block. Per-run scores are called lazily,
+# at committed points only, in order.
 
 
-class _BlockScores(list):
-    """Each run's score, plus ``block``: the same scores over a (B, ..., 4)
-    block of points, one run per leading index, as a (B, ...) array."""
-
-    def __init__(self, scores: Sequence[ScoreFn], block: Callable[[np.ndarray], np.ndarray]):
-        super().__init__(scores)
-        self.block = block
-
-
-def _scored(points: np.ndarray, scores: Sequence[ScoreFn]) -> list:
+def _scored(points: np.ndarray, scores: _Scores) -> list:
     """For each run ``b``, the values along each of its paths ``points[b, j]`` (K, 4).
 
-    Block scores give all (B, J, K) values from one call, as nested lists;
-    any other score maps each path lazily, so a swim calls it only at the
-    points it commits, in order.
+    A block scorer gives all (B, J, K) values from one call, as nested
+    lists; per-run scores map each path lazily, so a swim calls a score
+    only at the points it commits, in order.
     """
-    if isinstance(scores, _BlockScores):
-        return scores.block(points).tolist()
+    if callable(scores):
+        return scores(points).tolist()
     return [[map(score, path) for path in paths] for score, paths in zip(scores, points)]
 
 
 def _initialize(
-    engines: Sequence[StochasticEngine], params: BfaParams, scores: Sequence[ScoreFn]
+    engines: Sequence[StochasticEngine], params: BfaParams, scores: _Scores
 ) -> tuple[np.ndarray, list[SwarmState]]:
     """Place ``pop_size`` bacteria per run at engine-drawn positions and evaluate them.
 
@@ -333,7 +318,7 @@ def _initialize(
     order is fixed: all positions first, bacterium by bacterium, one unit
     draw per component, as one ``sample_units`` block of ``4 * S`` draws per
     run; then every cost is evaluated against the complete initial swarm,
-    block scores in one call.
+    a block scorer's in one call.
     """
     theta = np.array([engine.sample_units(N_DIMENSIONS * params.pop_size) for engine in engines])
     theta = theta.reshape(len(engines), params.pop_size, N_DIMENSIONS)
@@ -405,17 +390,17 @@ def _generation(
     theta: np.ndarray,
     swarms: Sequence[SwarmState],
     engines: Sequence[StochasticEngine],
-    scores: Sequence[ScoreFn],
+    scores: _Scores,
     params: BfaParams,
 ) -> None:
     """One generation of every run: each bacterium tumbles once, then swims while improving.
 
     The swim gate compares augmented fitness before and after each move; a
     move is always committed, the gate only decides whether another one
-    follows. Block scores give the objective at every step of every run's
-    swim paths, the (B, S, n_swim + 1) values, in one call before the
-    first swim, and each swim reads its values from that block; any other
-    score is called only at committed positions, in order. Appends each
+    follows. A block scorer gives the objective at every step of every
+    run's swim paths, the (B, S, n_swim + 1) values, in one call before the
+    first swim, and each swim reads its values from that block; per-run
+    scores are called only at committed positions, in order. Appends each
     run's best-so-far value to its trace.
 
     Draw order is fixed: every tumble of a run is drawn before its first
@@ -473,7 +458,7 @@ def _disperse(
     theta: np.ndarray,
     swarms: Sequence[SwarmState],
     engines: Sequence[StochasticEngine],
-    scores: Sequence[ScoreFn],
+    scores: _Scores,
     params: BfaParams,
 ) -> None:
     """Independently disperse each bacterium of every run with probability ``p_elim``.
@@ -492,9 +477,9 @@ def _disperse(
             # bacteria after i have not moved yet: each run's term is against
             # its swarm as it stands at this index
             potentials = _potentials(theta[:, i : i + 1], theta, params, i).tolist()
+            values = _scored(theta[:, i : i + 1, None], scores)
             for b in moved:
-                point = theta[b, i : i + 1]
-                _swim(i, point, map(scores[b], point), potentials[b], math.inf, swarms[b])
+                _swim(i, theta[b, i : i + 1], values[b][0], potentials[b], math.inf, swarms[b])
 
 
 def _run_floats(params: BfaParams) -> int:
@@ -516,7 +501,7 @@ def _batch_limit(params: BfaParams) -> int:
 
 
 def _run_lockstep(
-    scores: Sequence[ScoreFn],
+    scores: _Scores,
     params: BfaParams,
     engine_configs: Sequence[EngineConfig],
     observer: Optional[Observer] = None,
@@ -599,13 +584,10 @@ def run_batch(
     """
     if len(weights) != len(engine_configs):
         raise ConfigError(f"{len(weights)} weight vectors for {len(engine_configs)} engine configs")
-    scores = _BlockScores([unit_scorer(w) for w in weights], unit_block_scorer(weights))
-    results = _run_lockstep(scores, params, engine_configs, observer)
-    out = []
-    for result in results:
-        decision = to_physical(result.best_theta)
-        out.append(replace(result, best_decision=decision, best_objectives=evaluate(decision)))
-    return out
+    results = _run_lockstep(unit_block_scorer(weights), params, engine_configs, observer)
+    decisions = [to_physical(result.best_theta) for result in results]
+    return [replace(result, best_decision=decision, best_objectives=evaluate(decision))
+            for result, decision in zip(results, decisions)]
 
 
 def run_bfa(

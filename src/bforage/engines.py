@@ -99,7 +99,7 @@ class EngineConfig:
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         for name in ("k", "dr"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(lambda: getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.k > 0:
             raise ConfigError(f"k must be positive, got {self.k}")
@@ -134,10 +134,10 @@ class StochasticEngine:
     One logical step per emitted variate: each call to :meth:`sample_raw`
     or :meth:`sample_unit` advances the state exactly once and increments
     :attr:`draws`, and ``sample_units(n)`` advances it ``n`` times and adds
-    ``n``. All three run the same raw sampler and CDF, at count 1 or
-    ``n``, so blocks and single draws mix freely in one stream. Instances
-    must not be shared between threads; parallel work takes independent
-    engines with distinct seeds.
+    ``n``. A unit draw is a block of one, and a raw draw runs the same raw
+    sampler at count 1, so blocks and single draws mix freely in one
+    stream. Instances must not be shared between threads; parallel work
+    takes independent engines with distinct seeds.
     """
 
     def __init__(self, config: EngineConfig):
@@ -159,13 +159,11 @@ class StochasticEngine:
         return value
 
     def sample_unit(self) -> float:
-        """Draw one variate mapped into [0, 1]."""
-        value = self._cdfs(self._raws(self, 1), *self._cdf_params)[0]
-        self.draws += 1
-        return value
+        """Draw one variate mapped into [0, 1]: a block of one."""
+        return self.sample_units(1)[0]
 
     def sample_units(self, count: int) -> list[float]:
-        """The next ``count`` values :meth:`sample_unit` would give, as one list."""
+        """The next ``count`` variates mapped into [0, 1], as one list."""
         values = self._cdfs(self._raws(self, count), *self._cdf_params)
         self.draws += count
         return values

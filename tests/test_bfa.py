@@ -65,7 +65,7 @@ def stepwise_generation(swarm, engine, score, params):
         previous = swarm.f_plain[i]
         if params.swarming:
             previous = previous - potential_at(swarm.theta[i], swarm, params)
-        direction = _directions(engine, 1)[0]
+        direction = _directions([engine], 1)[0, 0]
         current = chemotaxis_move(i, direction, swarm, score, params)
         taken = 1
         while taken <= params.n_swim and current > previous:
@@ -104,6 +104,19 @@ def test_parameter_validation():
             BfaParams(**bad)
     BfaParams(n_swim=0)  # swim loop may be disabled entirely
     BfaParams(w_rep=0.0, w_att=0.0)
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["+10**400", "-10**400"])
+@pytest.mark.parametrize("name", ["step_size", "w_rep", "w_att", "h_rep", "h_att", "k", "dr"])
+def test_an_int_beyond_float_range_is_a_config_error_naming_its_field(name, value):
+    # math.isfinite raises OverflowError on such an int rather than answering False
+    if hasattr(BfaParams, name):
+        make = BfaParams
+    else:
+        def make(**field):
+            return EngineConfig(kind="weibull", seed=1, **field)
+    with pytest.raises(ConfigError, match=rf"^{name} must be finite"):
+        make(**{name: value})
 
 
 LARGEST = sys.float_info.max
@@ -202,24 +215,24 @@ def test_initialize_singleton_best_is_sole_member():
 
 def test_tumble_passes_through_an_already_unit_vector():
     # signed draws (1, 0, 0, 0) come from unit draws (1.0, 0.5, 0.5, 0.5)
-    direction = _directions(ScriptedEngine([1.0, 0.5, 0.5, 0.5]), 1)[0]
+    direction = _directions([ScriptedEngine([1.0, 0.5, 0.5, 0.5])], 1)[0, 0]
     assert direction.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_tumble_normalizes_the_diagonal():
-    direction = _directions(ScriptedEngine([1.0, 1.0, 1.0, 1.0]), 1)[0]
+    direction = _directions([ScriptedEngine([1.0, 1.0, 1.0, 1.0])], 1)[0, 0]
     assert direction.tolist() == [0.5, 0.5, 0.5, 0.5]
 
 
 def test_tumble_redraws_on_the_zero_vector():
-    direction = _directions(ScriptedEngine([0.5, 0.5, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5]), 1)[0]
+    direction = _directions([ScriptedEngine([0.5, 0.5, 0.5, 0.5, 1.0, 0.5, 0.5, 0.5])], 1)[0, 0]
     assert direction.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
 def test_tumble_is_unit_length():
     engine = StochasticEngine(EngineConfig(kind=EngineKind.CHAOTIC, seed=6))
     for _ in range(500):
-        assert abs(float(np.linalg.norm(_directions(engine, 1)[0])) - 1.0) <= 1e-12
+        assert abs(float(np.linalg.norm(_directions([engine], 1)[0, 0])) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", list(EngineKind))
@@ -228,9 +241,9 @@ def test_directions_equal_one_tumble_at_a_time(kind):
     block = StochasticEngine(EngineConfig(kind=kind, seed=11))
     alone = StochasticEngine(EngineConfig(kind=kind, seed=11))
     for size in (1, 2, 7, 25, 400):
-        directions = _directions(block, size)
+        directions = _directions([block], size)[0]
         assert directions.shape == (size, 4)
-        assert np.array_equal(directions, [_directions(alone, 1)[0] for _ in range(size)])
+        assert np.array_equal(directions, [_directions([alone], 1)[0, 0] for _ in range(size)])
     assert block.draws == alone.draws
 
 
@@ -331,7 +344,7 @@ def test_path_potentials_equal_swarming_term_at_each_point(size):
     swarm = small_swarm(rng.random((size, 4)), params)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=size))
     for i in range(size):
-        path = _swim_path(swarm.theta[None, i], _directions(engine, 1), params)[0]
+        path = _swim_path(swarm.theta[None, i], _directions([engine], 1)[0], params)[0]
         assert ((path[1:] == 0.0) | (path[1:] == 1.0)).any()  # the swim reaches a face
         potentials = _potentials(path[None], swarm.theta[None], params, i)[0]
         assert potentials.shape == (len(path),)
@@ -398,7 +411,7 @@ def test_swim_path_equals_iterated_clamp(step):
     starts = [rng.random(4) for _ in range(40)] + [np.array([0.0, 1.0, 0.98, 0.02])]
     faces = 0
     for start in starts:
-        direction = _directions(engine, 1)[0]
+        direction = _directions([engine], 1)[0, 0]
         path = _swim_path(start[None], direction[None], params)[0]
         expected = [start]
         for _ in range(params.n_swim + 1):
@@ -489,8 +502,8 @@ def test_generation_redraws_a_zero_row_where_a_lone_tumble_would(monkeypatch):
 
     expected = []
     for b, (tumbler, block, swimmer) in enumerate(zip(engines(), engines(), engines())):
-        directions = np.array([_directions(tumbler, 1)[0] for _ in range(params.pop_size)])
-        assert np.array_equal(_directions(block, params.pop_size), directions)
+        directions = np.array([_directions([tumbler], 1)[0, 0] for _ in range(params.pop_size)])
+        assert np.array_equal(_directions([block], params.pop_size)[0], directions)
         assert block.draws == tumbler.draws
         swarm = small_swarm(start[b], params)
         stepwise_generation(swarm, swimmer, sphere_score, params)
@@ -758,10 +771,16 @@ def test_every_run_of_a_lockstep_batch_equals_the_run_alone(size, heights, pop):
 
 
 def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypatch):
-    # one block call for the initial placement and one per generation, for
-    # the whole batch; dispersal re-evaluations use each run's own scorer
+    # one block call for the whole batch at the initial placement, one per
+    # generation, and one per bacterium index at which the dispersal after
+    # generation 4 moves any run
     params = BfaParams(n_total=5, pop_size=6, n_chemo=2, n_repro=2)
-    shapes = []
+    shapes, decisions = [], []
+    sample_unit = StochasticEngine.sample_unit
+
+    def recording_sample_unit(engine):
+        decisions.append(sample_unit(engine))
+        return decisions[-1]
 
     def counting_block_scorer(weights):
         block = unit_block_scorer(weights)
@@ -773,10 +792,18 @@ def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypa
         return score
 
     monkeypatch.setattr(bfa, "unit_block_scorer", counting_block_scorer)
+    monkeypatch.setattr(StochasticEngine, "sample_unit", recording_sample_unit)
     weights = [WEIGHTS, WeightVector(0.4, 0.3, 0.2, 0.1), WeightVector(0.1, 0.1, 0.1, 0.7)]
     configs = [EngineConfig(kind=kind, seed=5) for kind in list(EngineKind)[:3]]
     run_batch(weights, params, configs)
-    assert shapes == [(3, 6, 1, 4)] + [(3, 6, params.n_swim + 1, 4)] * params.n_total
+    # the only single draws are the dispersal decisions, each index's runs in batch order
+    assert len(decisions) == 3 * params.pop_size
+    dispersing = [i for i in range(params.pop_size)
+                  if min(decisions[3 * i : 3 * i + 3]) < params.p_elim]
+    assert 0 < len(dispersing) < params.pop_size
+    generation = (3, 6, params.n_swim + 1, 4)
+    assert shapes == ([(3, 6, 1, 4)] + [generation] * 4 + [(3, 1, 1, 4)] * len(dispersing)
+                      + [generation])
 
 
 def test_a_custom_score_is_called_lazily_at_committed_points_in_order(monkeypatch):

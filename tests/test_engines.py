@@ -227,7 +227,7 @@ def test_signed_is_affine_image_of_unit():
         a, b = engine(kind, seed=3), engine(kind, seed=3)
         for _ in range(50):
             signed = np.array([2.0 * b.sample_unit() - 1.0 for _ in range(4)])
-            assert np.array_equal(_directions(a, 1)[0], signed / np.linalg.norm(signed))
+            assert np.array_equal(_directions([a], 1)[0, 0], signed / np.linalg.norm(signed))
         assert a.draws == b.draws == 200
 
 
