@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -62,7 +62,9 @@ class BfaParams:
     """Algorithm settings.
 
     ``step_size`` is expressed in normalized (unit-cube) coordinates so a
-    single scalar step is meaningful across all four dimensions. The
+    single scalar step is meaningful across all four dimensions; a swim
+    path's running sum reaches its start in [0, 1] plus ``n_swim + 1``
+    steps, so ``1.0 + (n_swim + 1) * step_size`` must be finite. The
     signal widths must be non-negative, so every ``exp(-w * d)`` of the
     swarming term lies in [0, 1], and ``4.0 * w`` must be finite, so
     ``w * d`` is finite at every squared distance ``d`` in the unit cube.
@@ -98,6 +100,10 @@ class BfaParams:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.step_size > 0:
             raise ConfigError(f"step_size must be positive, got {self.step_size}")
+        steps = self.n_swim + 1
+        if not _finite(lambda: 1.0 + steps * self.step_size):
+            raise ConfigError(f"step_size={self.step_size} overflows a swim path's running sum "
+                              f"of a start in [0, 1] and n_swim + 1 = {steps} steps")
         if self.w_rep < 0 or self.w_att < 0:  # exp(-w * d) must stay at most 1
             raise ConfigError(f"w_rep and w_att must be non-negative, got {self.w_rep}, {self.w_att}")
         for name in ("w_rep", "w_att"):  # a squared distance in the unit cube is at most 4.0
@@ -184,61 +190,29 @@ def _directions(engines: Sequence[StochasticEngine], count: int) -> np.ndarray:
     return signed
 
 
-class _Work(NamedTuple):
-    """What one swarming-term call over B runs of K points against S bacteria writes and reads.
+def _swarming_term(
+    params: BfaParams, points: np.ndarray, theta: np.ndarray
+) -> Callable[[int], np.ndarray]:
+    """The cell-to-cell term along each bacterium's points, as a function ``term(i)``.
 
-    ``squares`` (4, B, K, S) holds the squared differences. Once
-    ``distances`` (B, K, S) holds their totals, its first half is
-    ``signals`` (2, B, K, S) and the start of its second half ``sums``
-    (2, B, K), each signal's sum over the swarm; ``attract`` and ``repel``
-    are the two rows of ``sums``. ``widths`` and ``heights`` are
-    ``(-w_att, -w_rep)`` and ``(-h_att, h_rep)`` as (2, 1, 1, 1) arrays.
-    Without swarming only ``attract`` exists, a (B, K) block of zeros.
-    """
-
-    squares: Optional[np.ndarray]
-    distances: Optional[np.ndarray]
-    signals: Optional[np.ndarray]
-    sums: Optional[np.ndarray]
-    attract: np.ndarray
-    repel: Optional[np.ndarray]
-    widths: Optional[np.ndarray]
-    heights: Optional[np.ndarray]
-
-
-def _work(params: BfaParams, batch: int, points: int, size: int) -> _Work:
-    """Fresh buffers and signal arrays for ``_potentials`` calls of one shape."""
-    if not params.swarming:
-        return _Work(None, None, None, None, np.zeros((batch, points)), None, None, None)
-    squares = np.empty((N_DIMENSIONS, batch, points, size))
-    sums = squares[2:].reshape(-1)[: 2 * batch * points].reshape(2, batch, points)
-    signal = (2, 1, 1, 1)
-    return _Work(squares, np.empty((batch, points, size)), squares[:2], sums, *sums,
-                 np.reshape((-params.w_att, -params.w_rep), signal),
-                 np.reshape((-params.h_att, params.h_rep), signal))
-
-
-def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
-                i: Optional[int] = None, work: Optional[_Work] = None) -> np.ndarray:
-    """Cell-to-cell potential at each point of ``points`` (B, K, 4), as (B, K).
-
-    Run ``b`` of a lockstep batch scores its points ``points[b]`` against
-    its own swarm ``theta[b]`` (S, 4). Without swarming the term is zero
+    ``points`` (B, S, K, 4) holds K points per bacterium of each run, and
+    ``theta`` (B, S, 4) the runs' swarms. ``term(i)`` gives the (B, K) term
+    at each point ``points[b, i]`` against run ``b``'s own swarm, with
+    bacterium ``i`` standing at the point: its own distance is zero there
+    whatever ``theta[b, i]`` holds. Without swarming the term is zero
     everywhere, and ``f - 0.0`` is ``f`` for every float, so a cost is the
-    plain objective bit for bit. With swarming it is attractant
-    wells plus repellent hills of every member (itself included; at zero
-    distance the two cancel at equal heights), over squared distances in
-    unit coordinates. With ``i`` given, bacterium ``i`` stands at each point
-    in turn, so its distance is zero there whatever ``theta[b, i]`` holds.
+    plain objective bit for bit; ``term(i)`` is then a (B, K) block of
+    zeros. With swarming it is attractant wells plus repellent hills of
+    every member (``i`` included; at zero distance the two cancel at equal
+    heights), over squared distances in unit coordinates.
 
-    A caller that makes many calls of one shape passes ``work`` from
-    ``_work`` and, in place of ``points`` and ``theta``, their coordinate
-    views ``points.transpose(2, 0, 1)[..., None]`` (4, B, K, 1) and
-    ``theta.transpose(2, 0, 1)[:, :, None]`` (4, B, 1, S); a call is then
-    one chain of numpy calls that write into ``work``, and the result is
-    ``work.attract``, valid until the next call with it. A call
-    without ``work`` makes both itself. The squared differences share one
-    buffer with the signals, so a call holds 1.25 times its largest array.
+    The buffers and the coordinate views of ``points`` and ``theta`` are
+    made once, here, and each call is one chain of numpy calls that write
+    into them. The views read both arrays at call time, so writes into
+    either between calls show in the next result; a result is valid until
+    the next call. The squared differences share one buffer with the
+    signals and their sums, so a term holds 1.25 times its (4, B, K, S)
+    largest array.
 
     The result is bit-identical to scoring each point of each run alone:
     the squared distances are summed over the leading axis of a
@@ -248,23 +222,33 @@ def _potentials(points: np.ndarray, theta: np.ndarray, params: BfaParams,
     axis, whatever the axes before it; and numpy's ``exp`` gives the same
     value for an element whatever the shape of the array around it.
     """
-    if work is None:
-        work = _work(params, points.shape[0], points.shape[1], theta.shape[1])
-        points = points.transpose(2, 0, 1)[..., None]
-        theta = theta.transpose(2, 0, 1)[:, :, None]
-    squares, distances, signals, sums, attract, repel, widths, heights = work
-    if squares is None:
-        return attract
-    np.subtract(theta, points, out=squares)
-    np.multiply(squares, squares, out=squares)
-    np.add.reduce(squares, axis=0, out=distances)
-    if i is not None:
+    batch, size = theta.shape[:2]
+    count = points.shape[2]
+    if not params.swarming:
+        zeros = np.zeros((batch, count))
+        return lambda i: zeros
+    squares = np.empty((N_DIMENSIONS, batch, count, size))
+    distances = np.empty((batch, count, size))
+    signals = squares[:2]
+    sums = squares[2:].reshape(-1)[: 2 * batch * count].reshape(2, batch, count)
+    attract, repel = sums
+    widths = np.reshape((-params.w_att, -params.w_rep), (2, 1, 1, 1))
+    heights = np.reshape((-params.h_att, params.h_rep), (2, 1, 1, 1))
+    coordinates = points.transpose(3, 0, 1, 2)[..., None]  # (4, B, S, K, 1)
+    swarm = theta.transpose(2, 0, 1)[:, :, None]  # (4, B, 1, S)
+
+    def term(i: int) -> np.ndarray:
+        np.subtract(swarm, coordinates[:, :, i], out=squares)
+        np.multiply(squares, squares, out=squares)
+        np.add.reduce(squares, axis=0, out=distances)
         distances[:, :, i] = 0.0
-    np.multiply(widths, distances, out=signals)
-    np.exp(signals, out=signals)
-    np.multiply(signals, heights, out=signals)  # attractant wells, repellent hills
-    np.add.reduce(signals, axis=3, out=sums)
-    return np.add(attract, repel, out=attract)
+        np.multiply(widths, distances, out=signals)
+        np.exp(signals, out=signals)
+        np.multiply(signals, heights, out=signals)  # attractant wells, repellent hills
+        np.add.reduce(signals, axis=3, out=sums)
+        return np.add(attract, repel, out=attract)
+
+    return term
 
 
 # no run calls it: it stays as the tests' one-move reference and the hook perfbench's tracer patches
@@ -278,7 +262,7 @@ def chemotaxis_move(
     """Step bacterium ``i`` along ``direction``, clamp, re-evaluate; returns the new cost."""
     swarm.theta[i] = np.clip(swarm.theta[i] + params.step_size * direction, 0.0, 1.0)
     path = swarm.theta[i : i + 1]
-    potentials = _potentials(path[None], swarm.theta[None], params, i)
+    potentials = _swarming_term(params, swarm.theta[None, :, None], swarm.theta[None])(i)
     _swim(i, path, map(score, path), potentials[0], math.inf, swarm)
     return swarm.cost[i]
 
@@ -317,21 +301,24 @@ def _initialize(
     Returns the (B, S, 4) block of positions and each run's swarm. Draw
     order is fixed: all positions first, bacterium by bacterium, one unit
     draw per component, as one ``sample_units`` block of ``4 * S`` draws per
-    run; then every cost is evaluated against the complete initial swarm,
-    a block scorer's in one call.
+    run; then every run evaluates its costs bacterium by bacterium, taking
+    the indices in turn across the batch, a block scorer's values all from
+    one call. A placement swim writes back the position it already holds,
+    so every cost is against the complete initial swarm.
     """
     theta = np.array([engine.sample_units(N_DIMENSIONS * params.pop_size) for engine in engines])
     theta = theta.reshape(len(engines), params.pop_size, N_DIMENSIONS)
-    potentials = _potentials(theta, theta, params).tolist()
     values = _scored(theta[:, :, None], scores)
+    term = _swarming_term(params, theta[:, :, None], theta)
     swarms = []
     for b in range(len(engines)):
         zeros = np.zeros(params.pop_size)
-        swarm = SwarmState(theta=theta[b], f_plain=zeros.copy(), cost=zeros.copy(), health=zeros,
-                           best_theta=theta[b, 0].copy(), best_f=-math.inf)
-        for i in range(swarm.size):
-            _swim(i, theta[b, i : i + 1], values[b][i], potentials[b][i : i + 1], math.inf, swarm)
-        swarms.append(swarm)
+        swarms.append(SwarmState(theta=theta[b], f_plain=zeros.copy(), cost=zeros.copy(),
+                                 health=zeros, best_theta=theta[b, 0].copy(), best_f=-math.inf))
+    for i in range(params.pop_size):
+        potentials = term(i).tolist()
+        for b, swarm in enumerate(swarms):
+            _swim(i, theta[b, i : i + 1], values[b][i], potentials[b], math.inf, swarm)
     return theta, swarms
 
 
@@ -409,22 +396,20 @@ def _generation(
     exactly ``4 * S`` draws on (four more per redraw).
     """
     moves = [[] for _ in swarms]
-    batch, size = theta.shape[:2]
+    size = theta.shape[1]
     # only the tumbles draw within a generation, and a bacterium's start
     # changes only through its own swim, so every run's directions and every
     # reachable path are known before the first swim
     paths = _swim_path(theta, _directions(engines, size), params)
     steps = paths[:, :, 1:]
     values = _scored(steps, scores)
-    # made after scoring, so they never add to the scorer's own arrays; the
-    # coordinate views stay valid as the swims write theta in place
-    work = _work(params, batch, params.n_swim + 2, size)
-    points = paths.transpose(3, 0, 1, 2)[..., None]
-    swarm_view = theta.transpose(2, 0, 1)[:, :, None]
+    # made after scoring, so its buffers never add to the scorer's own
+    # arrays; it reads theta as the swims write it in place
+    term = _swarming_term(params, paths, theta)
     for i in range(size):
         # the other bacteria stand still during a swim, so the swarming term
         # at every run's start and along its reachable path is one call
-        potentials = _potentials(points[:, :, i], swarm_view, params, i, work).tolist()
+        potentials = term(i).tolist()
         for b, swarm in enumerate(swarms):
             terms = potentials[b]
             start = terms.pop(0)  # where bacterium i stands; the rest pair with steps[b, i]
@@ -467,6 +452,7 @@ def _disperse(
     a block of four unit draws for a fresh position and is re-evaluated. The
     best-so-far archive is never erased.
     """
+    term = _swarming_term(params, theta[:, :, None], theta)
     for i in range(theta.shape[1]):
         moved = []
         for b, engine in enumerate(engines):
@@ -476,7 +462,7 @@ def _disperse(
         if moved:
             # bacteria after i have not moved yet: each run's term is against
             # its swarm as it stands at this index
-            potentials = _potentials(theta[:, i : i + 1], theta, params, i).tolist()
+            potentials = term(i).tolist()
             values = _scored(theta[:, i : i + 1, None], scores)
             for b in moved:
                 _swim(i, theta[b, i : i + 1], values[b][0], potentials[b], math.inf, swarms[b])
@@ -485,14 +471,11 @@ def _disperse(
 def _run_floats(params: BfaParams) -> int:
     """The float64s one run adds to the largest array of a batched call.
 
-    With swarming that array is the (4, B, K, S) block of squared
-    differences in ``_potentials``, K being ``n_swim + 2`` on a swim path
-    and S at the initial placement; without, it is the generation's
-    (B, S, n_swim + 2, 4) block of swim paths.
+    That is the generation's (B, S, n_swim + 2, 4) block of swim paths
+    and, with swarming, its term's (4, B, n_swim + 2, S) block of squared
+    differences, which holds as many.
     """
-    path = params.n_swim + 2
-    points = max(path, params.pop_size) if params.swarming else path
-    return N_DIMENSIONS * params.pop_size * points
+    return N_DIMENSIONS * params.pop_size * (params.n_swim + 2)
 
 
 def _batch_limit(params: BfaParams) -> int:

@@ -80,7 +80,10 @@ _parse_int_exact.__name__ = "int"  # argparse names a flag's type in its usage e
 
 
 def _parse_seed(text: str) -> int:
-    return int(text, 0)  # decimal, 0x hex, 0o octal or 0b binary
+    try:
+        return int(text, 0)  # decimal, 0x hex, 0o octal or 0b binary
+    except ValueError:
+        return _parse_int_exact(text)  # integral decimals such as "1.0" or "1e3"
 
 
 _parse_seed.__name__ = "int"
@@ -456,7 +459,7 @@ def build_parser() -> _Parser:
                    help="exact sweep or Monte Carlo estimate (default: %(default)s)")
     p.add_argument("--samples", type=_parse_int_exact, default=1_000_000,
                    help="Monte Carlo sample count (default: %(default)s)")
-    p.add_argument("--seed", type=_parse_int_exact, help="Monte Carlo seed; required with --method mc")
+    p.add_argument("--seed", type=_parse_seed, help="Monte Carlo seed; required with --method mc")
     p.set_defaults(handler=_cmd_hvi)
 
     p = sub.add_parser("aer", help="average explorative rate of a trace CSV")

@@ -134,8 +134,8 @@ def generate_weights(step: float, minimum: float) -> list[WeightVector]:
     if not minimum >= 0:
         raise LatticeError(f"minimum must be non-negative, got {minimum}")
     resolution = 1.0 / step
-    if abs(resolution - round(resolution)) > 1e-9:
-        raise LatticeError(f"1/step must be an integer, got step={step}")
+    if not (math.isfinite(resolution) and abs(resolution - round(resolution)) <= 1e-9):
+        raise LatticeError(f"1/step must be a finite integer, got step={step}")
     budget = (1.0 - 4.0 * minimum) / step
     if budget < -1e-9:
         raise LatticeError(f"no tuple exists: 4 * {minimum} exceeds 1")

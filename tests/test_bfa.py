@@ -15,7 +15,7 @@ from bforage.bfa import (
     _disperse,
     _generation,
     _initialize,
-    _potentials,
+    _swarming_term,
     _swim_path,
     chemotaxis_move,
 )
@@ -46,9 +46,10 @@ def sphere_score(u):
     return -float(np.sum((np.asarray(u) - 0.5) ** 2))
 
 
-def potential_at(theta, swarm, params):
-    """The swarming term at one point, with every bacterium where it stands."""
-    return float(_potentials(np.reshape(theta, (1, 1, 4)), swarm.theta[None], params)[0, 0])
+def potential_at(theta, swarm, params, i):
+    """The swarming term at one point, with bacterium ``i`` there and the rest where they stand."""
+    points = np.broadcast_to(theta, (1, swarm.size, 1, 4))
+    return float(_swarming_term(params, points, swarm.theta[None])(i)[0, 0])
 
 
 def small_swarm(positions, params, score=sphere_score):
@@ -64,7 +65,7 @@ def stepwise_generation(swarm, engine, score, params):
     for i in range(swarm.size):
         previous = swarm.f_plain[i]
         if params.swarming:
-            previous = previous - potential_at(swarm.theta[i], swarm, params)
+            previous = previous - potential_at(swarm.theta[i], swarm, params, i)
         direction = _directions([engine], 1)[0, 0]
         current = chemotaxis_move(i, direction, swarm, score, params)
         taken = 1
@@ -173,6 +174,28 @@ def test_a_width_whose_signal_overflows_at_the_cube_diagonal_is_rejected(name):
 @pytest.mark.parametrize("name", ["w_rep", "w_att"])
 def test_the_largest_accepted_width_runs_a_generation_without_a_warning(name):
     params = BfaParams(n_total=1, pop_size=6, **{name: LARGEST / 4})
+    config = EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_bfa(WEIGHTS, params, config)
+    assert math.isfinite(result.best_f) and len(result.trace) == 1
+
+
+# a swim path's running sum reaches its start plus n_swim + 1 steps; at the
+# default n_swim = 5, 1.0 + 6 * (LARGEST / 6) already rounds past LARGEST
+STEP = math.nextafter(LARGEST / 6, 0.0)
+
+
+def test_a_step_whose_swim_path_overflows_is_rejected():
+    with pytest.raises(ConfigError, match=r"step_size=1e\+308 overflows"):
+        BfaParams(step_size=1e308)
+    with pytest.raises(ConfigError, match="step_size=.* overflows"):
+        BfaParams(step_size=_up(STEP))
+    assert BfaParams(step_size=STEP).step_size == STEP
+
+
+def test_the_largest_accepted_step_runs_a_generation_without_a_warning():
+    params = BfaParams(n_total=1, pop_size=6, step_size=STEP)
     config = EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -291,21 +314,23 @@ def test_move_accumulates_health():
 def test_swarming_cancels_when_all_bacteria_coincide():
     params = BfaParams()
     swarm = small_swarm([(0.3, 0.3, 0.3, 0.3)] * 7, params)
-    assert potential_at(swarm.theta[0], swarm, params) == 0.0
+    assert potential_at(swarm.theta[0], swarm, params, 0) == 0.0
 
 
 def test_swarming_single_member_hand_value():
     params = BfaParams()  # heights 0.1, widths 0.2 and 10
-    swarm = small_swarm([(0.0, 0.0, 0.0, 0.0)], params)
-    theta = np.array([1.0, 0.0, 0.0, 0.0])  # squared distance 1
+    # bacterium 1 stands at squared distance 1 from the other; at its own
+    # zero distance its two equal heights cancel
+    swarm = small_swarm([(0.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, 0.5)], params)
+    theta = np.array([1.0, 0.0, 0.0, 0.0])
     expected = -0.1 * math.exp(-0.2) + 0.1 * math.exp(-10.0)
-    assert potential_at(theta, swarm, params) == pytest.approx(expected, rel=1e-12)
+    assert potential_at(theta, swarm, params, 1) == pytest.approx(expected, rel=1e-12)
 
 
 def test_swarming_zero_heights_zero_term():
     params = BfaParams(h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.1, 0.2, 0.3, 0.4), (0.9, 0.8, 0.7, 0.6)], params)
-    assert potential_at(np.array([0.5, 0.5, 0.5, 0.5]), swarm, params) == 0.0
+    assert potential_at(np.array([0.5, 0.5, 0.5, 0.5]), swarm, params, 0) == 0.0
 
 
 @pytest.mark.parametrize("kind", list(EngineKind))
@@ -329,10 +354,11 @@ def test_swarming_is_on_unless_both_heights_are_zero():
     assert not BfaParams(h_att=0.0, h_rep=-0.0).swarming
     with pytest.raises(TypeError):
         BfaParams(swarming=False)
-    # without swarming the largest array is the generation's block of swim paths
+    # the largest array holds a swim path's worth of points per bacterium,
+    # as the block of swim paths and as the swarming term's squared differences
     params = BfaParams(pop_size=25, n_swim=5, h_att=0.0, h_rep=0.0)
     assert bfa._run_floats(params) == 25 * (5 + 2) * 4
-    assert bfa._run_floats(replace(params, h_att=0.1)) == 4 * 25 * 25
+    assert bfa._run_floats(replace(params, h_att=0.1)) == 4 * 25 * (5 + 2)
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 8, 9, 25])
@@ -346,16 +372,18 @@ def test_path_potentials_equal_swarming_term_at_each_point(size):
     for i in range(size):
         path = _swim_path(swarm.theta[None, i], _directions([engine], 1)[0], params)[0]
         assert ((path[1:] == 0.0) | (path[1:] == 1.0)).any()  # the swim reaches a face
-        potentials = _potentials(path[None], swarm.theta[None], params, i)[0]
+        points = np.broadcast_to(path, (1, size) + path.shape)
+        potentials = _swarming_term(params, points, swarm.theta[None])(i)[0]
         assert potentials.shape == (len(path),)
         for point, potential in zip(path, potentials):
             moved = small_swarm(swarm.theta, params)
             moved.theta[i] = point
-            assert potential == potential_at(point, moved, params)
+            assert potential == potential_at(point, moved, params, i)
 
 
 def reference_potentials(points, theta, params, i=None):
-    """The swarming term as it was computed before it had work buffers:
+    """The swarming term at ``points`` (B, K, 4) against ``theta`` (B, S, 4),
+    as it was computed before it had work buffers:
     transposed inputs, ``np.multiply.outer`` on a tuple of widths and one
     height multiply per signal, each array allocated by its own call."""
     if not params.swarming:
@@ -382,25 +410,42 @@ def bits(values):
 @pytest.mark.parametrize("batch", [1, 3, 16])
 @pytest.mark.parametrize("size", [1, 7, 8, 9, 25])
 def test_buffered_potentials_equal_the_unbuffered_reference_bit_for_bit(batch, size):
-    # sizes on both sides of 8, where numpy's sum turns pairwise; one set of
-    # buffers serves consecutive calls with different i, as in a generation,
-    # so a column zeroed by an earlier call would show in a later one
+    # sizes on both sides of 8, where numpy's sum turns pairwise; one term
+    # serves consecutive calls with different i, as in a generation, so a
+    # column zeroed by an earlier call would show in a later one
     for heights in [(0.0, 0.0), (0.1, 0.1), (-0.3, 2.5)]:
         params = BfaParams(pop_size=size, h_att=heights[0], h_rep=heights[1])
         for count in sorted({1, params.n_swim + 2, size}):
             rng = np.random.default_rng([batch, size, count])
             theta = rng.random((batch, size, 4))
-            points = rng.random((batch, count, 4))
-            points[:, 0] = theta[:, 0]  # zero distance to a member
-            points[:, -1, :2] = (0.0, 1.0)  # on two faces of the cube
-            work = bfa._work(params, batch, count, size)
-            views = points.transpose(2, 0, 1)[..., None], theta.transpose(2, 0, 1)[:, :, None]
-            for i in [None, *range(size), *reversed(range(size)), None]:
-                expected = bits(reference_potentials(points, theta, params, i))
+            points = rng.random((batch, size, count, 4))
+            points[:, :, 0] = theta[:, :1]  # zero distance to a member
+            points[:, :, -1, :2] = (0.0, 1.0)  # on two faces of the cube
+            term = _swarming_term(params, points, theta)
+            for i in [*range(size), *reversed(range(size))]:
+                expected = bits(reference_potentials(points[:, i], theta, params, i))
                 assert expected.shape == (batch, count)
-                label = (heights, count, i)
-                assert np.array_equal(bits(_potentials(*views, params, i, work)), expected), label
-                assert np.array_equal(bits(_potentials(points, theta, params, i)), expected), label
+                assert np.array_equal(bits(term(i)), expected), (heights, count, i)
+
+
+@pytest.mark.parametrize("heights", [(0.1, 0.1), (-0.3, 2.5)])
+def test_a_term_follows_writes_to_theta_and_points_between_calls(heights):
+    # a generation's swims write theta between calls, and a dispersal writes
+    # a fresh position into theta, which is also its points, before term(i)
+    params = BfaParams(pop_size=9, h_att=heights[0], h_rep=heights[1])
+    rng = np.random.default_rng(20)
+    theta = rng.random((3, 9, 4))
+    points = rng.random((3, 9, 7, 4))
+    term = _swarming_term(params, points, theta)
+    dispersal = _swarming_term(params, theta[:, :, None], theta)
+    for i in [0, 4, 8, 4]:
+        theta[:, rng.integers(9)] = rng.random((3, 4))
+        points[:, i] = rng.random((7, 4))
+        expected = bits(reference_potentials(points[:, i], theta, params, i))
+        assert np.array_equal(bits(term(i)), expected), i
+        theta[:, i] = rng.random((3, 4))
+        expected = bits(reference_potentials(theta[:, i : i + 1], theta, params, i))
+        assert np.array_equal(bits(dispersal(i)), expected), i
 
 
 @pytest.mark.parametrize("step", [0.05, 0.3, 0.9])
@@ -876,13 +921,14 @@ def test_a_swim_too_long_for_memory_is_rejected_before_any_allocation():
 
 
 def test_potentials_peak_stays_near_the_largest_array():
-    # the (4, 1, 1000, 1000) squared differences are freed before the
-    # (2, 1, 1000, 1000) signals are made
+    # the (2, 1, 1000, 1000) signals and their sums are written into the
+    # (4, 1, 1000, 1000) buffer of squared differences
     theta = np.random.default_rng(3).random((1, 1000, 4))
+    points = np.broadcast_to(theta[:, None], (1, 1000, 1000, 4))  # each bacterium's points: the swarm
     largest = 4 * 1000 * 1000 * 8
     tracemalloc.start()
     try:
-        _potentials(theta, theta, BfaParams(pop_size=1000))
+        _swarming_term(BfaParams(pop_size=1000), points, theta)(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -908,19 +954,20 @@ def test_a_model_run_peaks_no_higher_than_with_buffers_made_per_call(heights, pa
 
 
 @pytest.mark.parametrize("fields,runs", [
-    # 4 * (n_swim + 2) * S with swarming; without, the generation's
-    # (B, S, n_swim + 2, 4) block of swim paths, the same count
+    # 4 * (n_swim + 2) * S with swarming, the (4, B, n_swim + 2, S) squared
+    # differences; without, the generation's (B, S, n_swim + 2, 4) block of
+    # swim paths, the same count
     (dict(pop_size=2, n_swim=2**24 - 2), 1),
     (dict(pop_size=2, n_swim=2**24 - 1), 0),
     (dict(pop_size=2, n_swim=2**24 - 2, h_att=0.0, h_rep=0.0), 1),
     (dict(pop_size=2, n_swim=2**24 - 1, h_att=0.0, h_rep=0.0), 0),
-    # 4 * S * S at the initial placement: 4 * 5792**2 <= 2**27 < 4 * 5793**2
-    (dict(pop_size=5792), 1),
-    (dict(pop_size=5793), 0),
-    # without swarming S multiplies the path length: 4 * S * 2 at n_swim = 0
+    # with swarming too, at the default n_swim: 4 * 7 * 4793490 <= 2**27 < 4 * 7 * 4793491
+    (dict(pop_size=4793490), 1),
+    (dict(pop_size=4793491), 0),
+    # S multiplies the path length: 4 * S * 2 at n_swim = 0
     (dict(pop_size=2**24, n_swim=0, h_att=0.0, h_rep=0.0), 1),
     (dict(pop_size=2**24 + 1, n_swim=0, h_att=0.0, h_rep=0.0), 0),
-    (dict(), 2**27 // (4 * 25 * 25)),
+    (dict(), 2**27 // (4 * 25 * 7)),
     # one run fitted while each tumble built only its own path; its block
     # of swim paths alone now exceeds 2**27 float64s
     (dict(pop_size=2, n_swim=2**25 - 2, h_att=0.0, h_rep=0.0), 0),

@@ -258,6 +258,12 @@ def test_run_rejects_non_finite_input(capsys, argv, code):
     assert run_cli(capsys, "run", "--seed", "1", "--nt", "2", "--pop", "4", *argv)[0] == code
 
 
+def test_run_rejects_a_step_whose_swim_path_overflows(capsys):
+    code, out, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--step", "1e308")
+    assert code == 2 and out == ""
+    assert "step_size=1e+308 overflows" in err
+
+
 @pytest.mark.parametrize("argv,field", [
     (["--engine", "weibull", "--engine-param", "k=0.001"], "k="),
 ])
@@ -417,7 +423,8 @@ def test_weights_stdout_lattice(capsys):
 
 
 def test_weights_lattice_error_exit_code(capsys):
-    for step, minimum in [("0.1", "0.3"), ("nan", "0.1"), ("0.1", "nan")]:
+    # 1/1e-320 overflows to inf
+    for step, minimum in [("0.1", "0.3"), ("nan", "0.1"), ("0.1", "nan"), ("1e-320", "0.1")]:
         code, _, _ = run_cli(capsys, "weights", "--step", step, "--min", minimum)
         assert code == 2
 
@@ -458,6 +465,20 @@ def test_hvi_monte_carlo_requires_seed(capsys, tmp_path):
                            "--samples", "1000", "--seed", "8")
     assert code == 0
     assert "samples=1000" in out
+
+
+def test_hvi_seed_parses_like_the_run_seed(capsys, tmp_path):
+    from test_experiment import make_record
+
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
+    estimates = []
+    for seed in ("0x10", "16"):
+        code, out, _ = run_cli(capsys, "hvi", "--input", str(path), "--method", "mc",
+                               "--samples", "1000", "--seed", seed)
+        assert code == 0 and "seed=16" in out.splitlines()
+        estimates.append(out.splitlines()[0])
+    assert estimates[0] == estimates[1]
 
 
 @pytest.mark.parametrize("method", [["--method", "exact"], ["--method", "mc", "--seed", "1"]],
@@ -532,8 +553,9 @@ def test_malformed_csv_is_schema_error_exit_2(capsys, tmp_path):
     assert "line 1" in err
 
 
+# 4 * (n_swim + 2) * pop_size float64s, over 2**27 at the default n_swim = 5
 @pytest.mark.parametrize("flag,value,name", [("--ns", "100000000", "n_swim"),
-                                              ("--pop", "200000", "pop_size")])
+                                              ("--pop", "4793491", "pop_size")])
 def test_run_too_large_for_memory_exits_2(capsys, flag, value, name):
     code, out, err = run_cli(capsys, "run", "--seed", "1", "--nt", "2", "--pop", "2",
                              "--weights", "1,0,0,0", flag, value)

@@ -103,7 +103,8 @@ def test_lattice_errors():
         generate_weights(0.3, 0.0)      # 1/0.3 is not an integer
     with pytest.raises(LatticeError):
         generate_weights(0.5, 0.1)      # leftover budget of 1.2 steps misses the lattice
-    for step, minimum in ((math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan)):
+    # 1/1e-320 overflows to inf
+    for step, minimum in ((math.nan, 0.1), (math.inf, 0.1), (0.1, math.nan), (1e-320, 0.1)):
         with pytest.raises(LatticeError):
             generate_weights(step, minimum)
 
