@@ -14,7 +14,7 @@ so a run is a pure function of its weight vector, parameters and engine
 configuration. :func:`run_batch` advances several runs that share their
 parameters in lockstep, one bacterium index at a time, so that numpy's
 fixed cost per call is paid once per batch; each run keeps its own engine
-and score, and its result is bit-identical to running it alone.
+and weights, and its result is bit-identical to running it alone.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from collections.abc import Sequence
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -52,8 +52,6 @@ N_DIMENSIONS = 4
 # the most float64s one array of a lockstep batch may hold (1 GiB)
 _MAX_ARRAY_FLOATS = 2**27
 
-ScoreFn = Callable[[np.ndarray], float]
-_Scores = Union[Callable[[np.ndarray], np.ndarray], Sequence[ScoreFn]]
 Observer = Callable[[int, "SwarmState"], None]
 
 
@@ -256,14 +254,14 @@ def chemotaxis_move(
     i: int,
     direction: np.ndarray,
     swarm: SwarmState,
-    score: ScoreFn,
+    score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
 ) -> float:
     """Step bacterium ``i`` along ``direction``, clamp, re-evaluate; returns the new cost."""
     swarm.theta[i] = np.clip(swarm.theta[i] + params.step_size * direction, 0.0, 1.0)
     path = swarm.theta[i : i + 1]
     potentials = _swarming_term(params, swarm.theta[None, :, None], swarm.theta[None])(i)
-    _swim(i, path, map(score, path), potentials[0], math.inf, swarm)
+    _swim(i, path, score(path).tolist(), potentials[0], math.inf, swarm)
     return swarm.cost[i]
 
 
@@ -273,28 +271,17 @@ def chemotaxis_move(
 # bacterium index at a time. ``theta`` is the (B, S, 4) block of positions
 # and ``swarms[b].theta`` is its view ``theta[b]``, so the batched numpy
 # calls and each run's own bookkeeping see the same positions. Every run
-# keeps its own engine and score, and draws and scores in the order it
-# would alone, so a run's result does not depend on the batch around it.
-# A model batch's scores are one block scorer: it scores every point a
+# keeps its own engine and draws in the order it would alone, so a run's
+# result does not depend on the batch around it. A batch's score maps a
+# float64 array of unit points, shaped (B, ..., 4), to the (B, ...) array
+# of their values, run b's points under row b. It scores every point a
 # placement, a generation or a dispersal can reach in one call, and each
-# swim reads its values from that block. Per-run scores are called lazily,
-# at committed points only, in order.
-
-
-def _scored(points: np.ndarray, scores: _Scores) -> list:
-    """For each run ``b``, the values along each of its paths ``points[b, j]`` (K, 4).
-
-    A block scorer gives all (B, J, K) values from one call, as nested
-    lists; per-run scores map each path lazily, so a swim calls a score
-    only at the points it commits, in order.
-    """
-    if callable(scores):
-        return scores(points).tolist()
-    return [[map(score, path) for path in paths] for score, paths in zip(scores, points)]
+# swim reads its values from that block.
 
 
 def _initialize(
-    engines: Sequence[StochasticEngine], params: BfaParams, scores: _Scores
+    engines: Sequence[StochasticEngine], params: BfaParams,
+    score: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, list[SwarmState]]:
     """Place ``pop_size`` bacteria per run at engine-drawn positions and evaluate them.
 
@@ -302,13 +289,13 @@ def _initialize(
     order is fixed: all positions first, bacterium by bacterium, one unit
     draw per component, as one ``sample_units`` block of ``4 * S`` draws per
     run; then every run evaluates its costs bacterium by bacterium, taking
-    the indices in turn across the batch, a block scorer's values all from
-    one call. A placement swim writes back the position it already holds,
+    the indices in turn across the batch, every value from one ``score``
+    call. A placement swim writes back the position it already holds,
     so every cost is against the complete initial swarm.
     """
     theta = np.array([engine.sample_units(N_DIMENSIONS * params.pop_size) for engine in engines])
     theta = theta.reshape(len(engines), params.pop_size, N_DIMENSIONS)
-    values = _scored(theta[:, :, None], scores)
+    values = score(theta[:, :, None]).tolist()
     term = _swarming_term(params, theta[:, :, None], theta)
     swarms = []
     for b in range(len(engines)):
@@ -346,10 +333,9 @@ def _swim(i: int, path: np.ndarray, values, potentials, previous: float,
 
     Every evaluation of the optimizer commits here: the initial placement,
     a dispersal and ``chemotaxis_move`` as a one-point path, which commits
-    one evaluation whatever ``previous`` is. ``values`` yields the
-    objective at each point of ``path`` in turn: a list scored ahead, or a
-    lazy ``map(score, path)``, which the swim advances only to the points
-    it commits. ``potentials[k]`` is the swarming term at ``path[k]``, and
+    one evaluation whatever ``previous`` is. ``values[k]`` is the objective
+    at ``path[k]``, scored ahead; values past the last committed point are
+    dropped. ``potentials[k]`` is the swarming term at ``path[k]``, and
     ``previous`` the cost the first point must beat before a second may
     follow. Keeping the health sum in a local and writing the row once per
     swim makes a batch of 8 default runs about 9 % faster than a write per
@@ -377,17 +363,16 @@ def _generation(
     theta: np.ndarray,
     swarms: Sequence[SwarmState],
     engines: Sequence[StochasticEngine],
-    scores: _Scores,
+    score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
 ) -> None:
     """One generation of every run: each bacterium tumbles once, then swims while improving.
 
     The swim gate compares augmented fitness before and after each move; a
     move is always committed, the gate only decides whether another one
-    follows. A block scorer gives the objective at every step of every
-    run's swim paths, the (B, S, n_swim + 1) values, in one call before the
-    first swim, and each swim reads its values from that block; per-run
-    scores are called only at committed positions, in order. Appends each
+    follows. ``score`` gives the objective at every step of every run's
+    swim paths, the (B, S, n_swim + 1) values, in one call before the first
+    swim, and each swim reads its values from that block. Appends each
     run's best-so-far value to its trace.
 
     Draw order is fixed: every tumble of a run is drawn before its first
@@ -402,7 +387,7 @@ def _generation(
     # reachable path are known before the first swim
     paths = _swim_path(theta, _directions(engines, size), params)
     steps = paths[:, :, 1:]
-    values = _scored(steps, scores)
+    values = score(steps).tolist()
     # made after scoring, so its buffers never add to the scorer's own
     # arrays; it reads theta as the swims write it in place
     term = _swarming_term(params, paths, theta)
@@ -443,7 +428,7 @@ def _disperse(
     theta: np.ndarray,
     swarms: Sequence[SwarmState],
     engines: Sequence[StochasticEngine],
-    scores: _Scores,
+    score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
 ) -> None:
     """Independently disperse each bacterium of every run with probability ``p_elim``.
@@ -463,7 +448,7 @@ def _disperse(
             # bacteria after i have not moved yet: each run's term is against
             # its swarm as it stands at this index
             potentials = term(i).tolist()
-            values = _scored(theta[:, i : i + 1, None], scores)
+            values = score(theta[:, i : i + 1, None]).tolist()
             for b in moved:
                 _swim(i, theta[b, i : i + 1], values[b][0], potentials[b], math.inf, swarms[b])
 
@@ -484,12 +469,12 @@ def _batch_limit(params: BfaParams) -> int:
 
 
 def _run_lockstep(
-    scores: _Scores,
+    score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
     engine_configs: Sequence[EngineConfig],
     observer: Optional[Observer] = None,
 ) -> list[RunResult]:
-    """Run one optimizer per (score, engine config) pair in lockstep.
+    """Run one optimizer per engine config in lockstep, scoring run ``b``'s points in row ``b``.
 
     Raises :class:`DomainError` when a run ends without a finite best
     value, so a broken objective never yields a plausible-looking result,
@@ -505,10 +490,10 @@ def _run_lockstep(
             f"float64s in one array for {len(engine_configs)} run(s), over the limit of "
             f"2**27 (1 GiB); lower n_swim or pop_size")
     engines = [StochasticEngine(config) for config in engine_configs]
-    theta, swarms = _initialize(engines, params, scores)
+    theta, swarms = _initialize(engines, params, score)
     dispersal_period = params.n_chemo * params.n_repro
     for generation in range(1, params.n_total + 1):
-        _generation(theta, swarms, engines, scores, params)
+        _generation(theta, swarms, engines, score, params)
         # reproduction and dispersal happen between generations; one that
         # falls exactly on the budget boundary is skipped, so the final
         # trace entry always reflects the final archive
@@ -517,7 +502,7 @@ def _run_lockstep(
                 for swarm in swarms:
                     reproduce(swarm)
             if generation % dispersal_period == 0:
-                _disperse(theta, swarms, engines, scores, params)
+                _disperse(theta, swarms, engines, score, params)
         if observer is not None:
             for swarm in swarms:
                 observer(generation, swarm)
@@ -538,17 +523,19 @@ def _run_lockstep(
 
 
 def run_custom(
-    score: ScoreFn,
+    score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
     engine_config: EngineConfig,
     observer: Optional[Observer] = None,
 ) -> RunResult:
     """Run the optimizer on an arbitrary unit-cube objective (maximized).
 
+    ``score`` maps float64 unit points, shaped ``(..., 4)``, to their ``(...)`` values; a function
+    ``f`` of one point adapts as ``lambda points: np.apply_along_axis(f, -1, points)``.
     Raises :class:`DomainError` when the run ends without a finite best
     value, so a broken objective never yields a plausible-looking result.
     """
-    return _run_lockstep([score], params, [engine_config], observer)[0]
+    return _run_lockstep(score, params, [engine_config], observer)[0]
 
 
 def run_batch(

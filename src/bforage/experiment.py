@@ -61,6 +61,9 @@ __all__ = [
 
 NADIR_REFERENCE = (0.0, 0.0, 0.0, 0.0)
 
+# the most weight vectors a lattice may hold (about 210 MB); step 0.01 at minimum 0 gives 176 851
+_MAX_WEIGHTS = 1_000_000
+
 FRONTIER_HEADER = [
     "engine", "w1", "w2", "w3", "w4", "run_id", "seed",
     "A", "B", "C", "D", "f1", "f2", "f3", "f4", "F", "aer",
@@ -142,6 +145,11 @@ def generate_weights(step: float, minimum: float) -> list[WeightVector]:
     if abs(budget - round(budget)) > 1e-9:
         raise LatticeError(f"(1 - 4*minimum)/step must be an integer, got {budget}")
     total = int(round(budget))
+    count = math.comb(total + 3, 3)  # compositions of total into four parts
+    if count > _MAX_WEIGHTS:
+        shown = count if count < 10**15 else f"about 10**{int(math.log10(count))}"
+        raise LatticeError(f"step={step}, minimum={minimum} gives {shown} weight vectors, "
+                           f"over the limit of {_MAX_WEIGHTS}")
     out = []
     for i in range(total + 1):
         for j in range(total - i + 1):
@@ -381,7 +389,8 @@ def _read_csv(path, header: Sequence[str], parse_row) -> list:
 
     Blank rows are skipped. ``parse_row(row, count)`` gets the fields of one
     row and the number of rows parsed before it; a ``ValueError`` or
-    ``ConfigError`` it raises becomes a :class:`SchemaError` at that line.
+    ``ConfigError`` it raises becomes a :class:`SchemaError` at that line,
+    as does the reader's own ``csv.Error``, such as a field over its size limit.
     Every :class:`SchemaError` it raises names the file, so a bad input among several is known.
     """
     try:
@@ -390,24 +399,27 @@ def _read_csv(path, header: Sequence[str], parse_row) -> list:
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text ({exc.reason})", path=path) from None
     rows = csv.reader(io.StringIO(text, newline=""))
-    first = next(rows, None)
-    if first is None:
-        raise SchemaError("empty file", line=1, path=path)
-    if first != header:
-        missing = [c for c in header if c not in first]
-        if missing:
-            raise SchemaError(f"missing column {missing[0]!r}", line=1, path=path)
-        raise SchemaError(f"unexpected header {first!r}", line=1, path=path)
-    parsed = []
-    for line_no, row in enumerate(rows, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise SchemaError(f"expected {len(header)} fields, got {len(row)}", line=line_no, path=path)
-        try:
-            parsed.append(parse_row(row, len(parsed)))
-        except (ValueError, ConfigError) as exc:
-            raise SchemaError(str(exc), line=line_no, path=path) from exc
+    try:
+        first = next(rows, None)
+        if first is None:
+            raise SchemaError("empty file", line=1, path=path)
+        if first != header:
+            missing = [c for c in header if c not in first]
+            if missing:
+                raise SchemaError(f"missing column {missing[0]!r}", line=1, path=path)
+            raise SchemaError(f"unexpected header {first!r}", line=1, path=path)
+        parsed = []
+        for line_no, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(f"expected {len(header)} fields, got {len(row)}", line=line_no, path=path)
+            try:
+                parsed.append(parse_row(row, len(parsed)))
+            except (ValueError, ConfigError) as exc:
+                raise SchemaError(str(exc), line=line_no, path=path) from exc
+    except csv.Error as exc:
+        raise SchemaError(f"unreadable CSV ({exc})", line=rows.line_num, path=path) from None
     return parsed
 
 

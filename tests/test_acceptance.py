@@ -179,7 +179,7 @@ def test_criterion_6_structural_invariants_at_desk_scale():
                 replay = run_bfa(HEADLINE_WEIGHTS, params, cfg)
                 assert _canonical_bytes(replay) == _canonical_bytes(result)
 
-        # every single evaluation, swim moves included, stays feasible
+        # every scored point, swim steps included, stays feasible
         evaluated = {"n": 0}
 
         def audited_score(u):
@@ -191,9 +191,9 @@ def test_criterion_6_structural_invariants_at_desk_scale():
             evaluated["n"] += 1
             return aggregate(evaluate(x), HEADLINE_WEIGHTS)
 
-        audit = run_custom(audited_score, params,
-                           EngineConfig(kind=EngineKind.CHAOTIC, seed=101))
-        assert evaluated["n"] == audit.evaluations
+        audit = run_custom(lambda points: np.apply_along_axis(audited_score, -1, points),
+                           params, EngineConfig(kind=EngineKind.CHAOTIC, seed=101))
+        assert evaluated["n"] >= audit.evaluations
 
 
 def test_criterion_7_hill_climb_sanity():
@@ -206,7 +206,8 @@ def test_criterion_7_hill_climb_sanity():
         params = BfaParams(n_total=30, pop_size=25, h_att=0.0, h_rep=0.0)
         for kind in ALL_KINDS:
             for seed in (1, 2, 4):
-                result = run_custom(surrogate, params, EngineConfig(kind=kind, seed=seed))
+                result = run_custom(lambda points: np.apply_along_axis(surrogate, -1, points),
+                                    params, EngineConfig(kind=kind, seed=seed))
                 assert result.best_f >= -0.01, (kind, seed, result.best_f)
 
 

@@ -22,7 +22,7 @@ from bforage.bfa import (
 from bforage.engines import EngineConfig, EngineKind, StochasticEngine
 from bforage.errors import BudgetError, ConfigError, DomainError
 from bforage.experiment import generate_weights
-from bforage.problem import WeightVector, unit_block_scorer, unit_scorer
+from bforage.problem import WeightVector, unit_block_scorer
 
 WEIGHTS = WeightVector(0.1, 0.7, 0.1, 0.1)
 
@@ -44,6 +44,14 @@ class ScriptedEngine:
 
 def sphere_score(u):
     return -float(np.sum((np.asarray(u) - 0.5) ** 2))
+
+
+def block(score):
+    """A score of one (4,) point as a scorer of a (..., 4) block of points."""
+    return lambda points: np.apply_along_axis(score, -1, points)
+
+
+sphere = block(sphere_score)
 
 
 def potential_at(theta, swarm, params, i):
@@ -209,7 +217,7 @@ def test_the_largest_accepted_step_runs_a_generation_without_a_warning():
 def test_initialize_draws_four_units_per_bacterium():
     params = BfaParams(pop_size=25)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=9))
-    theta, (swarm,) = _initialize([engine], params, [sphere_score])
+    theta, (swarm,) = _initialize([engine], params, sphere)
     assert theta.shape == (1, 25, 4)
     assert swarm.size == 25
     assert engine.draws == 100
@@ -219,8 +227,8 @@ def test_initialize_draws_four_units_per_bacterium():
 def test_initialize_is_deterministic():
     params = BfaParams(pop_size=6)
     cfg = EngineConfig(kind=EngineKind.WEIBULL, seed=4)
-    _, (a,) = _initialize([StochasticEngine(cfg)], params, [sphere_score])
-    _, (b,) = _initialize([StochasticEngine(cfg)], params, [sphere_score])
+    _, (a,) = _initialize([StochasticEngine(cfg)], params, sphere)
+    _, (b,) = _initialize([StochasticEngine(cfg)], params, sphere)
     for name in ("theta", "f_plain", "cost", "health"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -228,7 +236,7 @@ def test_initialize_is_deterministic():
 def test_initialize_singleton_best_is_sole_member():
     params = BfaParams(pop_size=1)
     _, (swarm,) = _initialize([StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2))],
-                              params, [sphere_score])
+                              params, sphere)
     assert swarm.best_f == swarm.f_plain[0]
     assert np.array_equal(swarm.best_theta, swarm.theta[0])
 
@@ -276,7 +284,7 @@ def test_directions_equal_one_tumble_at_a_time(kind):
 def test_move_steps_along_the_axis():
     params = BfaParams(step_size=0.1, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.5, 0.5, 0.5, 0.5)], params)
-    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
+    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere, params)
     assert swarm.theta[0].tolist() == pytest.approx([0.6, 0.5, 0.5, 0.5], abs=1e-15)
     assert swarm.evaluations == 1
 
@@ -284,7 +292,7 @@ def test_move_steps_along_the_axis():
 def test_move_clamps_at_the_boundary():
     params = BfaParams(step_size=0.1, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.98, 0.5, 0.5, 0.5)], params)
-    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
+    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere, params)
     assert swarm.theta[0].tolist() == [1.0, 0.5, 0.5, 0.5]
 
 
@@ -294,7 +302,7 @@ def test_zero_step_leaves_position_and_cost_unchanged():
                              w_rep=10.0, w_att=0.2, h_rep=0.0, h_att=0.0)
     swarm = small_swarm([(0.25, 0.5, 0.5, 0.5)], params)
     before_cost = sphere_score(swarm.theta[0])
-    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere_score, params)
+    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere, params)
     assert swarm.theta[0].tolist() == [0.25, 0.5, 0.5, 0.5]
     assert swarm.cost[0] == before_cost
 
@@ -302,9 +310,9 @@ def test_zero_step_leaves_position_and_cost_unchanged():
 def test_move_accumulates_health():
     params = BfaParams(step_size=0.05, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.5, 0.5, 0.5, 0.5)], params)
-    chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere_score, params)
+    chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere, params)
     first = swarm.cost[0]
-    chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere_score, params)
+    chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere, params)
     assert swarm.health[0] == first + swarm.cost[0]
 
 
@@ -472,9 +480,9 @@ def test_swim_path_equals_iterated_clamp(step):
 def test_generation_with_swim_disabled_takes_one_move_each():
     params = BfaParams(pop_size=5, n_swim=0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
-    theta, (swarm,) = _initialize([engine], params, [sphere_score])
+    theta, (swarm,) = _initialize([engine], params, sphere)
     evals_before = swarm.evaluations
-    _generation(theta, [swarm], [engine], [sphere_score], params)
+    _generation(theta, [swarm], [engine], sphere, params)
     assert swarm.last_moves == [1] * 5
     assert swarm.evaluations == evals_before + 5
     assert len(swarm.trace) == 1
@@ -488,42 +496,47 @@ def test_swim_stops_after_a_worsening_first_move():
 
     def decreasing_score(u):
         calls["n"] += 1
-        return float(-calls["n"])  # every evaluation is worse than the last
+        return float(-calls["n"])  # every point is worse than the one scored before it
 
-    theta, (swarm,) = _initialize([engine], params, [decreasing_score])
-    _generation(theta, [swarm], [engine], [decreasing_score], params)
+    theta, (swarm,) = _initialize([engine], params, block(decreasing_score))
+    _generation(theta, [swarm], [engine], block(decreasing_score), params)
     assert swarm.last_moves == [1]
-    assert calls["n"] == 2  # the rest of the swim path is never scored
+    assert swarm.evaluations == 2
 
 
 @pytest.mark.parametrize("swarming", [True, False])
-def test_score_calls_match_the_stepwise_swim(monkeypatch, swarming):
-    # the batched swim scores exactly the positions the one-move-at-a-time
+def test_committed_points_match_the_stepwise_swim(monkeypatch, swarming):
+    # the batched swim commits exactly the positions the one-move-at-a-time
     # swim commits, in the same order, once per counted evaluation
     heights = 0.1 if swarming else 0.0
     params = BfaParams(n_total=12, pop_size=9, n_chemo=4, n_repro=2, step_size=0.2,
                        h_att=heights, h_rep=heights)
     assert params.swarming is swarming
     config = EngineConfig(kind=EngineKind.WEIBULL, seed=4)
+    # linear with its maximum at a vertex, so swims run into faces
+    score = block(lambda u: float(u[0] + 2.0 * u[1] - u[2] + 0.5 * u[3]))
+    swim = bfa._swim
 
     def recorded_run():
-        scored = []
+        committed = []
 
-        def score(u):  # linear with its maximum at a vertex, so swims run into faces
-            scored.append(tuple(u.tolist()))
-            return float(u[0] + 2.0 * u[1] - u[2] + 0.5 * u[3])
+        def recording_swim(i, path, values, potentials, previous, swarm):
+            taken = swim(i, path, values, potentials, previous, swarm)
+            committed.extend(path[:taken].tolist())
+            return taken
 
-        return run_custom(score, params, config), scored
+        monkeypatch.setattr(bfa, "_swim", recording_swim)
+        return run_custom(score, params, config), committed
 
-    def stepwise_batch(theta, swarms, engines, scores, params):
-        for swarm, engine, score in zip(swarms, engines, scores):
-            stepwise_generation(swarm, engine, score, params)
+    def stepwise_batch(theta, swarms, engines, score, params):
+        (swarm,), (engine,) = swarms, engines
+        stepwise_generation(swarm, engine, score, params)
 
-    batched, batched_calls = recorded_run()
+    batched, batched_points = recorded_run()
     monkeypatch.setattr(bfa, "_generation", stepwise_batch)
-    stepwise, stepwise_calls = recorded_run()
-    assert len(batched_calls) == batched.evaluations
-    assert batched_calls == stepwise_calls
+    stepwise, stepwise_points = recorded_run()
+    assert len(batched_points) == batched.evaluations
+    assert batched_points == stepwise_points
     assert batched == stepwise
 
 
@@ -551,7 +564,7 @@ def test_generation_redraws_a_zero_row_where_a_lone_tumble_would(monkeypatch):
         assert np.array_equal(_directions([block], params.pop_size)[0], directions)
         assert block.draws == tumbler.draws
         swarm = small_swarm(start[b], params)
-        stepwise_generation(swarm, swimmer, sphere_score, params)
+        stepwise_generation(swarm, swimmer, sphere, params)
         assert swimmer.draws == tumbler.draws
         expected.append((directions, swarm.theta, swarm.last_moves, tumbler.draws))
     assert [draws for *_, draws in expected] == [28, 24, 20]
@@ -574,7 +587,7 @@ def test_generation_redraws_a_zero_row_where_a_lone_tumble_would(monkeypatch):
     for b, swarm in enumerate(swarms):
         swarm.theta = theta[b]  # the batch's swarms are views of its block
     batch = engines()
-    bfa._generation(theta, swarms, batch, [sphere_score] * 3, params)
+    bfa._generation(theta, swarms, batch, sphere, params)
     assert len(seen) == 1  # every path of the generation comes from one call
     for b, (directions, positions, moves, draws) in enumerate(expected):
         assert np.array_equal(seen[0][b], directions)
@@ -590,7 +603,7 @@ def test_generation_never_draws_ahead_of_its_tumbles(kind):
     params = BfaParams(pop_size=7)
     swarm = small_swarm(np.random.default_rng(2).random((7, 4)), params)
     engine = StochasticEngine(config)
-    _generation(swarm.theta[None], [swarm], [engine], [sphere_score], params)
+    _generation(swarm.theta[None], [swarm], [engine], sphere, params)
     assert engine.draws == 4 * params.pop_size
     fresh = StochasticEngine(config)
     stream = [fresh.sample_unit() for _ in range(4 * params.pop_size + 1)]
@@ -600,18 +613,18 @@ def test_generation_never_draws_ahead_of_its_tumbles(kind):
 def test_swim_bound_is_never_exceeded():
     params = BfaParams(pop_size=8, n_swim=3, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.WEIBULL, seed=12))
-    theta, (swarm,) = _initialize([engine], params, [sphere_score])
+    theta, (swarm,) = _initialize([engine], params, sphere)
     for _ in range(20):
-        _generation(theta, [swarm], [engine], [sphere_score], params)
+        _generation(theta, [swarm], [engine], sphere, params)
         assert all(1 <= m <= params.n_swim + 1 for m in swarm.last_moves)
 
 
 def test_trace_grows_by_one_per_generation():
     params = BfaParams(pop_size=4, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=8))
-    theta, (swarm,) = _initialize([engine], params, [sphere_score])
+    theta, (swarm,) = _initialize([engine], params, sphere)
     for expected_len in range(1, 11):
-        _generation(theta, [swarm], [engine], [sphere_score], params)
+        _generation(theta, [swarm], [engine], sphere, params)
         assert len(swarm.trace) == expected_len
 
 
@@ -677,10 +690,10 @@ def test_clones_are_independent_copies():
 def test_dispersal_probability_zero_is_a_no_op():
     params = BfaParams(pop_size=5, p_elim=0.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    theta, (swarm,) = _initialize([engine], params, [sphere_score])
+    theta, (swarm,) = _initialize([engine], params, sphere)
     before = swarm.theta.copy()
     evals, draws = swarm.evaluations, engine.draws
-    _disperse(theta, [swarm], [engine], [sphere_score], params)
+    _disperse(theta, [swarm], [engine], sphere, params)
     assert np.array_equal(before, swarm.theta)
     assert swarm.evaluations == evals
     assert engine.draws == draws + 5  # one decision draw per bacterium
@@ -689,10 +702,10 @@ def test_dispersal_probability_zero_is_a_no_op():
 def test_dispersal_probability_one_redraws_everyone():
     params = BfaParams(pop_size=5, p_elim=1.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    theta, (swarm,) = _initialize([engine], params, [sphere_score])
+    theta, (swarm,) = _initialize([engine], params, sphere)
     before = swarm.theta.copy()
     evals, draws = swarm.evaluations, engine.draws
-    _disperse(theta, [swarm], [engine], [sphere_score], params)
+    _disperse(theta, [swarm], [engine], sphere, params)
     assert swarm.size == 5
     assert swarm.evaluations == evals + 5
     assert engine.draws == draws + 5 * 5  # a decision draw, then four position draws
@@ -702,9 +715,9 @@ def test_dispersal_probability_one_redraws_everyone():
 def test_dispersal_never_erases_the_archive():
     params = BfaParams(pop_size=5, p_elim=1.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    theta, (swarm,) = _initialize([engine], params, [sphere_score])
+    theta, (swarm,) = _initialize([engine], params, sphere)
     best_before = swarm.best_f
-    _disperse(theta, [swarm], [engine], [sphere_score], params)
+    _disperse(theta, [swarm], [engine], sphere, params)
     assert swarm.best_f >= best_before
 
 
@@ -758,10 +771,10 @@ def test_engine_draws_replay_exactly():
     counts = []
     for _ in range(2):
         engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=17))
-        theta, (swarm,) = _initialize([engine], params, [sphere_score])
+        theta, (swarm,) = _initialize([engine], params, sphere)
         for _ in range(12):
-            _generation(theta, [swarm], [engine], [sphere_score], params)
-        _disperse(theta, [swarm], [engine], [sphere_score], params)
+            _generation(theta, [swarm], [engine], sphere, params)
+        _disperse(theta, [swarm], [engine], sphere, params)
         counts.append(engine.draws)
     assert counts[0] == counts[1]
 
@@ -851,34 +864,41 @@ def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypa
                       + [generation])
 
 
-def test_a_custom_score_is_called_lazily_at_committed_points_in_order(monkeypatch):
-    # the model's score behind a custom one: no block form, so each call
-    # gets one (4,) point the swim commits, in commit order, and the run
-    # still equals the model run, whose swims read a block scored ahead
+def test_run_custom_on_the_model_block_scorer_equals_run_bfa():
     params = BfaParams(n_total=9, pop_size=7, n_chemo=3, n_repro=2, p_elim=0.5)
     config = EngineConfig(kind=EngineKind.GAMMA, seed=8)
-    model = unit_scorer(WEIGHTS)
-    received = []
-
-    def score(u):
-        assert type(u) is np.ndarray and u.shape == (4,) and u.dtype == np.float64
-        received.append(u.tolist())
-        return model(u)
-
-    committed = []
-    swim = bfa._swim
-
-    def recording_swim(i, path, values, potentials, previous, swarm):
-        taken = swim(i, path, values, potentials, previous, swarm)
-        committed.extend(path[:taken].tolist())
-        return taken
-
-    monkeypatch.setattr(bfa, "_swim", recording_swim)
-    custom = run_custom(score, params, config)
-    assert received == committed
-    assert len(received) == custom.evaluations
+    custom = run_custom(unit_block_scorer([WEIGHTS]), params, config)
     assert custom == replace(run_bfa(WEIGHTS, params, config), best_decision=None,
                              best_objectives=None)
+
+
+def test_a_custom_score_gets_one_block_per_placement_generation_and_dispersing_index(
+        monkeypatch):
+    # a custom scorer sees float64 arrays of unit points whose last axis is
+    # 4: one call at the placement, one per generation, and one per
+    # bacterium index at which the dispersal after generation 4 moves a bacterium
+    params = BfaParams(n_total=5, pop_size=6, n_chemo=2, n_repro=2, p_elim=0.5)
+    shapes, decisions = [], []
+    sample_unit = StochasticEngine.sample_unit
+
+    def recording_sample_unit(engine):
+        decisions.append(sample_unit(engine))
+        return decisions[-1]
+
+    def score(points):
+        assert type(points) is np.ndarray and points.dtype == np.float64
+        assert points.shape[-1] == 4
+        shapes.append(points.shape)
+        return sphere(points)
+
+    monkeypatch.setattr(StochasticEngine, "sample_unit", recording_sample_unit)
+    run_custom(score, params, EngineConfig(kind=EngineKind.CHAOTIC, seed=3))
+    # the only single draws are the dispersal decisions
+    assert len(decisions) == params.pop_size
+    dispersing = sum(u < params.p_elim for u in decisions)
+    assert 0 < dispersing < params.pop_size
+    generation = (1, 6, params.n_swim + 1, 4)
+    assert shapes == [(1, 6, 1, 4)] + [generation] * 4 + [(1, 1, 1, 4)] * dispersing + [generation]
 
 
 def test_lockstep_observer_sees_each_run_as_alone():
@@ -912,7 +932,7 @@ def test_a_swim_too_long_for_memory_is_rejected_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="n_swim=100000000"):
-            run_custom(sphere_score, BfaParams(n_total=2, pop_size=2, n_swim=10**8),
+            run_custom(sphere, BfaParams(n_total=2, pop_size=2, n_swim=10**8),
                        EngineConfig(kind=EngineKind.GAUSSIAN, seed=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -989,12 +1009,12 @@ def test_a_batch_too_large_for_memory_is_rejected_before_any_draw(monkeypatch):
 def test_custom_objective_hill_climb():
     params = BfaParams(n_total=30, h_att=0.0, h_rep=0.0)
     for kind in (EngineKind.GAUSSIAN, EngineKind.WEIBULL):
-        result = run_custom(sphere_score, params, EngineConfig(kind=kind, seed=1))
+        result = run_custom(sphere, params, EngineConfig(kind=kind, seed=1))
         assert result.best_f >= -0.01
         assert result.best_decision is None and result.best_objectives is None
 
 
 def test_run_without_a_finite_best_value_is_a_domain_error():
     with pytest.raises(DomainError):
-        run_custom(lambda u: math.nan, BfaParams(n_total=3, pop_size=4),
+        run_custom(lambda points: np.full(points.shape[:-1], math.nan), BfaParams(n_total=3, pop_size=4),
                    EngineConfig(kind=EngineKind.GAUSSIAN, seed=1))

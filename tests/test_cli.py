@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -413,6 +414,15 @@ def test_removed_settings_are_rejected(capsys, tmp_path, argv, config, code):
         assert f"unknown key {config.split()[0]!r}" in err
 
 
+def test_a_field_over_the_csv_size_limit_exits_2_naming_its_file(capsys, tmp_path):
+    path = tmp_path / "huge.csv"
+    path.write_text("9" * 131_073 + "\n")
+    code, out, err = run_cli(capsys, "hvi", "--input", str(path))
+    assert code == 2
+    assert err == f"error: {path}: line 1: unreadable CSV (field larger than field limit (131072))\n"
+    assert out == ""
+
+
 # -- weights ------------------------------------------------------------------------
 
 
@@ -427,6 +437,19 @@ def test_weights_lattice_error_exit_code(capsys):
     for step, minimum in [("0.1", "0.3"), ("nan", "0.1"), ("0.1", "nan"), ("1e-320", "0.1")]:
         code, _, _ = run_cli(capsys, "weights", "--step", step, "--min", minimum)
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["weights", "--step", "1e-300"],
+    ["sweep", "--seed", "1", "--weight-step", "1e-300"],
+], ids=["weights", "sweep"])
+def test_a_lattice_too_large_for_memory_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "weight vectors, over the limit of" in err
+    assert out == ""
 
 
 # -- hvi / aer ------------------------------------------------------------------------

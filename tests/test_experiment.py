@@ -109,6 +109,24 @@ def test_lattice_errors():
             generate_weights(step, minimum)
 
 
+@pytest.mark.parametrize("step,minimum,size", [(0.1, 0.1, 84), (0.05, 0.1, 455), (0.05, 0.05, 969)])
+def test_lattice_limit_counts_the_vectors_the_lattice_holds(monkeypatch, step, minimum, size):
+    assert len(generate_weights(step, minimum)) == size
+    monkeypatch.setattr(experiment, "_MAX_WEIGHTS", size - 1)
+    with pytest.raises(LatticeError, match=f"gives {size} weight vectors, over the limit of {size - 1}$"):
+        generate_weights(step, minimum)
+
+
+def test_lattice_limit_holds_the_step_001_lattice():
+    assert experiment._MAX_WEIGHTS >= 176_851  # C(103, 3), at step 0.01 and minimum 0
+
+
+def test_a_lattice_too_large_for_memory_is_rejected_before_any_vector():
+    # 1/1e-300 is a finite integer, and the lattice holds C(10**300 + 3, 3) vectors
+    with pytest.raises(LatticeError, match=r"gives about 10\*\*899 weight vectors"):
+        generate_weights(1e-300, 0.0)
+
+
 def test_lattice_zero_minimum_includes_one_hot_corners():
     weights = generate_weights(0.5, 0.0)
     tuples = [w.as_tuple() for w in weights]
@@ -392,6 +410,24 @@ def test_frontier_missing_column_is_named(tmp_path):
     assert "seed" in str(err.value)
 
 
+@pytest.mark.parametrize("read,header", [
+    (read_frontier_csv, ",".join(experiment.FRONTIER_HEADER)),
+    (read_trace_csv, "generation,best_F"),
+    (read_weights_csv, "w1,w2,w3,w4"),
+], ids=["frontier", "trace", "weights"])
+@pytest.mark.parametrize("line", [1, 3])
+def test_a_field_over_the_csv_size_limit_is_a_schema_error_at_its_line(tmp_path, read, header, line):
+    # csv.reader raises its own csv.Error on a field of over 131 072 characters
+    huge = "9" * 131_073
+    path = tmp_path / "huge.csv"
+    path.write_text("\n".join([huge, ""] if line == 1 else [header, "", huge, ""]))
+    with pytest.raises(SchemaError) as err:
+        read(path)
+    assert str(err.value) == (f"{path}: line {line}: unreadable CSV "
+                              "(field larger than field limit (131072))")
+    assert err.value.line == line
+
+
 def test_frontier_schema_error_carries_line_number(tmp_path):
     record = make_record((100.0, 200.0, 300.0, 400.0))
     path = tmp_path / "frontier.csv"
@@ -478,7 +514,7 @@ def test_frontier_audit_reports_the_first_of_two_faults(tmp_path, edits, message
 def test_trace_round_trip(tmp_path):
     trace = [100.0, 101.5, 101.5, 230.0 / 7.0]
     path = tmp_path / "trace.csv"
-    for values in (trace, np.array(trace)):  # run_custom traces hold numpy floats
+    for values in (trace, np.array(trace)):  # numpy floats write as plain ones
         write_trace_csv(list(values), path)
         assert read_trace_csv(path) == trace
 

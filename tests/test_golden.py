@@ -38,6 +38,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 if __name__ == "__main__":  # run as a script: import the package from this checkout
@@ -232,7 +233,7 @@ def custom_digest(kind) -> str:
         return aggregate(evaluate(to_physical(u)), WEIGHTS)
 
     config = EngineConfig(kind=EngineKind(kind), seed=5, **ENGINE_PARAMS[kind])
-    r = run_custom(checked, CUSTOM_PARAMS, config)
+    r = run_custom(lambda points: np.apply_along_axis(checked, -1, points), CUSTOM_PARAMS, config)
     return sha256(repr((r.best_theta, r.best_f, r.trace, r.evaluations, r.seed)).encode())
 
 
