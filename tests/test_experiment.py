@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -6,6 +8,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import frontier_oracle
 
 from bforage import experiment
 from bforage.bfa import BfaParams, run_bfa
@@ -32,7 +38,14 @@ from bforage.experiment import (
     atomic_write_text,
 )
 from bforage.metrics import hvi_exact
-from bforage.problem import DecisionVector, ObjectiveVector, WeightVector, aggregate, evaluate
+from bforage.problem import (
+    DecisionVector,
+    ObjectiveVector,
+    WeightVector,
+    aggregate,
+    evaluate,
+    to_physical,
+)
 
 TINY_BFA = BfaParams(n_total=4, pop_size=5, n_chemo=2, n_repro=2)
 
@@ -509,6 +522,156 @@ def test_frontier_audit_reports_the_first_of_two_faults(tmp_path, edits, message
         read_frontier_csv(path)
     assert str(err.value) == f"{path}: line 3: {message}"
     assert err.value.line == 3
+
+
+def test_a_row_after_a_quoted_newline_is_named_by_the_line_it_starts_on(tmp_path):
+    path = tmp_path / "weights.csv"
+    path.write_text('w1,w2,w3,w4\n"0.1\n",0.2,0.3,0.4\n0.1,x,0.3,0.4\n')
+    with pytest.raises(SchemaError) as err:
+        read_weights_csv(path)
+    assert str(err.value) == f"{path}: line 4: could not convert string to float: 'x'"
+    assert err.value.line == 4
+
+
+_ANY_CHARS = ["a", "1", ".", ",", '"', "\n", "\r", "\0", " ", "\x0b", "\u2028"]
+_PLAIN_CHARS = [c for c in _ANY_CHARS if c not in '"\r\0']
+
+
+@given(st.sampled_from([_ANY_CHARS, _PLAIN_CHARS]).flatmap(
+    lambda chars: st.text(alphabet=chars, max_size=40)))
+@settings(max_examples=500, deadline=None)
+def test_split_rows_are_the_csv_readers_rows(text):
+    # the running Python's reader is the reference: 3.10's rejects NUL, 3.11's
+    # accepts it; a row starts on the line after the last one the reader read
+    reader = csv.reader(io.StringIO(text, newline=""))
+    want, fault, start = [], None, 1
+    try:
+        for row in reader:
+            want.append((start, row))
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        fault = (f"t.csv: line {reader.line_num}: unreadable CSV ({exc})", reader.line_num)
+    starts, rows, error = experiment._split_rows(text, "t.csv")
+    assert list(zip(starts, rows)) == want
+    assert len(starts) == len(rows)
+    assert (None if error is None else (str(error), error.line)) == fault
+
+
+_AUDIT_ROWS = [
+    make_record((393.4207679359471, 1188.7030249165284, 1011.9909799507026, 333.2025180988497),
+                weights=WeightVector(0.1, 0.2, 0.3, 0.4), run_id=2, aer=1 / 3),
+    dataclasses.replace(make_record((438.6280707634921, 1138.1149471037136, 1082.7486690361427,
+                                     329.96014751955397), run_id=9, aer=0.0),
+                        decision=DecisionVector(2.5, 50.0, 5.0, 100.0)),
+    dataclasses.replace(make_record((0.0, 1e3, 1.5, 400.0), weights=WeightVector(0.7, 0.1, 0.1, 0.1),
+                                    aer=1.0, engine=EngineKind.CHAOTIC),
+                        decision=DecisionVector(1.5, 30.0, 3.0, 60.0)),
+]
+# moves the field's value by 2e-9: breaks a weight sum or an F, or crosses a bound at its edge
+_NUDGES = {"+2e-9": 2e-9, "-2e-9": -2e-9}
+_AUDIT_VALUES = ["nan", "inf", "-0.0", "1e309", "", " 1.5", "1_0", "0x10", "gaussian ", "-1",
+                 "18446744073709551616", repr(math.nextafter(2.5, 3.0)), *_NUDGES]
+
+
+def _assert_reader_agrees_with_the_oracle(path, edits):
+    rows = [experiment.frontier_row(r).split(",") for r in _AUDIT_ROWS]
+    for index, name, value in edits:
+        column = experiment.FRONTIER_HEADER.index(name)
+        if value in _NUDGES:
+            try:
+                value = repr(float(rows[index][column]) + _NUDGES[value])
+            except ValueError:  # not a number: append the nudge's text
+                value = rows[index][column] + value
+        rows[index][column] = value
+    text = "\n".join([",".join(experiment.FRONTIER_HEADER), *map(",".join, rows)]) + "\n"
+    path.write_text(text)
+    try:
+        want = frontier_oracle.read_frontier_text(text)
+    except frontier_oracle.OracleError as fault:
+        with pytest.raises(SchemaError) as err:
+            read_frontier_csv(path)
+        assert str(err.value) == f"{path}: line {fault.line}: {fault.message}"
+        assert err.value.line == fault.line
+    else:
+        got = read_frontier_csv(path)
+        assert got == want
+        assert repr(got) == repr(want)  # bit for bit: -0.0 is not 0.0 here
+
+
+def test_frontier_reader_agrees_with_the_oracle_on_every_single_edit(tmp_path):
+    path = tmp_path / "frontier.csv"
+    _assert_reader_agrees_with_the_oracle(path, [])
+    for index in range(len(_AUDIT_ROWS)):
+        for name in experiment.FRONTIER_HEADER:
+            for value in _AUDIT_VALUES:
+                _assert_reader_agrees_with_the_oracle(path, [(index, name, value)])
+
+
+@given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from(experiment.FRONTIER_HEADER),
+                          st.sampled_from(_AUDIT_VALUES)), min_size=2, max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_frontier_reader_agrees_with_the_oracle_on_two_edits(tmp_path_factory, edits):
+    _assert_reader_agrees_with_the_oracle(tmp_path_factory.getbasetemp() / "agreement.csv", edits)
+
+
+def test_a_valid_frontier_is_audited_in_one_call_and_a_faulty_one_replayed_row_by_row(tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(rows, count):
+        calls.append((len(rows), count))
+        return audit(rows, count)
+
+    audit = experiment._frontier_records
+    monkeypatch.setattr(experiment, "_frontier_records", recorded)
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv(_AUDIT_ROWS, path)
+    assert read_frontier_csv(path) == _AUDIT_ROWS
+    assert calls == [(3, 0)]
+    calls.clear()
+    lines = path.read_text().splitlines()
+    lines[3] = lines[3].replace("chaotic", "normal", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SchemaError) as err:
+        read_frontier_csv(path)
+    assert err.value.line == 4
+    assert calls == [(3, 0), (1, 0), (1, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("read,text,line,message", [
+    # the whole file fails first on the later row's float; the replay names the earlier fault
+    (read_trace_csv, "generation,best_F\n2,5.0\n1,x\n", 2, "generations must run 1..N, got 2"),
+    (read_trace_csv, "generation,best_F\n1,5.0\n3,x\n", 3, "could not convert string to float: 'x'"),
+    (read_trace_csv, "generation,best_F\n1,5.0\n2,6.0\n3,x\n", 4, "could not convert string to float: 'x'"),
+    (read_weights_csv, "w1,w2,w3,w4\n0.5,0.5,0.5,0.5\n0.1,x,0.3,0.4\n", 2,
+     "weights must sum to 1 (within 1e-9), got 2.0"),
+], ids=["trace-order", "trace-float", "trace-replay", "weights-order"])
+def test_trace_and_weights_readers_report_the_first_fault_in_file_order(tmp_path, read, text, line, message):
+    path = tmp_path / "file.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: line {line}: {message}"
+
+
+def test_a_large_plain_frontier_is_split_without_the_csv_reader(tmp_path, monkeypatch):
+    # the step-0.025 lattice from 0.1 has 2925 weight vectors; the whole file
+    # is far over the reader's field size limit, each line far under it
+    rng = np.random.default_rng(22)
+    records = []
+    for run_id, weights in enumerate(generate_weights(0.025, 0.1)):
+        record = make_record((rng.random(4) * 1000).tolist(), weights=weights, run_id=run_id % 10,
+                             aer=float(rng.random()))
+        records.append(dataclasses.replace(record, decision=to_physical(rng.random(4))))
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv(records, path)
+    assert len(records) == 2925
+    assert path.stat().st_size > 5 * csv.field_size_limit()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("plain text went through csv.reader")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    assert read_frontier_csv(path) == records
 
 
 def test_trace_round_trip(tmp_path):
