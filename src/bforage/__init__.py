@@ -12,7 +12,6 @@ from .bfa import (
     reproduce,
     run_batch,
     run_bfa,
-    run_custom,
 )
 from .engines import (
     EngineConfig,

@@ -10,11 +10,12 @@ each bacterium is independently dispersed to a fresh random position with
 probability ``p_elim``. The run stops after ``n_total`` generations.
 
 All randomness flows through a single :class:`~bforage.engines.StochasticEngine`,
-so a run is a pure function of its weight vector, parameters and engine
-configuration. :func:`run_batch` advances several runs that share their
-parameters in lockstep, one bacterium index at a time, so that numpy's
-fixed cost per call is paid once per batch; each run keeps its own engine
-and weights, and its result is bit-identical to running it alone.
+so a run is a pure function of its score, parameters and engine
+configuration. :func:`run_batch`, the one run entry, advances runs that
+share their parameters in lockstep, one bacterium index at a time, so that
+numpy's fixed cost per call is paid once per batch; each run keeps its own
+engine and score row, and its result is bit-identical to running it alone.
+:func:`run_bfa` is its batch of one on the sand-mould model.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "reproduce",
     "run_bfa",
     "run_batch",
-    "run_custom",
 ]
 
 N_DIMENSIONS = 4
@@ -249,7 +249,7 @@ def _swarming_term(
     return term
 
 
-# no run calls it: it stays as the tests' one-move reference and the hook perfbench's tracer patches
+# run_batch swims whole generations; this stays as the tests' one-move reference and the tracer's hook
 def chemotaxis_move(
     i: int,
     direction: np.ndarray,
@@ -261,7 +261,7 @@ def chemotaxis_move(
     swarm.theta[i] = np.clip(swarm.theta[i] + params.step_size * direction, 0.0, 1.0)
     path = swarm.theta[i : i + 1]
     potentials = _swarming_term(params, swarm.theta[None, :, None], swarm.theta[None])(i)
-    _swim(i, path, score(path).tolist(), potentials[0], math.inf, swarm)
+    _swim(i, path, _scores(score, path), potentials[0], math.inf, swarm)
     return swarm.cost[i]
 
 
@@ -277,6 +277,22 @@ def chemotaxis_move(
 # of their values, run b's points under row b. It scores every point a
 # placement, a generation or a dispersal can reach in one call, and each
 # swim reads its values from that block.
+
+
+def _scores(score: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> list:
+    """``score(points)`` as nested lists, checked: finite float64 of shape ``points.shape[:-1]``."""
+    block = score(points)
+    if not (isinstance(block, np.ndarray) and block.dtype == np.float64
+            and block.shape == points.shape[:-1]):
+        got = (f"shape {block.shape} and dtype {block.dtype}" if isinstance(block, np.ndarray)
+               else f"a {type(block).__name__}")
+        raise ConfigError(f"a score must return a float64 array of shape {points.shape[:-1]} "
+                          f"for points of shape {points.shape}, got {got}")
+    if not np.isfinite(block).all():
+        where = tuple(np.argwhere(~np.isfinite(block))[0])
+        raise DomainError(f"the score is {float(block[where])} at unit point "
+                          f"{points[where].tolist()} (batch row {where[0]}); a score must be finite")
+    return block.tolist()
 
 
 def _initialize(
@@ -295,7 +311,7 @@ def _initialize(
     """
     theta = np.array([engine.sample_units(N_DIMENSIONS * params.pop_size) for engine in engines])
     theta = theta.reshape(len(engines), params.pop_size, N_DIMENSIONS)
-    values = score(theta[:, :, None]).tolist()
+    values = _scores(score, theta[:, :, None])
     term = _swarming_term(params, theta[:, :, None], theta)
     swarms = []
     for b in range(len(engines)):
@@ -387,7 +403,7 @@ def _generation(
     # reachable path are known before the first swim
     paths = _swim_path(theta, _directions(engines, size), params)
     steps = paths[:, :, 1:]
-    values = score(steps).tolist()
+    values = _scores(score, steps)
     # made after scoring, so its buffers never add to the scorer's own
     # arrays; it reads theta as the swims write it in place
     term = _swarming_term(params, paths, theta)
@@ -448,7 +464,7 @@ def _disperse(
             # bacteria after i have not moved yet: each run's term is against
             # its swarm as it stands at this index
             potentials = term(i).tolist()
-            values = score(theta[:, i : i + 1, None]).tolist()
+            values = _scores(score, theta[:, i : i + 1, None])
             for b in moved:
                 _swim(i, theta[b, i : i + 1], values[b][0], potentials[b], math.inf, swarms[b])
 
@@ -468,18 +484,28 @@ def _batch_limit(params: BfaParams) -> int:
     return _MAX_ARRAY_FLOATS // _run_floats(params)
 
 
-def _run_lockstep(
+def run_batch(
     score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
     engine_configs: Sequence[EngineConfig],
     observer: Optional[Observer] = None,
 ) -> list[RunResult]:
-    """Run one optimizer per engine config in lockstep, scoring run ``b``'s points in row ``b``.
+    """Run the optimizer once per engine config, in lockstep, maximizing ``score``.
 
-    Raises :class:`DomainError` when a run ends without a finite best
-    value, so a broken objective never yields a plausible-looking result,
-    and :class:`ConfigError`, before the first draw, when one array of the
-    batch would hold more than ``_MAX_ARRAY_FLOATS`` float64s.
+    ``score`` is a block scorer: it maps float64 unit points shaped
+    ``(B, ..., 4)``, run ``b``'s in row ``b``, to the float64 ``(B, ...)``
+    array of their values, as ``problem.unit_block_scorer(weights)`` does;
+    ``lambda points: np.apply_along_axis(f, -1, points)`` adapts a function
+    ``f`` of one point. The batch scores all its swim paths in one call per
+    generation; each result is bit-identical to the run alone and leaves
+    ``best_decision`` and ``best_objectives`` ``None``. ``observer``, if
+    given, sees every run's swarm after each generation, in batch order.
+
+    Raises :class:`ConfigError` when ``score`` returns any other block,
+    :class:`DomainError` at a non-finite value, so a broken objective never
+    yields a plausible-looking result, and :class:`ConfigError`, before the
+    first draw, when one array of the batch would hold more than
+    ``_MAX_ARRAY_FLOATS`` float64s.
     """
     if not engine_configs:
         return []
@@ -506,58 +532,14 @@ def _run_lockstep(
         if observer is not None:
             for swarm in swarms:
                 observer(generation, swarm)
-    results = []
-    for swarm, config in zip(swarms, engine_configs):
-        if not math.isfinite(swarm.best_f):
-            raise DomainError(f"run ended with a non-finite best value {swarm.best_f!r}")
-        results.append(RunResult(
-            best_theta=tuple(float(v) for v in swarm.best_theta),
-            best_decision=None,
-            best_objectives=None,
-            best_f=swarm.best_f,
-            trace=tuple(swarm.trace),
-            evaluations=swarm.evaluations,
-            seed=config.seed,
-        ))
-    return results
-
-
-def run_custom(
-    score: Callable[[np.ndarray], np.ndarray],
-    params: BfaParams,
-    engine_config: EngineConfig,
-    observer: Optional[Observer] = None,
-) -> RunResult:
-    """Run the optimizer on an arbitrary unit-cube objective (maximized).
-
-    ``score`` maps float64 unit points, shaped ``(..., 4)``, to their ``(...)`` values; a function
-    ``f`` of one point adapts as ``lambda points: np.apply_along_axis(f, -1, points)``.
-    Raises :class:`DomainError` when the run ends without a finite best
-    value, so a broken objective never yields a plausible-looking result.
-    """
-    return _run_lockstep(score, params, [engine_config], observer)[0]
-
-
-def run_batch(
-    weights: Sequence[WeightVector],
-    params: BfaParams,
-    engine_configs: Sequence[EngineConfig],
-    observer: Optional[Observer] = None,
-) -> list[RunResult]:
-    """``run_bfa`` of each (weights, engine config) pair, advanced in lockstep.
-
-    The runs share ``params``; the batch builds and scores all its swim
-    paths in one call each per generation and makes one swarming-term call
-    per tumble index for all of them. Each result is bit-identical to
-    ``run_bfa`` of that run alone. ``observer``, if given, sees every run's
-    swarm after each generation, in batch order.
-    """
-    if len(weights) != len(engine_configs):
-        raise ConfigError(f"{len(weights)} weight vectors for {len(engine_configs)} engine configs")
-    results = _run_lockstep(unit_block_scorer(weights), params, engine_configs, observer)
-    decisions = [to_physical(result.best_theta) for result in results]
-    return [replace(result, best_decision=decision, best_objectives=evaluate(decision))
-            for result, decision in zip(results, decisions)]
+    return [RunResult(best_theta=tuple(float(v) for v in swarm.best_theta),
+                      best_decision=None,
+                      best_objectives=None,
+                      best_f=swarm.best_f,
+                      trace=tuple(swarm.trace),
+                      evaluations=swarm.evaluations,
+                      seed=config.seed)
+            for swarm, config in zip(swarms, engine_configs)]
 
 
 def run_bfa(
@@ -572,4 +554,6 @@ def run_bfa(
     draw. The returned decision and objective vectors are recomputed at
     the archived best position (outside the evaluation count).
     """
-    return run_batch([weights], params, [engine_config], observer)[0]
+    result = run_batch(unit_block_scorer([weights]), params, [engine_config], observer)[0]
+    decision = to_physical(result.best_theta)
+    return replace(result, best_decision=decision, best_objectives=evaluate(decision))

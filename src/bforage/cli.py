@@ -272,6 +272,8 @@ def _cmd_run(args) -> int:
     threshold = values["aer_threshold"]
     if not threshold >= 0:  # NaN fails too; checked before the run, not after it
         raise ConfigError(f"aer_threshold must be non-negative, got {threshold}")
+    if params.n_total < 2:
+        raise ConfigError(xp._N_TOTAL_FOR_AER.format(params.n_total))
     weights = WeightVector(*_parse_floats(values["weights"], 4, "--weights"))
     engine_config = EngineConfig(kind=kind, seed=values["seed"], **_fields(_ENGINE_PARAM_KEYS, values))
     _echo_config(values)

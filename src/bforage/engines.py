@@ -150,7 +150,8 @@ class StochasticEngine:
         if config.kind is EngineKind.CHAOTIC:
             self._psi = config.psi0
             self._rate = config.r0
-            self._chaotic_raws(config.warmup)
+            for start in range(0, config.warmup, 2**16):  # discarded in blocks of bounded memory
+                self._chaotic_raws(min(2**16, config.warmup - start))
 
     def sample_raw(self) -> float:
         """Draw one variate from the configured distribution."""

@@ -35,6 +35,9 @@ from .problem import (
     UPPER_BOUNDS,
     WeightVector,
     aggregate,
+    evaluate,
+    to_physical,
+    unit_block_scorer,
 )
 
 __all__ = [
@@ -68,6 +71,8 @@ FRONTIER_HEADER = [
     "engine", "w1", "w2", "w3", "w4", "run_id", "seed",
     "A", "B", "C", "D", "f1", "f2", "f3", "f4", "F", "aer",
 ]
+
+_N_TOTAL_FOR_AER = "n_total must be >= 2, as the explorative rate needs two trace values, got {}"
 
 TRACE_HEADER = ["generation", "best_F"]
 WEIGHTS_HEADER = ["w1", "w2", "w3", "w4"]
@@ -109,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
         if not self.aer_threshold >= 0:  # NaN fails too
             raise ConfigError(f"aer_threshold must be non-negative, got {self.aer_threshold}")
+        if self.bfa.n_total < 2:
+            raise ConfigError(_N_TOTAL_FOR_AER.format(self.bfa.n_total))
 
 
 @dataclass(frozen=True)
@@ -201,7 +208,7 @@ class _BatchResult:
 
 
 def _run_tasks(tasks) -> list[RunResult]:
-    return run_batch([weights for _, weights, _, _, _ in tasks], tasks[0][2],
+    return run_batch(unit_block_scorer([weights for _, weights, _, _, _ in tasks]), tasks[0][2],
                      [dataclasses.replace(config, seed=seed) for config, _, _, seed, _ in tasks])
 
 
@@ -278,14 +285,16 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[FrontierReport]:
 
 def _solution_record(kind: EngineKind, weights: WeightVector, run_id: int, result: RunResult,
                      aer_threshold: float) -> SolutionRecord:
-    """The record of ``result``, the run ``run_id`` of ``kind`` under ``weights``."""
+    """The record of ``result``, the run ``run_id`` of ``kind`` under ``weights``,
+    with its decision and objective vectors recomputed at its best position."""
+    decision = to_physical(result.best_theta)
     return SolutionRecord(
         engine=kind,
         weights=weights,
         run_id=run_id,
         seed=result.seed,
-        decision=result.best_decision,
-        objectives=result.best_objectives,
+        decision=decision,
+        objectives=evaluate(decision),
         F=result.best_f,
         aer=aer(result.trace, aer_threshold),
     )

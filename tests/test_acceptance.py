@@ -15,7 +15,7 @@ from contextlib import contextmanager, redirect_stdout
 import numpy as np
 import pytest
 
-from bforage.bfa import BfaParams, run_bfa, run_custom
+from bforage.bfa import BfaParams, run_batch, run_bfa
 from bforage.cli import dispatch
 from bforage.engines import EngineConfig, EngineKind, StochasticEngine, gamma_cdf
 from bforage.experiment import generate_weights, read_frontier_csv, write_weights_csv
@@ -191,8 +191,8 @@ def test_criterion_6_structural_invariants_at_desk_scale():
             evaluated["n"] += 1
             return aggregate(evaluate(x), HEADLINE_WEIGHTS)
 
-        audit = run_custom(lambda points: np.apply_along_axis(audited_score, -1, points),
-                           params, EngineConfig(kind=EngineKind.CHAOTIC, seed=101))
+        audit = run_batch(lambda points: np.apply_along_axis(audited_score, -1, points),
+                          params, [EngineConfig(kind=EngineKind.CHAOTIC, seed=101)])[0]
         assert evaluated["n"] >= audit.evaluations
 
 
@@ -206,8 +206,8 @@ def test_criterion_7_hill_climb_sanity():
         params = BfaParams(n_total=30, pop_size=25, h_att=0.0, h_rep=0.0)
         for kind in ALL_KINDS:
             for seed in (1, 2, 4):
-                result = run_custom(lambda points: np.apply_along_axis(surrogate, -1, points),
-                                    params, EngineConfig(kind=kind, seed=seed))
+                result = run_batch(lambda points: np.apply_along_axis(surrogate, -1, points),
+                                   params, [EngineConfig(kind=kind, seed=seed)])[0]
                 assert result.best_f >= -0.01, (kind, seed, result.best_f)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bforage import bfa
-from bforage.bfa import BfaParams, SwarmState, reproduce, run_batch, run_bfa, run_custom
+from bforage.bfa import BfaParams, SwarmState, reproduce, run_batch, run_bfa
 from bforage.bfa import (
     _directions,
     _disperse,
@@ -526,7 +526,7 @@ def test_committed_points_match_the_stepwise_swim(monkeypatch, swarming):
             return taken
 
         monkeypatch.setattr(bfa, "_swim", recording_swim)
-        return run_custom(score, params, config), committed
+        return run_batch(score, params, [config])[0], committed
 
     def stepwise_batch(theta, swarms, engines, score, params):
         (swarm,), (engine,) = swarms, engines
@@ -822,10 +822,11 @@ def test_every_run_of_a_lockstep_batch_equals_the_run_alone(size, heights, pop):
             for b in range(size)]
     if size == 16:
         assert len({w for w, _ in runs}) == 16
-    batch = run_batch([w for w, _ in runs], params, [c for _, c in runs])
+    batch = run_batch(unit_block_scorer([w for w, _ in runs]), params, [c for _, c in runs])
     assert len(batch) == size
     for result, (w, config) in zip(batch, runs):
-        assert repr(result) == repr(run_bfa(w, params, config))
+        assert repr(result) == repr(replace(run_bfa(w, params, config), best_decision=None,
+                                            best_objectives=None))
 
 
 def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypatch):
@@ -853,7 +854,7 @@ def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypa
     monkeypatch.setattr(StochasticEngine, "sample_unit", recording_sample_unit)
     weights = [WEIGHTS, WeightVector(0.4, 0.3, 0.2, 0.1), WeightVector(0.1, 0.1, 0.1, 0.7)]
     configs = [EngineConfig(kind=kind, seed=5) for kind in list(EngineKind)[:3]]
-    run_batch(weights, params, configs)
+    run_batch(bfa.unit_block_scorer(weights), params, configs)
     # the only single draws are the dispersal decisions, each index's runs in batch order
     assert len(decisions) == 3 * params.pop_size
     dispersing = [i for i in range(params.pop_size)
@@ -864,10 +865,10 @@ def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypa
                       + [generation])
 
 
-def test_run_custom_on_the_model_block_scorer_equals_run_bfa():
+def test_run_batch_on_the_model_block_scorer_equals_run_bfa():
     params = BfaParams(n_total=9, pop_size=7, n_chemo=3, n_repro=2, p_elim=0.5)
     config = EngineConfig(kind=EngineKind.GAMMA, seed=8)
-    custom = run_custom(unit_block_scorer([WEIGHTS]), params, config)
+    custom = run_batch(unit_block_scorer([WEIGHTS]), params, [config])[0]
     assert custom == replace(run_bfa(WEIGHTS, params, config), best_decision=None,
                              best_objectives=None)
 
@@ -892,7 +893,7 @@ def test_a_custom_score_gets_one_block_per_placement_generation_and_dispersing_i
         return sphere(points)
 
     monkeypatch.setattr(StochasticEngine, "sample_unit", recording_sample_unit)
-    run_custom(score, params, EngineConfig(kind=EngineKind.CHAOTIC, seed=3))
+    run_batch(score, params, [EngineConfig(kind=EngineKind.CHAOTIC, seed=3)])
     # the only single draws are the dispersal decisions
     assert len(decisions) == params.pop_size
     dispersing = sum(u < params.p_elim for u in decisions)
@@ -911,7 +912,8 @@ def test_lockstep_observer_sees_each_run_as_alone():
              swarm.evaluations, list(swarm.last_moves)))
 
     together = []
-    run_batch([w for w, _ in runs], params, [c for _, c in runs], observer=recorder(together))
+    run_batch(unit_block_scorer([w for w, _ in runs]), params, [c for _, c in runs],
+              observer=recorder(together))
     alone = []
     for w, config in runs:
         log = []
@@ -922,8 +924,8 @@ def test_lockstep_observer_sees_each_run_as_alone():
 
 
 def test_batch_needs_one_engine_config_per_weight_vector():
-    with pytest.raises(ConfigError):
-        run_batch([WEIGHTS, WEIGHTS], BfaParams(n_total=1, pop_size=2),
+    with pytest.raises(ConfigError, match=r"shape \(1, 2, 1\) .* got shape \(2, 2, 1\)"):
+        run_batch(unit_block_scorer([WEIGHTS, WEIGHTS]), BfaParams(n_total=1, pop_size=2),
                   [EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)])
 
 
@@ -932,8 +934,8 @@ def test_a_swim_too_long_for_memory_is_rejected_before_any_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(ConfigError, match="n_swim=100000000"):
-            run_custom(sphere, BfaParams(n_total=2, pop_size=2, n_swim=10**8),
-                       EngineConfig(kind=EngineKind.GAUSSIAN, seed=1))
+            run_batch(sphere, BfaParams(n_total=2, pop_size=2, n_swim=10**8),
+                      [EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1002,19 +1004,46 @@ def test_a_batch_too_large_for_memory_is_rejected_before_any_draw(monkeypatch):
     monkeypatch.setattr(bfa, "_MAX_ARRAY_FLOATS", 2 * 112)
     monkeypatch.setattr(bfa, "StochasticEngine", None)  # a draw would fail on it
     with pytest.raises(ConfigError, match="336 float64s .* 3 run"):
-        run_batch([WEIGHTS] * 3, params, [EngineConfig(kind=EngineKind.GAUSSIAN, seed=s)
-                                          for s in range(3)])
+        run_batch(unit_block_scorer([WEIGHTS] * 3), params,
+                  [EngineConfig(kind=EngineKind.GAUSSIAN, seed=s) for s in range(3)])
 
 
 def test_custom_objective_hill_climb():
     params = BfaParams(n_total=30, h_att=0.0, h_rep=0.0)
     for kind in (EngineKind.GAUSSIAN, EngineKind.WEIBULL):
-        result = run_custom(sphere, params, EngineConfig(kind=kind, seed=1))
+        result = run_batch(sphere, params, [EngineConfig(kind=kind, seed=1)])[0]
         assert result.best_f >= -0.01
         assert result.best_decision is None and result.best_objectives is None
 
 
 def test_run_without_a_finite_best_value_is_a_domain_error():
     with pytest.raises(DomainError):
-        run_custom(lambda points: np.full(points.shape[:-1], math.nan), BfaParams(n_total=3, pop_size=4),
-                   EngineConfig(kind=EngineKind.GAUSSIAN, seed=1))
+        run_batch(lambda points: np.full(points.shape[:-1], math.nan), BfaParams(n_total=3, pop_size=4),
+                  [EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_score_non_finite_at_some_points_is_a_domain_error(bad):
+    # raised at the call that made the value: a NaN bacterium's health
+    # would sort it last at reproduction, with a finite best value
+    def score(points):
+        return np.where(points[..., 0] > 0.5, bad, -np.sum(points * points, axis=-1))
+
+    with pytest.raises(DomainError, match=r"at unit point \[(0\.[5-9]|1\.0).*must be finite"):
+        run_batch(score, BfaParams(n_total=3), [EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)])
+
+
+@pytest.mark.parametrize("score,message", [
+    (lambda points: -1.0, r"\(1, 4, 1\) .* got a float"),
+    (lambda points: sphere(points).tolist(), r"\(1, 4, 1\) .* got a list"),
+    (lambda points: sphere(points)[..., None], r"\(1, 4, 1\) .* got shape \(1, 4, 1, 1\)"),
+    (lambda points: np.zeros(points.shape[:-1], dtype=np.int64), r"\(1, 4, 1\) .* dtype int64"),
+    (lambda points: sphere(points).astype(np.float32), r"\(1, 4, 1\) .* dtype float32"),
+    # right at the placement, one value short along each swim path of the generation
+    (lambda points: sphere(points)[..., : min(points.shape[2], 5)].copy(),
+     r"\(1, 4, 6\) .* got shape \(1, 4, 5\)"),
+], ids=["scalar", "list", "extra-axis", "int", "float32", "generation"])
+def test_a_score_that_is_not_a_float64_block_of_its_points_is_a_config_error(score, message):
+    with pytest.raises(ConfigError, match="must return a float64 array of shape " + message):
+        run_batch(score, BfaParams(n_total=2, pop_size=4),
+                  [EngineConfig(kind=EngineKind.GAUSSIAN, seed=1)])

@@ -183,11 +183,18 @@ def test_empty_config_file_resolves_to_pure_defaults(capsys, tmp_path):
         assert line in err
 
 
-def test_run_with_single_generation_cannot_rate_exploration(capsys):
-    # a one-entry trace has no deviations; the failure maps to exit 3
-    code, _, err = run_cli(capsys, "run", "--seed", "1", "--nt", "1", "--pop", "4")
-    assert code == 3
-    assert "trace" in err
+def test_run_with_single_generation_cannot_rate_exploration(capsys, monkeypatch):
+    # a one-entry trace has no deviations, so both verbs reject the setting before any run
+    def no_run(*args, **kwargs):
+        pytest.fail("a run was started")
+
+    monkeypatch.setattr("bforage.bfa.run_batch", no_run)
+    monkeypatch.setattr("bforage.experiment.run_batch", no_run)
+    sweep = ["--engines", "gaussian", "--runs", "1", "--weight-step", "0.5", "--weight-min", "0.0"]
+    for argv in (["run"], ["sweep", *sweep]):
+        code, _, err = run_cli(capsys, *argv, "--seed", "1", "--nt", "1", "--pop", "4")
+        assert code == 2
+        assert "n_total must be >= 2" in err and "trace" in err
 
 
 def test_config_file_bad_value_reports_line(capsys, tmp_path):

@@ -1,9 +1,11 @@
+import hashlib
 import math
 import os
 import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,6 +268,21 @@ def test_chaotic_recurrence_matches_independent_replica():
     emitted = [e.sample_raw() for _ in range(5000)]
     expected = [step() for _ in range(5000)]
     assert emitted == expected
+
+
+def test_a_long_chaotic_warm_up_is_discarded_in_bounded_memory():
+    # the iterates go in blocks, and the state, so every later draw, is
+    # that of discarding them one at a time (digest recorded at 32 MB traced)
+    tracemalloc.start()
+    try:
+        e = engine(EngineKind.CHAOTIC, seed=2016, warmup=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert e.draws == 0
+    digest = hashlib.sha256(repr(e.sample_units(1000)).encode()).hexdigest()
+    assert digest == "9bcf76eb87b745465150adbda20d47c2e6ac7c320f6b8c40ebd8389a81b174cf"
 
 
 def test_chaotic_stays_in_open_interval_even_past_rate_four():

@@ -17,7 +17,7 @@ from bforage import experiment
 from bforage.bfa import BfaParams, run_bfa
 from bforage.cli import dispatch
 from bforage.engines import EngineConfig, EngineKind
-from bforage.errors import ConfigError, LatticeError, SchemaError
+from bforage.errors import ConfigError, DomainError, LatticeError, SchemaError
 from bforage.experiment import (
     ExperimentConfig,
     FrontierReport,
@@ -285,11 +285,11 @@ def test_failed_run_aborts_with_task_context(monkeypatch):
     real = xp.run_batch
     batches = []
 
-    def explode(weights, params, engine_configs, observer=None):
+    def explode(score, params, engine_configs, observer=None):
         batches.append(len(engine_configs))
         if any(c.seed == failing for c in engine_configs):
             raise ConfigError("boom")
-        return real(weights, params, engine_configs, observer)
+        return real(score, params, engine_configs, observer)
 
     monkeypatch.setattr(xp, "run_batch", explode)
     with pytest.raises(ConfigError) as err:
@@ -307,7 +307,7 @@ def test_failed_run_whose_error_takes_no_message_keeps_its_own_error(monkeypatch
 
     error = UnicodeDecodeError("utf-8", b"\xff", 0, 1, "x")
 
-    def explode(weights, params, engine_configs, observer=None):
+    def explode(score, params, engine_configs, observer=None):
         raise error
 
     monkeypatch.setattr(xp, "run_batch", explode)
@@ -327,9 +327,9 @@ def test_sweep_batches_stay_under_the_array_limit(monkeypatch):
     real = xp.run_batch
     batches = []
 
-    def spy(weights, params, engine_configs, observer=None):
+    def spy(score, params, engine_configs, observer=None):
         batches.append(len(engine_configs))
-        return real(weights, params, engine_configs, observer)
+        return real(score, params, engine_configs, observer)
 
     monkeypatch.setattr(xp, "run_batch", spy)
     monkeypatch.setattr(bfa, "_MAX_ARRAY_FLOATS", 3 * bfa._run_floats(TINY_BFA) - 1)
@@ -347,6 +347,38 @@ def test_experiment_config_validation():
         tiny_config(engines=())
     with pytest.raises(ConfigError):
         tiny_config(master_seed=-5)
+    with pytest.raises(ConfigError, match="n_total must be >= 2"):  # aer needs two trace values
+        tiny_config(bfa=dataclasses.replace(TINY_BFA, n_total=1))
+
+
+def test_a_non_finite_score_in_a_sweep_names_its_run(monkeypatch):
+    # the batch fails at its first non-finite value; the retry one run at a
+    # time names the first run scored under the broken weights
+    import bforage.experiment as xp
+
+    config = tiny_config(engines=(EngineConfig(kind=EngineKind.GAUSSIAN, seed=0),
+                                  EngineConfig(kind=EngineKind.WEIBULL, seed=0)),
+                         weights=tuple(generate_weights(0.5, 0.0)[:3]), runs_per_weight=2)
+    broken = config.weights[1]
+    block_scorer = xp.unit_block_scorer
+
+    def poisoned(weights):
+        block = block_scorer(weights)
+        rows = np.array([w == broken for w in weights])
+
+        def score(points):
+            values = block(points)
+            values[rows] = math.nan
+            return values
+
+        return score
+
+    monkeypatch.setattr(xp, "unit_block_scorer", poisoned)
+    with pytest.raises(DomainError) as err:
+        run_sweep(config)
+    message = str(err.value)
+    assert f"engine=gaussian weights={broken.as_tuple()} run=0" in message
+    assert "must be finite" in message
 
 
 # -- comparison -------------------------------------------------------------------

@@ -16,13 +16,13 @@ The run, run-file and sweep-file digests were re-recorded once when the
 model score became the unit-coordinate quadratic of
 ``problem.unit_scorer``: every run took the same path, and only ``best_f``,
 the trace and the ``F`` column moved, in their last bits. The engine
-streams and the ``run_custom`` digests, whose score is the checked model
+streams and the custom-score digests, whose score is the checked model
 path, did not move.
 
 When the engines lost their location and scale parameters (gaussian
 ``mu``/``sigma``, weibull ``lam``, gamma ``beta``), the cases that had
 set them moved to the standard forms: the engine streams of gaussian,
-weibull and gamma, the gaussian ``run_custom`` digest and the weibull
+weibull and gamma, the gaussian custom-score digest and the weibull
 ``solution.csv`` were re-recorded once. A unit draw is the variate's own
 CDF, where location and scale cancel, so those unit streams moved by at
 most 2.2e-16 (gamma's not at all); the raw streams are now the standard
@@ -44,7 +44,7 @@ import pytest
 if __name__ == "__main__":  # run as a script: import the package from this checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from bforage.bfa import BfaParams, run_bfa, run_custom
+from bforage.bfa import BfaParams, run_batch, run_bfa
 from bforage.cli import dispatch
 from bforage.engines import EngineConfig, EngineKind, StochasticEngine
 from bforage.problem import WeightVector, aggregate, evaluate, to_physical
@@ -120,7 +120,7 @@ NO_SWARMING_DIGESTS = {
     ("chaotic", 17): "a8c1f3d5fae2ae13de1a24f59410deb9a29590b2003630affed3486a59689676",
 }
 
-# run_custom on the checked model path, aggregate(evaluate(to_physical(u))),
+# run_batch on the checked model path, aggregate(evaluate(to_physical(u))),
 # one default-size run per engine (seed 5, ENGINE_PARAMS, 15 generations with
 # two reproductions and two dispersals): the optimizer loop and the engine
 # streams pinned apart from the model score, so a change to the score alone
@@ -233,7 +233,7 @@ def custom_digest(kind) -> str:
         return aggregate(evaluate(to_physical(u)), WEIGHTS)
 
     config = EngineConfig(kind=EngineKind(kind), seed=5, **ENGINE_PARAMS[kind])
-    r = run_custom(lambda points: np.apply_along_axis(checked, -1, points), CUSTOM_PARAMS, config)
+    r = run_batch(lambda points: np.apply_along_axis(checked, -1, points), CUSTOM_PARAMS, [config])[0]
     return sha256(repr((r.best_theta, r.best_f, r.trace, r.evaluations, r.seed)).encode())
 
 
