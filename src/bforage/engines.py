@@ -38,6 +38,7 @@ from .errors import ConfigError, DomainError
 __all__ = [
     "EngineKind",
     "EngineConfig",
+    "MAX_WARMUP",
     "StochasticEngine",
     "gaussian_cdf",
     "weibull_cdf",
@@ -49,6 +50,9 @@ _SQRT2 = math.sqrt(2.0)
 # random.random() is at most 1 - 2**-53, where -log1p(-u) peaks at 53 ln 2
 _LARGEST_UNIFORM = 1.0 - 2.0**-53
 _LARGEST_EXPONENTIAL = -math.log1p(-_LARGEST_UNIFORM)
+# the most chaotic warm-up iterates: 10**6 take about 0.1 s, and a sweep
+# builds one engine per run
+MAX_WARMUP = 10**6
 
 
 class EngineKind(str, Enum):
@@ -76,7 +80,8 @@ class EngineConfig:
     inert. There is no location or scale: a unit draw is the variate's own
     CDF, where both cancel, so only the shapes ``k`` and ``alpha`` reach
     it. ``warmup`` applies to the chaotic kind only and counts map iterates
-    discarded at construction time so emitted values do not echo ``psi0``.
+    discarded at construction time so emitted values do not echo ``psi0``;
+    a chaotic config takes at most :data:`MAX_WARMUP` of them.
     A weibull config whose largest variate, ``(53 ln 2)**(1/k)``, overflows
     a float is rejected, and so is a gamma config whose CDF at its largest
     variate, ``alpha * 53 ln 2``, is not finite: its finite sum overflows
@@ -111,6 +116,9 @@ class EngineConfig:
             raise ConfigError(f"r0 must lie in [0, 5], got {self.r0}")
         if not (isinstance(self.warmup, int) and self.warmup >= 0):
             raise ConfigError(f"warmup must be a non-negative integer, got {self.warmup!r}")
+        if self.kind is EngineKind.CHAOTIC and self.warmup > MAX_WARMUP:
+            raise ConfigError(f"warmup must be at most {MAX_WARMUP} for the chaotic engine, "
+                              f"got {self.warmup}")
         if self.kind is EngineKind.WEIBULL and not _finite(
                 lambda: weibull_inverse_cdf(_LARGEST_UNIFORM, self.k)):
             raise ConfigError(f"the largest weibull variate overflows at k={self.k}")

@@ -21,8 +21,10 @@ import struct
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .bfa import BfaParams, RunResult, _batch_limit, run_batch
 from .engines import EngineConfig, EngineKind
@@ -64,7 +66,7 @@ __all__ = [
 
 NADIR_REFERENCE = (0.0, 0.0, 0.0, 0.0)
 
-# the most weight vectors a lattice may hold (about 210 MB); step 0.01 at minimum 0 gives 176 851
+# the most weight vectors a lattice may hold (about 185 MB); step 0.01 at minimum 0 gives 176 851
 _MAX_WEIGHTS = 1_000_000
 
 FRONTIER_HEADER = [
@@ -78,9 +80,11 @@ TRACE_HEADER = ["generation", "best_F"]
 WEIGHTS_HEADER = ["w1", "w2", "w3", "w4"]
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
-    """Best solution found for one (engine, weight vector) pair."""
+class SolutionRecord(NamedTuple):
+    """Best solution found for one (engine, weight vector) pair.
+
+    Immutable: ``record._replace(F=...)`` gives an edited copy.
+    """
 
     engine: EngineKind
     weights: WeightVector
@@ -393,17 +397,8 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _split_rows(text: str, path) -> tuple[Sequence[int], list[list[str]], SchemaError | None]:
-    """``csv.reader``'s rows of ``text``, the line each starts on, and its error, if any.
-
-    Text with no quote, CR or NUL and no line over ``csv.field_size_limit()``
-    is split at newlines and commas instead, which gives the same rows faster.
-    """
-    # no row after the last newline; not splitlines(), which also breaks at \x0b, \x85, \u2028, ...
-    lines = text.removesuffix("\n").split("\n") if text else []
-    if ('"' not in text and "\r" not in text and "\0" not in text
-            and max(map(len, lines), default=0) <= csv.field_size_limit()):
-        return range(1, len(lines) + 1), [line.split(",") if line else [] for line in lines], None
+def _split_rows(text: str, path) -> tuple[list[int], list[list[str]], SchemaError | None]:
+    """``csv.reader``'s rows of ``text``, the line each starts on, and its error, if any."""
     reader = csv.reader(io.StringIO(text, newline=""))
     starts, rows, start = [], [], 1
     try:
@@ -416,22 +411,56 @@ def _split_rows(text: str, path) -> tuple[Sequence[int], list[list[str]], Schema
     return starts, rows, None
 
 
-def _read_csv(path, header: Sequence[str], parse_rows) -> list:
+def _plain_columns(text: str, header: Sequence[str]) -> Sequence[Sequence[str]] | None:
+    """The data columns of ``text`` if it is a plain CSV with first line ``header``, else None.
+
+    Plain text has no quote, CR or NUL, no line over ``csv.field_size_limit()``,
+    and ``len(header)`` fields on each non-blank data line, so splitting its
+    lines at commas gives ``csv.reader``'s rows, which one ``zip`` turns into
+    columns. (One split of the joined lines, sliced into columns, took about
+    a quarter longer, as each line's commas must be counted first.)
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    lines = text.removesuffix("\n").split("\n")
+    if lines[0] != ",".join(header) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    rows = list(map(str.split, filter(None, lines[1:]), repeat(",")))  # blank lines hold no row
+    if not rows:
+        return [()] * len(header)
+    if set(map(len, rows)) != {len(header)}:
+        return None
+    return list(zip(*rows))
+
+
+def _read_csv(path, header: Sequence[str], parse_columns) -> list:
     """Parse every data row of a CSV whose first line must be ``header``.
 
-    Blank rows are skipped. ``parse_rows(rows, count)`` gets a list of rows
-    and the number of rows before them, and returns one value per row. It
-    gets all rows at once; if that raises a ``ValueError`` or ``ConfigError``,
-    it gets them again one at a time, and the first row that raises becomes
-    a :class:`SchemaError` at the line the row starts on, as does a
+    Blank rows are skipped. ``parse_columns(columns, count)`` gets the
+    rows' fields a column at a time, one sequence per header field, and the
+    number of rows before them, and returns one value per row. It gets all
+    rows at once; if that raises a ``ValueError`` or ``ConfigError``, it
+    gets them again one row at a time, and the first row that raises
+    becomes a :class:`SchemaError` at the line the row starts on, as does a
     ``csv.Error``, such as a field over its size limit. Every
     :class:`SchemaError` names the file, so a bad input among several is known.
+    Plain text (see :func:`_plain_columns`) is split with ``str.split``, and
+    goes through ``csv.reader`` only when its audit fails.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             text = fh.read()  # decoded whole, so a bad byte anywhere is reported before any row
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text ({exc.reason})", path=path) from None
+    if text.startswith("\ufeff"):
+        raise SchemaError("starts with a UTF-8 byte-order mark; save the file without one",
+                          line=1, path=path)
+    columns = _plain_columns(text, header)
+    if columns is not None:
+        try:
+            return parse_columns(columns, 0) if columns[0] else []
+        except (ValueError, ConfigError):
+            pass  # the rows one at a time name the first fault and its line
     starts, rows, fault = _split_rows(text, path)
     if not rows:
         raise fault or SchemaError("empty file", line=1, path=path)
@@ -442,11 +471,11 @@ def _read_csv(path, header: Sequence[str], parse_rows) -> list:
             raise SchemaError(f"missing column {missing[0]!r}", line=1, path=path)
         raise SchemaError(f"unexpected header {first!r}", line=1, path=path)
     data = [row for row in rows[1:] if row]
-    if fault is None and all(len(row) == len(header) for row in data):
+    if columns is None and fault is None and all(len(row) == len(header) for row in data):
         try:
-            return parse_rows(data, 0) if data else []
+            return parse_columns(list(zip(*data)), 0) if data else []
         except (ValueError, ConfigError):
-            pass  # the rows one at a time name the first fault and its line
+            pass
     parsed = []
     for line_no, row in zip(starts[1:], rows[1:]):
         if not row:
@@ -454,7 +483,7 @@ def _read_csv(path, header: Sequence[str], parse_rows) -> list:
         if len(row) != len(header):
             raise SchemaError(f"expected {len(header)} fields, got {len(row)}", line=line_no, path=path)
         try:
-            parsed += parse_rows([row], len(parsed))
+            parsed += parse_columns(list(zip(row)), len(parsed))
         except (ValueError, ConfigError) as exc:
             raise SchemaError(str(exc), line=line_no, path=path) from exc
     if fault is not None:
@@ -483,26 +512,32 @@ _ENGINES = {kind.value: kind for kind in EngineKind}
 # plain floats: comparing against np.float64 scalars costs about 0.6 us more a row
 _DECISION_BOUNDS = tuple(zip("ABCD", LOWER_BOUNDS.tolist(), UPPER_BOUNDS.tolist()))
 
+# the unchecked named tuples of a row, built in C from a tuple of their fields:
+# each one's own constructor is a Python function, about 0.25 us more a row
+_new_decision = partial(tuple.__new__, DecisionVector)
+_new_objectives = partial(tuple.__new__, ObjectiveVector)
+_new_record = partial(tuple.__new__, SolutionRecord)
 
-def _frontier_records(rows: list[list[str]], _count: int) -> list[SolutionRecord]:
+
+def _frontier_records(columns: list[Sequence[str]], _count: int) -> list[SolutionRecord]:
     # a column at a time: each column parses, then each check runs over all
     # rows, so on one row this is the audit order read_frontier_csv gives;
     # each object is built once, and a record holds the objects that were checked
-    names, w1, w2, w3, w4, run_ids, seeds, *floats = zip(*rows)
+    names, w1, w2, w3, w4, run_ids, seeds, *floats = columns
     engines = list(map(_ENGINES.get, names))
     if None in engines:
         EngineKind(names[engines.index(None)])  # raises the enum's own error
     weights = list(map(WeightVector, *[list(map(float, column)) for column in (w1, w2, w3, w4)]))
     run_ids, seeds = list(map(int, run_ids)), list(map(int, seeds))
     a, b, c, d, f1, f2, f3, f4, F, rate = [list(map(float, column)) for column in floats]
-    for run_id in run_ids:
-        if run_id < 0:
-            raise ValueError(f"run_id={run_id} is negative")
-    for seed in seeds:
-        if not 0 <= seed < 2**64:
-            raise ValueError(f"seed={seed} outside [0, 2**64)")
+    if min(run_ids) < 0:
+        run_id = next(run_id for run_id in run_ids if run_id < 0)
+        raise ValueError(f"run_id={run_id} is negative")
+    if min(seeds) < 0 or max(seeds) >= 2**64:
+        seed = next(seed for seed in seeds if not 0 <= seed < 2**64)
+        raise ValueError(f"seed={seed} outside [0, 2**64)")
     # negated comparisons, so that NaN fails them too
-    objectives = list(map(ObjectiveVector, f1, f2, f3, f4))
+    objectives = list(map(_new_objectives, zip(f1, f2, f3, f4)))
     for objective, weight, stored in zip(objectives, weights, F):
         recomputed = aggregate(objective, weight)
         if not abs(recomputed - stored) <= 1e-9:
@@ -514,8 +549,8 @@ def _frontier_records(rows: list[list[str]], _count: int) -> list[SolutionRecord
         for value in column:
             if not lo <= value <= hi:
                 raise ValueError(f"decision {name}={value} outside [{lo}, {hi}]")
-    return list(map(SolutionRecord, engines, weights, run_ids, seeds, map(DecisionVector, a, b, c, d),
-                    objectives, F, rate))
+    return list(map(_new_record, zip(engines, weights, run_ids, seeds,
+                                     map(_new_decision, zip(a, b, c, d)), objectives, F, rate)))
 
 
 def read_frontier_csv(path) -> list[SolutionRecord]:
@@ -535,9 +570,8 @@ def write_trace_csv(trace: Sequence[float], path) -> None:
     _write_csv(path, TRACE_HEADER, enumerate(trace, start=1))
 
 
-def _trace_values(rows: list[list[str]], count: int) -> list[float]:
-    generations, values = zip(*rows)
-    generations, values = list(map(int, generations)), list(map(float, values))
+def _trace_values(columns: list[Sequence[str]], count: int) -> list[float]:
+    generations, values = list(map(int, columns[0])), list(map(float, columns[1]))
     for expected, generation in enumerate(generations, start=count + 1):
         if generation != expected:
             raise ValueError(f"generations must run 1..N, got {generation}")
@@ -552,8 +586,8 @@ def write_weights_csv(weights: Sequence[WeightVector], path) -> None:
     _write_csv(path, WEIGHTS_HEADER, (w.as_tuple() for w in weights))
 
 
-def _weight_vectors(rows: list[list[str]], _count: int) -> list[WeightVector]:
-    return list(map(WeightVector, *[list(map(float, column)) for column in zip(*rows)]))
+def _weight_vectors(columns: list[Sequence[str]], _count: int) -> list[WeightVector]:
+    return list(map(WeightVector, *[list(map(float, column)) for column in columns]))
 
 
 def read_weights_csv(path) -> list[WeightVector]:

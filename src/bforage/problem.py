@@ -12,7 +12,6 @@ coordinates onto the variable box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -75,30 +74,42 @@ class ObjectiveVector(NamedTuple):
     f4: float  # shear strength
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Convex weighting of the four objectives; components sum to one."""
-
+class _WeightFields(NamedTuple):
     w1: float
     w2: float
     w3: float
     w4: float
 
-    def __post_init__(self):
-        w1, w2, w3, w4 = self.w1, self.w2, self.w3, self.w4
+
+class WeightVector(_WeightFields):
+    """Convex weighting of the four objectives; components sum to one.
+
+    A named tuple whose every construction is checked: the constructor,
+    ``_make``, ``_replace``, and pickle and copy at any protocol, which
+    rebuild through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, w1: float, w2: float, w3: float, w4: float):
         if not (w1 >= 0 and w2 >= 0 and w3 >= 0 and w4 >= 0):  # NaN fails too
-            for name, value in zip(("w1", "w2", "w3", "w4"), self):
+            for name, value in zip(cls._fields, (w1, w2, w3, w4)):
                 if not value >= 0:
                     raise ConfigError(f"{name} must be non-negative, got {value}")
         total = w1 + w2 + w3 + w4
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"weights must sum to 1 (within 1e-9), got {total!r}")
+        return tuple.__new__(cls, (w1, w2, w3, w4))
 
-    def __iter__(self):
-        return iter((self.w1, self.w2, self.w3, self.w4))
+    @classmethod
+    def _make(cls, iterable) -> WeightVector:
+        return cls(*iterable)
+
+    def __reduce__(self):
+        return type(self), tuple(self)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w1, self.w2, self.w3, self.w4)
+        return tuple(self)
 
 
 def _check_bounds(x: DecisionVector) -> None:

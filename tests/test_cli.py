@@ -197,6 +197,19 @@ def test_run_with_single_generation_cannot_rate_exploration(capsys, monkeypatch)
         assert "n_total must be >= 2" in err and "trace" in err
 
 
+def test_a_chaotic_warm_up_over_the_cap_is_rejected_before_any_engine_is_built(capsys, monkeypatch):
+    # warmup=1e9 would take about 100 s in each engine's constructor
+    def no_engine(*args, **kwargs):
+        pytest.fail("an engine was built")
+
+    monkeypatch.setattr("bforage.bfa.StochasticEngine", no_engine)
+    sweep = ["--engines", "gaussian,chaotic", "--runs", "1", "--weight-step", "0.5", "--weight-min", "0.0"]
+    for argv in (["run", "--engine", "chaotic"], ["sweep", *sweep]):
+        code, _, err = run_cli(capsys, *argv, "--seed", "1", "--engine-param", "warmup=1e9")
+        assert code == 2
+        assert "warmup must be at most 1000000 for the chaotic engine, got 1000000000" in err
+
+
 def test_config_file_bad_value_reports_line(capsys, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("nt = 5\nped = 1.5\nseed = 1\n")
@@ -380,6 +393,25 @@ def test_a_file_that_is_not_utf8_exits_2_naming_it(capsys, tmp_path, argv):
     code, out, err = run_cli(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
     assert code == 2
     assert err == f"error: {path}: not UTF-8 text (invalid start byte)\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["hvi", "--input", "FILE"], None),
+    (["aer", "--input", "FILE"], "generation,best_F\n1,5.0\n2,6.0\n"),
+    (["sweep", "--seed", "1", "--weights-file", "FILE"], "w1,w2,w3,w4\n0.25,0.25,0.25,0.25\n"),
+], ids=["hvi-input", "aer-input", "sweep-weights-file"])
+def test_a_file_with_a_byte_order_mark_exits_2_naming_it(capsys, tmp_path, argv, text):
+    path = tmp_path / "bom.csv"
+    if text is None:
+        from test_experiment import make_record
+
+        write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
+        text = path.read_text()
+    path.write_text(text, encoding="utf-8-sig")
+    code, out, err = run_cli(capsys, *[str(path) if arg == "FILE" else arg for arg in argv])
+    assert code == 2
+    assert err == f"error: {path}: line 1: starts with a UTF-8 byte-order mark; save the file without one\n"
     assert out == ""
 
 
@@ -569,7 +601,7 @@ def test_non_finite_frontier_value_is_schema_error_exit_2(capsys, tmp_path):
 
     record = make_record((500.0, 700.0, 300.0, 400.0))
     path = tmp_path / "frontier.csv"
-    write_frontier_csv([dataclasses.replace(record, F=math.nan, aer=math.nan)], path)
+    write_frontier_csv([record._replace(F=math.nan, aer=math.nan)], path)
     code, _, err = run_cli(capsys, "hvi", "--input", str(path))
     assert code == 2
     assert "line 2" in err

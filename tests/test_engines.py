@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import bforage
 from bforage.bfa import _directions
 from bforage.engines import (
+    MAX_WARMUP,
     EngineConfig,
     EngineKind,
     StochasticEngine,
@@ -283,6 +284,16 @@ def test_a_long_chaotic_warm_up_is_discarded_in_bounded_memory():
     assert e.draws == 0
     digest = hashlib.sha256(repr(e.sample_units(1000)).encode()).hexdigest()
     assert digest == "9bcf76eb87b745465150adbda20d47c2e6ac7c320f6b8c40ebd8389a81b174cf"
+
+
+def test_a_chaotic_warm_up_is_capped():
+    assert MAX_WARMUP == 10**6  # the cap README states
+    assert EngineConfig(kind=EngineKind.CHAOTIC, seed=1, warmup=MAX_WARMUP).warmup == MAX_WARMUP
+    with pytest.raises(ConfigError) as err:
+        EngineConfig(kind=EngineKind.CHAOTIC, seed=1, warmup=MAX_WARMUP + 1)
+    assert str(err.value) == "warmup must be at most 1000000 for the chaotic engine, got 1000001"
+    # inert off the chaotic engine, so not checked there
+    assert EngineConfig(kind=EngineKind.GAUSSIAN, seed=1, warmup=10**9).warmup == 10**9
 
 
 def test_chaotic_stays_in_open_interval_even_past_rate_four():

@@ -455,6 +455,42 @@ def test_frontier_missing_column_is_named(tmp_path):
     assert "seed" in str(err.value)
 
 
+@pytest.mark.parametrize("read,text", [
+    (read_frontier_csv, ",".join(experiment.FRONTIER_HEADER) + "\n"),
+    (read_trace_csv, "generation,best_F\n1,5.0\n"),
+    (read_weights_csv, "w1,w2,w3,w4\n0.25,0.25,0.25,0.25\n"),
+], ids=["frontier", "trace", "weights"])
+def test_a_byte_order_mark_is_named_at_line_1(tmp_path, read, text):
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8")
+    read(path)
+    path.write_text(text, encoding="utf-8-sig")  # the same text after a UTF-8 byte-order mark
+    with pytest.raises(SchemaError) as err:
+        read(path)
+    assert str(err.value) == f"{path}: line 1: starts with a UTF-8 byte-order mark; save the file without one"
+    assert err.value.line == 1
+
+
+def test_a_record_is_a_named_tuple_with_its_old_repr(tmp_path):
+    record = make_record((100.0, 200.0, 300.0, 400.0), weights=WeightVector(0.1, 0.2, 0.3, 0.4), run_id=2)
+    assert repr(record) == (
+        "SolutionRecord(engine=<EngineKind.GAUSSIAN: 'gaussian'>, "
+        "weights=WeightVector(w1=0.1, w2=0.2, w3=0.3, w4=0.4), run_id=2, seed=8786840476651748380, "
+        "decision=DecisionVector(A=2.0, B=40.0, C=4.0, D=80.0), "
+        "objectives=ObjectiveVector(f1=100.0, f2=200.0, f3=300.0, f4=400.0), F=300.0, aer=0.5)")
+    # equal by value, and hashed by value, whether built or read back
+    twin = make_record((100.0, 200.0, 300.0, 400.0), weights=WeightVector(0.1, 0.2, 0.3, 0.4), run_id=2)
+    write_frontier_csv([record], tmp_path / "frontier.csv")
+    [read_back] = read_frontier_csv(tmp_path / "frontier.csv")
+    assert record == twin == read_back and len({hash(record), hash(twin), hash(read_back)}) == 1
+    assert type(read_back) is SolutionRecord and repr(read_back) == repr(record)
+    assert record != record._replace(aer=0.25)
+    edited = record._replace(F=301.0)
+    assert type(edited) is SolutionRecord and edited.F == 301.0 and record.F == 300.0
+    with pytest.raises(AttributeError):
+        record.F = 0.0
+
+
 @pytest.mark.parametrize("read,header", [
     (read_frontier_csv, ",".join(experiment.FRONTIER_HEADER)),
     (read_trace_csv, "generation,best_F"),
@@ -473,6 +509,15 @@ def test_a_field_over_the_csv_size_limit_is_a_schema_error_at_its_line(tmp_path,
     assert err.value.line == line
 
 
+def test_a_field_over_the_csv_size_limit_is_a_schema_error_even_when_its_value_is_valid(tmp_path):
+    # 0.25 padded with zeros parses and passes the audit, but csv.reader refuses the field
+    path = tmp_path / "weights.csv"
+    path.write_text("w1,w2,w3,w4\n0.25,0.25,0.25,0.25\n" + "0.25" + "0" * 131_070 + ",0.25,0.25,0.25\n")
+    with pytest.raises(SchemaError) as err:
+        read_weights_csv(path)
+    assert str(err.value) == f"{path}: line 3: unreadable CSV (field larger than field limit (131072))"
+
+
 def test_frontier_schema_error_carries_line_number(tmp_path):
     record = make_record((100.0, 200.0, 300.0, 400.0))
     path = tmp_path / "frontier.csv"
@@ -487,7 +532,7 @@ def test_frontier_schema_error_carries_line_number(tmp_path):
 
 def test_frontier_aggregate_audit_on_load(tmp_path):
     record = make_record((100.0, 200.0, 300.0, 400.0))
-    tampered = dataclasses.replace(record, F=record.F + 0.5)
+    tampered = record._replace(F=record.F + 0.5)
     path = tmp_path / "frontier.csv"
     write_frontier_csv([tampered], path)
     with pytest.raises(SchemaError) as err:
@@ -499,7 +544,7 @@ def test_frontier_aggregate_audit_on_load(tmp_path):
 def test_frontier_non_finite_value_fails_audit(tmp_path, field):
     record = make_record((100.0, 200.0, 300.0, 400.0))
     path = tmp_path / "frontier.csv"
-    write_frontier_csv([dataclasses.replace(record, **{field: math.nan})], path)
+    write_frontier_csv([record._replace(**{field: math.nan})], path)
     with pytest.raises(SchemaError) as err:
         read_frontier_csv(path)
     assert "line 2" in str(err.value)
@@ -507,7 +552,7 @@ def test_frontier_non_finite_value_fails_audit(tmp_path, field):
 
 def test_frontier_bounds_audit_on_load(tmp_path):
     record = make_record((100.0, 200.0, 300.0, 400.0))
-    bad = dataclasses.replace(record, decision=DecisionVector(9.0, 40.0, 4.0, 80.0))
+    bad = record._replace(decision=DecisionVector(9.0, 40.0, 4.0, 80.0))
     path = tmp_path / "frontier.csv"
     write_frontier_csv([bad], path)
     with pytest.raises(SchemaError):
@@ -523,8 +568,8 @@ def test_frontier_bounds_audit_on_load(tmp_path):
 def test_frontier_impossible_ids_fail_audit(tmp_path, field, value, message):
     record = make_record((100.0, 200.0, 300.0, 400.0))
     path = tmp_path / "frontier.csv"
-    edge = dataclasses.replace(record, run_id=0, seed=2**64 - 1)
-    write_frontier_csv([edge, dataclasses.replace(record, **{field: value})], path)
+    edge = record._replace(run_id=0, seed=2**64 - 1)
+    write_frontier_csv([edge, record._replace(**{field: value})], path)
     with pytest.raises(SchemaError, match=re.escape(message)) as err:
         read_frontier_csv(path)
     assert "line 3" in str(err.value)
@@ -587,17 +632,24 @@ def test_split_rows_are_the_csv_readers_rows(text):
     assert list(zip(starts, rows)) == want
     assert len(starts) == len(rows)
     assert (None if error is None else (str(error), error.line)) == fault
+    # plain text split at newlines and commas gives the reader's data rows, a column at a time
+    header = want[0][1] if want and want[0][1] else ["h"]
+    columns = experiment._plain_columns(text, header)
+    if columns is not None:
+        data = [row for _, row in want[1:] if row]
+        assert fault is None and want[0][1] == header
+        assert [list(column) for column in columns] == [[row[k] for row in data] for k in range(len(header))]
 
 
 _AUDIT_ROWS = [
     make_record((393.4207679359471, 1188.7030249165284, 1011.9909799507026, 333.2025180988497),
                 weights=WeightVector(0.1, 0.2, 0.3, 0.4), run_id=2, aer=1 / 3),
-    dataclasses.replace(make_record((438.6280707634921, 1138.1149471037136, 1082.7486690361427,
-                                     329.96014751955397), run_id=9, aer=0.0),
-                        decision=DecisionVector(2.5, 50.0, 5.0, 100.0)),
-    dataclasses.replace(make_record((0.0, 1e3, 1.5, 400.0), weights=WeightVector(0.7, 0.1, 0.1, 0.1),
-                                    aer=1.0, engine=EngineKind.CHAOTIC),
-                        decision=DecisionVector(1.5, 30.0, 3.0, 60.0)),
+    make_record((438.6280707634921, 1138.1149471037136, 1082.7486690361427,
+                 329.96014751955397), run_id=9, aer=0.0)._replace(
+        decision=DecisionVector(2.5, 50.0, 5.0, 100.0)),
+    make_record((0.0, 1e3, 1.5, 400.0), weights=WeightVector(0.7, 0.1, 0.1, 0.1),
+                aer=1.0, engine=EngineKind.CHAOTIC)._replace(
+        decision=DecisionVector(1.5, 30.0, 3.0, 60.0)),
 ]
 # moves the field's value by 2e-9: breaks a weight sum or an F, or crosses a bound at its edge
 _NUDGES = {"+2e-9": 2e-9, "-2e-9": -2e-9}
@@ -649,9 +701,9 @@ def test_frontier_reader_agrees_with_the_oracle_on_two_edits(tmp_path_factory, e
 def test_a_valid_frontier_is_audited_in_one_call_and_a_faulty_one_replayed_row_by_row(tmp_path, monkeypatch):
     calls = []
 
-    def recorded(rows, count):
-        calls.append((len(rows), count))
-        return audit(rows, count)
+    def recorded(columns, count):
+        calls.append((len(columns[0]), count))
+        return audit(columns, count)
 
     audit = experiment._frontier_records
     monkeypatch.setattr(experiment, "_frontier_records", recorded)
@@ -693,7 +745,7 @@ def test_a_large_plain_frontier_is_split_without_the_csv_reader(tmp_path, monkey
     for run_id, weights in enumerate(generate_weights(0.025, 0.1)):
         record = make_record((rng.random(4) * 1000).tolist(), weights=weights, run_id=run_id % 10,
                              aer=float(rng.random()))
-        records.append(dataclasses.replace(record, decision=to_physical(rng.random(4))))
+        records.append(record._replace(decision=to_physical(rng.random(4))))
     path = tmp_path / "frontier.csv"
     write_frontier_csv(records, path)
     assert len(records) == 2925

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -252,6 +254,42 @@ def test_weight_vector_names_the_first_bad_field(bad, shown):
     with pytest.raises(ConfigError) as err:
         WeightVector(0.6, 0.5, bad, -0.2)
     assert str(err.value) == f"w3 must be non-negative, got {shown}"
+
+
+def test_every_way_to_build_a_weight_vector_is_checked():
+    w = WeightVector(0.1, 0.2, 0.3, 0.4)
+    assert w._replace(w1=0.1) == w and type(w._replace(w4=0.4)) is WeightVector
+    assert WeightVector._make([0.1, 0.2, 0.3, 0.4]) == w
+    with pytest.raises(ConfigError, match=r"^w1 must be non-negative, got -0\.1$"):
+        w._replace(w1=-0.1)
+    with pytest.raises(ConfigError, match=r"^weights must sum to 1 \(within 1e-9\), got 2\.0$"):
+        WeightVector._make([0.5, 0.5, 0.5, 0.5])
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(w, proto)) == w
+    assert copy.copy(w) == w and copy.deepcopy(w) == w
+    # a vector that skipped the checks is caught when pickle or copy rebuilds it
+    for fields, message in (((-0.1, 0.2, 0.3, 0.6), "w1 must be non-negative, got -0.1"),
+                            ((0.5, 0.5, 0.5, 0.5), "weights must sum to 1 (within 1e-9), got 2.0")):
+        bad = tuple.__new__(WeightVector, fields)
+        rebuilds = [lambda: copy.copy(bad), lambda: copy.deepcopy(bad)]
+        rebuilds += [lambda proto=proto: pickle.loads(pickle.dumps(bad, proto))
+                     for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for rebuild in rebuilds:
+            with pytest.raises(ConfigError) as err:
+                rebuild()
+            assert str(err.value) == message
+
+
+def test_a_weight_vector_is_a_named_tuple_with_its_old_repr():
+    w = WeightVector(0.1, 0.2, 0.3, 0.4)
+    assert repr(w) == "WeightVector(w1=0.1, w2=0.2, w3=0.3, w4=0.4)"
+    assert w.as_tuple() == tuple(w) == (0.1, 0.2, 0.3, 0.4) and type(w.as_tuple()) is tuple
+    assert w == WeightVector(0.1, 0.2, 0.3, 0.4) and hash(w) == hash(WeightVector(0.1, 0.2, 0.3, 0.4))
+    assert w != WeightVector(0.4, 0.3, 0.2, 0.1)
+    with pytest.raises(AttributeError):
+        w.w1 = 0.5
+    with pytest.raises(AttributeError):
+        w.extra = 1  # __slots__ = (): no instance dict
 
 
 def test_weight_vector_tolerates_float_noise_in_the_sum():
