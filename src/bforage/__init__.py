@@ -9,7 +9,6 @@ from .bfa import (
     BfaParams,
     RunResult,
     SwarmState,
-    reproduce,
     run_batch,
     run_bfa,
 )

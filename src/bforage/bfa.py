@@ -21,7 +21,7 @@ engine and score row, and its result is bit-identical to running it alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from collections.abc import Sequence
 from typing import Callable, Optional
 
@@ -42,7 +42,6 @@ __all__ = [
     "BfaParams",
     "SwarmState",
     "RunResult",
-    "reproduce",
     "run_bfa",
     "run_batch",
 ]
@@ -123,31 +122,29 @@ class BfaParams:
 
 @dataclass
 class SwarmState:
-    """Mutable run state: the population as arrays plus the best-so-far archive.
+    """Mutable state of a lockstep batch: run ``b`` is row ``b``.
 
-    Row ``i`` of ``theta`` (unit-cube position), ``f_plain`` (weighted
-    objective there, no swarming term), ``cost`` (augmented fitness at the
-    last evaluation) and ``health`` is bacterium ``i``. ``health`` is the
-    running sum of every augmented cost evaluated for that bacterium since
-    the last reproduction event (the initial placement and dispersal
-    re-evaluations included); reproduction resets it to zero. In a lockstep
-    batch ``theta`` is a view of the batch's (B, S, 4) block of positions,
-    so every step of a run writes the arrays in place and never rebinds them.
+    ``theta`` (B, S, 4) holds the unit-cube positions, bacterium ``i`` of
+    run ``b`` at ``theta[b, i]``, and ``best_theta`` (B, 4) each run's
+    archived best position. The other fields are per-run Python lists,
+    indexed ``[b]`` or ``[b][i]``: ``f_plain`` (weighted objective, no
+    swarming term), ``health`` (the running sum of every augmented cost
+    evaluated for that bacterium since the last reproduction event, the
+    initial placement and dispersal re-evaluations included; reproduction
+    resets it to zero), ``moves`` (moves each bacterium made in the last
+    generation), ``best_f``, ``evaluations`` and ``trace``. The swims read
+    and write them one scalar at a time, which a list does faster than an
+    array. Every step writes ``theta`` in place and never rebinds it.
     """
 
-    theta: np.ndarray      # (S, 4)
-    f_plain: np.ndarray    # (S,)
-    cost: np.ndarray       # (S,)
-    health: np.ndarray     # (S,)
-    best_theta: np.ndarray
-    best_f: float
-    trace: list[float] = field(default_factory=list)
-    evaluations: int = 0
-    last_moves: list[int] = field(default_factory=list)  # moves per bacterium, last generation
-
-    @property
-    def size(self) -> int:
-        return len(self.theta)
+    theta: np.ndarray            # (B, S, 4)
+    best_theta: np.ndarray       # (B, 4)
+    f_plain: list[list[float]]
+    health: list[list[float]]
+    moves: list[list[int]]
+    best_f: list[float]
+    evaluations: list[int]
+    trace: list[list[float]]
 
 
 @dataclass(frozen=True)
@@ -257,20 +254,21 @@ def chemotaxis_move(
     score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
 ) -> float:
-    """Step bacterium ``i`` along ``direction``, clamp, re-evaluate; returns the new cost."""
-    swarm.theta[i] = np.clip(swarm.theta[i] + params.step_size * direction, 0.0, 1.0)
-    path = swarm.theta[i : i + 1]
-    potentials = _swarming_term(params, swarm.theta[None, :, None], swarm.theta[None])(i)
-    _swim(i, path, _scores(score, path), potentials[0], math.inf, swarm)
-    return swarm.cost[i]
+    """Step bacterium ``i`` of run 0 along ``direction``, clamp, re-evaluate; returns the new cost."""
+    theta = swarm.theta[:1]
+    theta[0, i] = np.clip(theta[0, i] + params.step_size * direction, 0.0, 1.0)
+    path = theta[0, i : i + 1]
+    potentials = _swarming_term(params, theta[:, :, None], theta)(i)[0].tolist()
+    _swim(0, i, path, _scores(score, path), potentials, math.inf, swarm)
+    return swarm.f_plain[0][i] - potentials[0]
 
 
 # -- lockstep batches ------------------------------------------------------------
 #
 # A batch is B runs that share one BfaParams, advanced together one
-# bacterium index at a time. ``theta`` is the (B, S, 4) block of positions
-# and ``swarms[b].theta`` is its view ``theta[b]``, so the batched numpy
-# calls and each run's own bookkeeping see the same positions. Every run
+# bacterium index at a time. One SwarmState holds them all, run b in row
+# b, so the batched numpy calls read the (B, S, 4) block of positions that
+# each run's own bookkeeping writes. Every run
 # keeps its own engine and draws in the order it would alone, so a run's
 # result does not depend on the batch around it. A batch's score maps a
 # float64 array of unit points, shaped (B, ..., 4), to the (B, ...) array
@@ -298,31 +296,32 @@ def _scores(score: Callable[[np.ndarray], np.ndarray], points: np.ndarray) -> li
 def _initialize(
     engines: Sequence[StochasticEngine], params: BfaParams,
     score: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, list[SwarmState]]:
+) -> SwarmState:
     """Place ``pop_size`` bacteria per run at engine-drawn positions and evaluate them.
 
-    Returns the (B, S, 4) block of positions and each run's swarm. Draw
-    order is fixed: all positions first, bacterium by bacterium, one unit
-    draw per component, as one ``sample_units`` block of ``4 * S`` draws per
-    run; then every run evaluates its costs bacterium by bacterium, taking
-    the indices in turn across the batch, every value from one ``score``
-    call. A placement swim writes back the position it already holds,
-    so every cost is against the complete initial swarm.
+    Returns the batch's state. Draw order is fixed: all positions first,
+    bacterium by bacterium, one unit draw per component, as one
+    ``sample_units`` block of ``4 * S`` draws per run; then every run
+    evaluates its costs bacterium by bacterium, taking the indices in turn
+    across the batch, every value from one ``score`` call. A placement
+    swim writes back the position it already holds, so every cost is
+    against the complete initial swarm.
     """
-    theta = np.array([engine.sample_units(N_DIMENSIONS * params.pop_size) for engine in engines])
-    theta = theta.reshape(len(engines), params.pop_size, N_DIMENSIONS)
+    batch, size = len(engines), params.pop_size
+    theta = np.array([engine.sample_units(N_DIMENSIONS * size) for engine in engines])
+    theta = theta.reshape(batch, size, N_DIMENSIONS)
+    swarm = SwarmState(theta=theta, best_theta=theta[:, 0].copy(),
+                       f_plain=[[0.0] * size for _ in engines],
+                       health=[[0.0] * size for _ in engines], moves=[[0] * size for _ in engines],
+                       best_f=[-math.inf] * batch, evaluations=[0] * batch,
+                       trace=[[] for _ in engines])
     values = _scores(score, theta[:, :, None])
     term = _swarming_term(params, theta[:, :, None], theta)
-    swarms = []
-    for b in range(len(engines)):
-        zeros = np.zeros(params.pop_size)
-        swarms.append(SwarmState(theta=theta[b], f_plain=zeros.copy(), cost=zeros.copy(),
-                                 health=zeros, best_theta=theta[b, 0].copy(), best_f=-math.inf))
-    for i in range(params.pop_size):
+    for i in range(size):
         potentials = term(i).tolist()
-        for b, swarm in enumerate(swarms):
-            _swim(i, theta[b, i : i + 1], values[b][i], potentials[b], math.inf, swarm)
-    return theta, swarms
+        for b in range(batch):
+            _swim(b, i, theta[b, i : i + 1], values[b][i], potentials[b], math.inf, swarm)
+    return swarm
 
 
 def _swim_path(start: np.ndarray, direction: np.ndarray, params: BfaParams) -> np.ndarray:
@@ -342,10 +341,10 @@ def _swim_path(start: np.ndarray, direction: np.ndarray, params: BfaParams) -> n
     return path
 
 
-def _swim(i: int, path: np.ndarray, values, potentials, previous: float,
+def _swim(b: int, i: int, path: np.ndarray, values, potentials, previous: float,
           swarm: SwarmState) -> int:
-    """Move bacterium ``i`` along ``path`` (K, 4) while its augmented cost
-    improves; returns the number of moves.
+    """Move bacterium ``i`` of run ``b`` along ``path`` (K, 4) while its
+    augmented cost improves; returns the number of moves.
 
     Every evaluation of the optimizer commits here: the initial placement,
     a dispersal and ``chemotaxis_move`` as a one-point path, which commits
@@ -353,31 +352,29 @@ def _swim(i: int, path: np.ndarray, values, potentials, previous: float,
     at ``path[k]``, scored ahead; values past the last committed point are
     dropped. ``potentials[k]`` is the swarming term at ``path[k]``, and
     ``previous`` the cost the first point must beat before a second may
-    follow. Keeping the health sum in a local and writing the row once per
+    follow. Keeping the health sum in a local and writing it once per
     swim makes a batch of 8 default runs about 9 % faster than a write per
     move.
     """
-    health = float(swarm.health[i])
+    health = swarm.health[b][i]
     for k, f_plain in enumerate(values):
         cost = f_plain - potentials[k]
         health += cost
-        if f_plain > swarm.best_f:
-            swarm.best_f = f_plain
-            swarm.best_theta = path[k].copy()
+        if f_plain > swarm.best_f[b]:
+            swarm.best_f[b] = f_plain
+            swarm.best_theta[b] = path[k]
         if not cost > previous:
             break
         previous = cost
-    swarm.theta[i] = path[k]
-    swarm.f_plain[i] = f_plain
-    swarm.cost[i] = cost
-    swarm.health[i] = health
-    swarm.evaluations += k + 1
+    swarm.theta[b, i] = path[k]
+    swarm.f_plain[b][i] = f_plain
+    swarm.health[b][i] = health
+    swarm.evaluations[b] += k + 1
     return k + 1
 
 
 def _generation(
-    theta: np.ndarray,
-    swarms: Sequence[SwarmState],
+    swarm: SwarmState,
     engines: Sequence[StochasticEngine],
     score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
@@ -388,15 +385,15 @@ def _generation(
     move is always committed, the gate only decides whether another one
     follows. ``score`` gives the objective at every step of every run's
     swim paths, the (B, S, n_swim + 1) values, in one call before the first
-    swim, and each swim reads its values from that block. Appends each
-    run's best-so-far value to its trace.
+    swim, and each swim reads its values from that block. Records each
+    bacterium's moves and appends each run's best-so-far value to its trace.
 
     Draw order is fixed: every tumble of a run is drawn before its first
     swim, in row order, four unit draws per bacterium, a zero direction
     redrawn from the next four. Nothing else draws, so each engine ends
     exactly ``4 * S`` draws on (four more per redraw).
     """
-    moves = [[] for _ in swarms]
+    theta = swarm.theta
     size = theta.shape[1]
     # only the tumbles draw within a generation, and a bacterium's start
     # changes only through its own swim, so every run's directions and every
@@ -411,38 +408,35 @@ def _generation(
         # the other bacteria stand still during a swim, so the swarming term
         # at every run's start and along its reachable path is one call
         potentials = term(i).tolist()
-        for b, swarm in enumerate(swarms):
-            terms = potentials[b]
+        for b, terms in enumerate(potentials):
             start = terms.pop(0)  # where bacterium i stands; the rest pair with steps[b, i]
-            taken = _swim(i, steps[b, i], values[b][i], terms, swarm.f_plain[i] - start, swarm)
-            moves[b].append(taken)
+            swarm.moves[b][i] = _swim(b, i, steps[b, i], values[b][i], terms,
+                                      swarm.f_plain[b][i] - start, swarm)
         del potentials, terms  # so this index's lists are gone before the next one's are made
-    for swarm, taken in zip(swarms, moves):
-        swarm.last_moves = taken
-        swarm.trace.append(swarm.best_f)
+    for trace, best_f in zip(swarm.trace, swarm.best_f):
+        trace.append(best_f)
 
 
-def reproduce(swarm: SwarmState) -> None:
-    """Health-ranked cloning: the healthier half survives and splits.
+def _reproduce(swarm: SwarmState) -> None:
+    """Health-ranked cloning in every run: the healthier half survives and splits.
 
-    With population S the top ``ceil(S/2)`` (ties broken by row index)
-    are kept in rank order and the leading ``S - ceil(S/2)`` of them are
-    cloned, so the size is exactly S again. Health resets to zero for
-    everyone. The arrays are rewritten in place.
+    With population S the top ``ceil(S/2)`` of each run (ties broken by row
+    index) are kept in rank order and the leading ``S - ceil(S/2)`` of them
+    are cloned, so the size is exactly S again. Health resets to zero for
+    everyone.
     """
-    size = swarm.size
-    order = np.argsort(-swarm.health, kind="stable")
+    size = swarm.theta.shape[1]
     keep = (size + 1) // 2
-    rows = np.concatenate([order[:keep], order[: size - keep]])
-    swarm.theta[:] = swarm.theta[rows]
-    swarm.f_plain[:] = swarm.f_plain[rows]
-    swarm.cost[:] = swarm.cost[rows]
-    swarm.health[:] = 0.0
+    order = np.argsort(-np.array(swarm.health), axis=1, kind="stable")
+    rows = np.concatenate([order[:, :keep], order[:, : size - keep]], axis=1)
+    swarm.theta[:] = np.take_along_axis(swarm.theta, rows[..., None], axis=1)
+    swarm.f_plain = [[f_plain[i] for i in ranked]
+                     for f_plain, ranked in zip(swarm.f_plain, rows.tolist())]
+    swarm.health = [[0.0] * size for _ in swarm.health]
 
 
 def _disperse(
-    theta: np.ndarray,
-    swarms: Sequence[SwarmState],
+    swarm: SwarmState,
     engines: Sequence[StochasticEngine],
     score: Callable[[np.ndarray], np.ndarray],
     params: BfaParams,
@@ -453,6 +447,7 @@ def _disperse(
     a block of four unit draws for a fresh position and is re-evaluated. The
     best-so-far archive is never erased.
     """
+    theta = swarm.theta
     term = _swarming_term(params, theta[:, :, None], theta)
     for i in range(theta.shape[1]):
         moved = []
@@ -466,7 +461,7 @@ def _disperse(
             potentials = term(i).tolist()
             values = _scores(score, theta[:, i : i + 1, None])
             for b in moved:
-                _swim(i, theta[b, i : i + 1], values[b][0], potentials[b], math.inf, swarms[b])
+                _swim(b, i, theta[b, i : i + 1], values[b][0], potentials[b], math.inf, swarm)
 
 
 def _run_floats(params: BfaParams) -> int:
@@ -499,7 +494,7 @@ def run_batch(
     ``f`` of one point. The batch scores all its swim paths in one call per
     generation; each result is bit-identical to the run alone and leaves
     ``best_decision`` and ``best_objectives`` ``None``. ``observer``, if
-    given, sees every run's swarm after each generation, in batch order.
+    given, sees the batch's state after each generation, run ``b`` in row ``b``.
 
     Raises :class:`ConfigError` when ``score`` returns any other block,
     :class:`DomainError` at a non-finite value, so a broken objective never
@@ -516,30 +511,28 @@ def run_batch(
             f"float64s in one array for {len(engine_configs)} run(s), over the limit of "
             f"2**27 (1 GiB); lower n_swim or pop_size")
     engines = [StochasticEngine(config) for config in engine_configs]
-    theta, swarms = _initialize(engines, params, score)
+    swarm = _initialize(engines, params, score)
     dispersal_period = params.n_chemo * params.n_repro
     for generation in range(1, params.n_total + 1):
-        _generation(theta, swarms, engines, score, params)
+        _generation(swarm, engines, score, params)
         # reproduction and dispersal happen between generations; one that
         # falls exactly on the budget boundary is skipped, so the final
         # trace entry always reflects the final archive
         if generation < params.n_total:
             if generation % params.n_chemo == 0:
-                for swarm in swarms:
-                    reproduce(swarm)
+                _reproduce(swarm)
             if generation % dispersal_period == 0:
-                _disperse(theta, swarms, engines, score, params)
+                _disperse(swarm, engines, score, params)
         if observer is not None:
-            for swarm in swarms:
-                observer(generation, swarm)
-    return [RunResult(best_theta=tuple(float(v) for v in swarm.best_theta),
+            observer(generation, swarm)
+    return [RunResult(best_theta=tuple(swarm.best_theta[b].tolist()),
                       best_decision=None,
                       best_objectives=None,
-                      best_f=swarm.best_f,
-                      trace=tuple(swarm.trace),
-                      evaluations=swarm.evaluations,
+                      best_f=swarm.best_f[b],
+                      trace=tuple(swarm.trace[b]),
+                      evaluations=swarm.evaluations[b],
                       seed=config.seed)
-            for swarm, config in zip(swarms, engine_configs)]
+            for b, config in enumerate(engine_configs)]
 
 
 def run_bfa(

@@ -384,6 +384,8 @@ def _cmd_weights(args) -> int:
 def _cmd_compare(args) -> int:
     if args.plot and not args.out:
         raise UsageError("--plot requires --out")
+    if args.out and not args.plot:  # --out holds only the plot stubs
+        raise UsageError("--out requires --plot")
     reports, paths = [], {}
     for path in args.input:
         records = xp.read_frontier_csv(path)
@@ -482,7 +484,7 @@ def build_parser() -> _Parser:
                        help="rank engines from their frontier CSVs")
     p.add_argument("--input", action="append", required=True,
                    help="frontier CSV; repeat once per engine")
-    p.add_argument("--out", help="directory for plot stubs (default: none)")
+    p.add_argument("--out", help="directory for plot stubs; requires --plot (default: none)")
     p.add_argument("--plot", action="store_true", help="write gnuplot data and script stubs")
     p.set_defaults(handler=_cmd_compare)
     return parser

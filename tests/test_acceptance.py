@@ -162,17 +162,16 @@ def test_criterion_6_structural_invariants_at_desk_scale():
                 sizes, bounds_ok, swim_ok, bests = [], [], [], []
 
                 def watch(_, swarm):
-                    sizes.append((swarm.size, *(len(a) for a in
-                                                (swarm.f_plain, swarm.cost, swarm.health))))
-                    bounds_ok.append(all(
-                        0.0 <= float(t.min()) and float(t.max()) <= 1.0
-                        for t in swarm.theta))
+                    sizes.append((swarm.theta.shape, *(len(rows[0]) for rows in
+                                                       (swarm.f_plain, swarm.health, swarm.moves))))
+                    bounds_ok.append(0.0 <= float(swarm.theta.min())
+                                     and float(swarm.theta.max()) <= 1.0)
                     swim_ok.append(all(1 <= m <= params.n_swim + 1
-                                       for m in swarm.last_moves))
-                    bests.append(swarm.best_f)
+                                       for m in swarm.moves[0]))
+                    bests.append(swarm.best_f[0])
 
                 result = run_bfa(HEADLINE_WEIGHTS, params, cfg, observer=watch)
-                assert sizes == [(25, 25, 25, 25)] * 50
+                assert sizes == [((1, 25, 4), 25, 25, 25)] * 50
                 assert all(bounds_ok) and all(swim_ok)
                 assert all(a <= b for a, b in zip(bests, bests[1:]))
                 assert result.trace == tuple(bests)

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from bforage import bfa
-from bforage.bfa import BfaParams, SwarmState, reproduce, run_batch, run_bfa
+from bforage.bfa import BfaParams, SwarmState, run_batch, run_bfa
 from bforage.bfa import (
     _directions,
     _disperse,
     _generation,
     _initialize,
+    _reproduce,
     _swarming_term,
     _swim_path,
     chemotaxis_move,
@@ -55,25 +56,34 @@ sphere = block(sphere_score)
 
 
 def potential_at(theta, swarm, params, i):
-    """The swarming term at one point, with bacterium ``i`` there and the rest where they stand."""
-    points = np.broadcast_to(theta, (1, swarm.size, 1, 4))
-    return float(_swarming_term(params, points, swarm.theta[None])(i)[0, 0])
+    """The swarming term at one point of run 0, with bacterium ``i`` there and the rest where they stand."""
+    points = np.broadcast_to(theta, (1, swarm.theta.shape[1], 1, 4))
+    return float(_swarming_term(params, points, swarm.theta[:1])(i)[0, 0])
+
+
+def small_batch(positions, score=sphere_score):
+    """A batch with run ``b``'s bacteria at ``positions[b]``, each scored, nothing committed."""
+    theta = np.array(positions, dtype=float)
+    batch, size = theta.shape[:2]
+    return SwarmState(theta=theta, best_theta=theta[:, 0].copy(),
+                      f_plain=[[score(t) for t in row] for row in theta],
+                      health=[[0.0] * size for _ in range(batch)],
+                      moves=[[0] * size for _ in range(batch)], best_f=[-math.inf] * batch,
+                      evaluations=[0] * batch, trace=[[] for _ in range(batch)])
 
 
 def small_swarm(positions, params, score=sphere_score):
-    theta = np.array(positions, dtype=float)
-    return SwarmState(theta=theta, f_plain=np.array([score(t) for t in theta]),
-                      cost=np.zeros(len(theta)), health=np.zeros(len(theta)),
-                      best_theta=theta[0].copy(), best_f=-math.inf)
+    """A batch of one run with its bacteria at ``positions``."""
+    return small_batch([positions], score)
 
 
 def stepwise_generation(swarm, engine, score, params):
-    """The swim as it ran before batching: one move and one swarming term at a time."""
+    """The swim of run 0 as it ran before batching: one move and one swarming term at a time."""
     moves = []
-    for i in range(swarm.size):
-        previous = swarm.f_plain[i]
+    for i in range(swarm.theta.shape[1]):
+        previous = swarm.f_plain[0][i]
         if params.swarming:
-            previous = previous - potential_at(swarm.theta[i], swarm, params, i)
+            previous = previous - potential_at(swarm.theta[0, i], swarm, params, i)
         direction = _directions([engine], 1)[0, 0]
         current = chemotaxis_move(i, direction, swarm, score, params)
         taken = 1
@@ -82,8 +92,8 @@ def stepwise_generation(swarm, engine, score, params):
             current = chemotaxis_move(i, direction, swarm, score, params)
             taken += 1
         moves.append(taken)
-    swarm.last_moves = moves
-    swarm.trace.append(swarm.best_f)
+    swarm.moves[0] = moves
+    swarm.trace[0].append(swarm.best_f[0])
     return swarm
 
 
@@ -164,7 +174,7 @@ def test_health_stays_finite_at_the_largest_accepted_heights():
     params = BfaParams(n_total=20, pop_size=3, h_rep=LARGEST / (3 * 61), h_att=0.0, w_att=0.0)
     seen = []
     run_bfa(WEIGHTS, params, EngineConfig(kind=EngineKind.GAUSSIAN, seed=1),
-            observer=lambda generation, swarm: seen.append(swarm.health.copy()))
+            observer=lambda generation, swarm: seen.append(np.array(swarm.health)))
     assert len(seen) == 20
     assert all(np.isfinite(health).all() for health in seen)
 
@@ -217,28 +227,28 @@ def test_the_largest_accepted_step_runs_a_generation_without_a_warning():
 def test_initialize_draws_four_units_per_bacterium():
     params = BfaParams(pop_size=25)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=9))
-    theta, (swarm,) = _initialize([engine], params, sphere)
-    assert theta.shape == (1, 25, 4)
-    assert swarm.size == 25
+    swarm = _initialize([engine], params, sphere)
+    assert swarm.theta.shape == (1, 25, 4)
+    assert len(swarm.f_plain[0]) == len(swarm.health[0]) == len(swarm.moves[0]) == 25
     assert engine.draws == 100
-    assert swarm.evaluations == 25
+    assert swarm.evaluations == [25]
 
 
 def test_initialize_is_deterministic():
     params = BfaParams(pop_size=6)
     cfg = EngineConfig(kind=EngineKind.WEIBULL, seed=4)
-    _, (a,) = _initialize([StochasticEngine(cfg)], params, sphere)
-    _, (b,) = _initialize([StochasticEngine(cfg)], params, sphere)
-    for name in ("theta", "f_plain", "cost", "health"):
+    a = _initialize([StochasticEngine(cfg)], params, sphere)
+    b = _initialize([StochasticEngine(cfg)], params, sphere)
+    for name in ("theta", "f_plain", "health", "best_theta", "best_f"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_initialize_singleton_best_is_sole_member():
     params = BfaParams(pop_size=1)
-    _, (swarm,) = _initialize([StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2))],
-                              params, sphere)
-    assert swarm.best_f == swarm.f_plain[0]
-    assert np.array_equal(swarm.best_theta, swarm.theta[0])
+    swarm = _initialize([StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=2))],
+                        params, sphere)
+    assert swarm.best_f == [swarm.f_plain[0][0]]
+    assert np.array_equal(swarm.best_theta, swarm.theta[:, 0])
 
 
 # -- tumble -------------------------------------------------------------------
@@ -285,15 +295,15 @@ def test_move_steps_along_the_axis():
     params = BfaParams(step_size=0.1, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.5, 0.5, 0.5, 0.5)], params)
     chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere, params)
-    assert swarm.theta[0].tolist() == pytest.approx([0.6, 0.5, 0.5, 0.5], abs=1e-15)
-    assert swarm.evaluations == 1
+    assert swarm.theta[0, 0].tolist() == pytest.approx([0.6, 0.5, 0.5, 0.5], abs=1e-15)
+    assert swarm.evaluations == [1]
 
 
 def test_move_clamps_at_the_boundary():
     params = BfaParams(step_size=0.1, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.98, 0.5, 0.5, 0.5)], params)
     chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere, params)
-    assert swarm.theta[0].tolist() == [1.0, 0.5, 0.5, 0.5]
+    assert swarm.theta[0, 0].tolist() == [1.0, 0.5, 0.5, 0.5]
 
 
 def test_zero_step_leaves_position_and_cost_unchanged():
@@ -301,19 +311,18 @@ def test_zero_step_leaves_position_and_cost_unchanged():
     params = SimpleNamespace(step_size=0.0, swarming=False,
                              w_rep=10.0, w_att=0.2, h_rep=0.0, h_att=0.0)
     swarm = small_swarm([(0.25, 0.5, 0.5, 0.5)], params)
-    before_cost = sphere_score(swarm.theta[0])
-    chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere, params)
-    assert swarm.theta[0].tolist() == [0.25, 0.5, 0.5, 0.5]
-    assert swarm.cost[0] == before_cost
+    before_cost = sphere_score(swarm.theta[0, 0])
+    cost = chemotaxis_move(0, np.array([1.0, 0.0, 0.0, 0.0]), swarm, sphere, params)
+    assert swarm.theta[0, 0].tolist() == [0.25, 0.5, 0.5, 0.5]
+    assert cost == swarm.f_plain[0][0] == before_cost
 
 
 def test_move_accumulates_health():
     params = BfaParams(step_size=0.05, h_att=0.0, h_rep=0.0)
     swarm = small_swarm([(0.5, 0.5, 0.5, 0.5)], params)
-    chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere, params)
-    first = swarm.cost[0]
-    chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere, params)
-    assert swarm.health[0] == first + swarm.cost[0]
+    first = chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere, params)
+    second = chemotaxis_move(0, np.array([0.0, 1.0, 0.0, 0.0]), swarm, sphere, params)
+    assert swarm.health[0][0] == first + second
 
 
 # -- swarming term ---------------------------------------------------------------
@@ -322,7 +331,7 @@ def test_move_accumulates_health():
 def test_swarming_cancels_when_all_bacteria_coincide():
     params = BfaParams()
     swarm = small_swarm([(0.3, 0.3, 0.3, 0.3)] * 7, params)
-    assert potential_at(swarm.theta[0], swarm, params, 0) == 0.0
+    assert potential_at(swarm.theta[0, 0], swarm, params, 0) == 0.0
 
 
 def test_swarming_single_member_hand_value():
@@ -378,14 +387,14 @@ def test_path_potentials_equal_swarming_term_at_each_point(size):
     swarm = small_swarm(rng.random((size, 4)), params)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=size))
     for i in range(size):
-        path = _swim_path(swarm.theta[None, i], _directions([engine], 1)[0], params)[0]
+        path = _swim_path(swarm.theta[:, i], _directions([engine], 1)[0], params)[0]
         assert ((path[1:] == 0.0) | (path[1:] == 1.0)).any()  # the swim reaches a face
         points = np.broadcast_to(path, (1, size) + path.shape)
-        potentials = _swarming_term(params, points, swarm.theta[None])(i)[0]
+        potentials = _swarming_term(params, points, swarm.theta)(i)[0]
         assert potentials.shape == (len(path),)
         for point, potential in zip(path, potentials):
-            moved = small_swarm(swarm.theta, params)
-            moved.theta[i] = point
+            moved = small_swarm(swarm.theta[0], params)
+            moved.theta[0, i] = point
             assert potential == potential_at(point, moved, params, i)
 
 
@@ -480,12 +489,12 @@ def test_swim_path_equals_iterated_clamp(step):
 def test_generation_with_swim_disabled_takes_one_move_each():
     params = BfaParams(pop_size=5, n_swim=0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=3))
-    theta, (swarm,) = _initialize([engine], params, sphere)
-    evals_before = swarm.evaluations
-    _generation(theta, [swarm], [engine], sphere, params)
-    assert swarm.last_moves == [1] * 5
-    assert swarm.evaluations == evals_before + 5
-    assert len(swarm.trace) == 1
+    swarm = _initialize([engine], params, sphere)
+    (evals_before,) = swarm.evaluations
+    _generation(swarm, [engine], sphere, params)
+    assert swarm.moves == [[1] * 5]
+    assert swarm.evaluations == [evals_before + 5]
+    assert swarm.trace == [swarm.best_f]
 
 
 def test_swim_stops_after_a_worsening_first_move():
@@ -498,10 +507,10 @@ def test_swim_stops_after_a_worsening_first_move():
         calls["n"] += 1
         return float(-calls["n"])  # every point is worse than the one scored before it
 
-    theta, (swarm,) = _initialize([engine], params, block(decreasing_score))
-    _generation(theta, [swarm], [engine], block(decreasing_score), params)
-    assert swarm.last_moves == [1]
-    assert swarm.evaluations == 2
+    swarm = _initialize([engine], params, block(decreasing_score))
+    _generation(swarm, [engine], block(decreasing_score), params)
+    assert swarm.moves == [[1]]
+    assert swarm.evaluations == [2]
 
 
 @pytest.mark.parametrize("swarming", [True, False])
@@ -520,16 +529,16 @@ def test_committed_points_match_the_stepwise_swim(monkeypatch, swarming):
     def recorded_run():
         committed = []
 
-        def recording_swim(i, path, values, potentials, previous, swarm):
-            taken = swim(i, path, values, potentials, previous, swarm)
+        def recording_swim(b, i, path, values, potentials, previous, swarm):
+            taken = swim(b, i, path, values, potentials, previous, swarm)
             committed.extend(path[:taken].tolist())
             return taken
 
         monkeypatch.setattr(bfa, "_swim", recording_swim)
         return run_batch(score, params, [config])[0], committed
 
-    def stepwise_batch(theta, swarms, engines, score, params):
-        (swarm,), (engine,) = swarms, engines
+    def stepwise_batch(swarm, engines, score, params):
+        (engine,) = engines
         stepwise_generation(swarm, engine, score, params)
 
     batched, batched_points = recorded_run()
@@ -566,7 +575,7 @@ def test_generation_redraws_a_zero_row_where_a_lone_tumble_would(monkeypatch):
         swarm = small_swarm(start[b], params)
         stepwise_generation(swarm, swimmer, sphere, params)
         assert swimmer.draws == tumbler.draws
-        expected.append((directions, swarm.theta, swarm.last_moves, tumbler.draws))
+        expected.append((directions, swarm.theta[0], swarm.moves[0], tumbler.draws))
     assert [draws for *_, draws in expected] == [28, 24, 20]
 
     batch = engines()
@@ -582,17 +591,14 @@ def test_generation_redraws_a_zero_row_where_a_lone_tumble_would(monkeypatch):
         return _swim_path(start, direction, params)
 
     monkeypatch.setattr(bfa, "_swim_path", spy)
-    theta = start.copy()
-    swarms = [small_swarm(theta[b], params) for b in range(3)]
-    for b, swarm in enumerate(swarms):
-        swarm.theta = theta[b]  # the batch's swarms are views of its block
+    swarm = small_batch(start)
     batch = engines()
-    bfa._generation(theta, swarms, batch, sphere, params)
+    bfa._generation(swarm, batch, sphere, params)
     assert len(seen) == 1  # every path of the generation comes from one call
     for b, (directions, positions, moves, draws) in enumerate(expected):
         assert np.array_equal(seen[0][b], directions)
-        assert np.array_equal(swarms[b].theta, positions)
-        assert swarms[b].last_moves == moves
+        assert np.array_equal(swarm.theta[b], positions)
+        assert swarm.moves[b] == moves
         assert batch[b].draws == draws
 
 
@@ -603,7 +609,7 @@ def test_generation_never_draws_ahead_of_its_tumbles(kind):
     params = BfaParams(pop_size=7)
     swarm = small_swarm(np.random.default_rng(2).random((7, 4)), params)
     engine = StochasticEngine(config)
-    _generation(swarm.theta[None], [swarm], [engine], sphere, params)
+    _generation(swarm, [engine], sphere, params)
     assert engine.draws == 4 * params.pop_size
     fresh = StochasticEngine(config)
     stream = [fresh.sample_unit() for _ in range(4 * params.pop_size + 1)]
@@ -613,75 +619,89 @@ def test_generation_never_draws_ahead_of_its_tumbles(kind):
 def test_swim_bound_is_never_exceeded():
     params = BfaParams(pop_size=8, n_swim=3, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.WEIBULL, seed=12))
-    theta, (swarm,) = _initialize([engine], params, sphere)
+    swarm = _initialize([engine], params, sphere)
     for _ in range(20):
-        _generation(theta, [swarm], [engine], sphere, params)
-        assert all(1 <= m <= params.n_swim + 1 for m in swarm.last_moves)
+        _generation(swarm, [engine], sphere, params)
+        assert all(1 <= m <= params.n_swim + 1 for m in swarm.moves[0])
 
 
 def test_trace_grows_by_one_per_generation():
     params = BfaParams(pop_size=4, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAMMA, seed=8))
-    theta, (swarm,) = _initialize([engine], params, sphere)
+    swarm = _initialize([engine], params, sphere)
     for expected_len in range(1, 11):
-        _generation(theta, [swarm], [engine], sphere, params)
-        assert len(swarm.trace) == expected_len
+        _generation(swarm, [engine], sphere, params)
+        assert len(swarm.trace[0]) == expected_len
 
 
 # -- reproduction ----------------------------------------------------------------
 
 
+def ranked_rows(health):
+    """The rows one run keeps: survivors by (-health, position), then clones of the leading ones."""
+    size = len(health)
+    ranked = sorted(range(size), key=lambda i: (-health[i], i))
+    keep = (size + 1) // 2
+    return ranked[:keep] + ranked[: size - keep]
+
+
 def test_reproduce_even_population():
-    params = BfaParams(pop_size=4)
-    swarm = small_swarm([(0.1,) * 4, (0.2,) * 4, (0.3,) * 4, (0.4,) * 4], params)
-    swarm.health[:] = (10.0, 9.0, 1.0, 0.0)
-    reproduce(swarm)
-    assert swarm.size == 4
-    thetas = [tuple(t) for t in swarm.theta]
-    assert thetas == [(0.1,) * 4, (0.2,) * 4, (0.1,) * 4, (0.2,) * 4]
-    assert swarm.f_plain.tolist() == [sphere_score(t) for t in swarm.theta]
-    assert swarm.health.tolist() == [0.0] * 4
+    # each run of the batch ranks its own row: descending, ascending, all equal
+    swarm = small_batch([[(0.1,) * 4, (0.2,) * 4, (0.3,) * 4, (0.4,) * 4]] * 3)
+    swarm.health = [[10.0, 9.0, 1.0, 0.0], [0.0, 1.0, 9.0, 10.0], [5.0] * 4]
+    _reproduce(swarm)
+    assert swarm.theta.shape == (3, 4, 4)
+    assert swarm.theta[..., 0].tolist() == [[0.1, 0.2, 0.1, 0.2], [0.4, 0.3, 0.4, 0.3],
+                                            [0.1, 0.2, 0.1, 0.2]]
+    assert swarm.f_plain == [[sphere_score(t) for t in row] for row in swarm.theta]
+    assert swarm.health == [[0.0] * 4] * 3
 
 
 def test_reproduce_odd_population_keeps_ceil_half():
-    params = BfaParams(pop_size=25)
-    swarm = small_swarm([(i / 25.0,) * 4 for i in range(25)], params)
-    swarm.health[:] = np.arange(25.0)  # bacterium 24 is healthiest
-    reproduce(swarm)
-    assert swarm.size == 25
-    survivors = [tuple(t) for t in swarm.theta[:13]]
-    clones = [tuple(t) for t in swarm.theta[13:]]
-    assert survivors == [((24 - i) / 25.0,) * 4 for i in range(13)]
-    assert clones == survivors[:12]
+    swarm = small_batch([[(i / 25.0,) * 4 for i in range(25)]] * 3)
+    # bacterium 24 is healthiest in run 0, bacterium 0 in run 1; run 2 ties in fives
+    health = [np.arange(25.0).tolist(), (-np.arange(25.0)).tolist(), [i % 5 / 2 for i in range(25)]]
+    swarm.health = [list(row) for row in health]
+    _reproduce(swarm)
+    assert swarm.theta.shape == (3, 25, 4)
+    survivors = [[tuple(t) for t in row[:13]] for row in swarm.theta]
+    clones = [[tuple(t) for t in row[13:]] for row in swarm.theta]
+    assert survivors[0] == [((24 - i) / 25.0,) * 4 for i in range(13)]
+    assert survivors[1] == [(i / 25.0,) * 4 for i in range(13)]
+    assert [t[0] for t in survivors[2] + clones[2]] == [i / 25.0 for i in ranked_rows(health[2])]
+    assert all(clones[b] == survivors[b][:12] for b in range(3))
 
 
 def test_reproduce_breaks_ties_by_position():
-    params = BfaParams(pop_size=4)
-    swarm = small_swarm([(0.1,) * 4, (0.2,) * 4, (0.3,) * 4, (0.4,) * 4], params)
-    swarm.health[:] = 5.0
-    reproduce(swarm)
-    thetas = [tuple(t) for t in swarm.theta]
-    assert thetas == [(0.1,) * 4, (0.2,) * 4, (0.1,) * 4, (0.2,) * 4]
-    # mixed ties at odd sizes rank as a sort on (-health, position) does
-    health = [2.0, -1.0, 2.0, 0.0, -1.0, 2.0, 0.0]
+    # mixed ties, the same ties reversed, and one row all equal, at odd sizes;
+    # f_plain holds labels, not scores, so it must move with theta
+    mixed = [2.0, -1.0, 2.0, 0.0, -1.0, 2.0, 0.0]
     for size in (5, 7):
-        params = BfaParams(pop_size=size)
-        swarm = small_swarm([(i / 10.0,) * 4 for i in range(size)], params)
-        swarm.health[:] = health[:size]
-        reproduce(swarm)
-        ranked = sorted(range(size), key=lambda i: (-health[i], i))
+        health = [mixed[:size], mixed[:size][::-1], [5.0] * size]
+        positions = np.random.default_rng(size).random((3, size, 4))
+        swarm = small_batch(positions)
+        swarm.f_plain = [[100.0 * b + i for i in range(size)] for b in range(3)]
+        swarm.health = [list(row) for row in health]
+        _reproduce(swarm)
+        for b in range(3):
+            rows = ranked_rows(health[b])
+            assert np.array_equal(swarm.theta[b], positions[b, rows])
+            assert swarm.f_plain[b] == [100.0 * b + i for i in rows]
+            assert swarm.health[b] == [0.0] * size
         keep = (size + 1) // 2
-        rows = ranked[:keep] + ranked[: size - keep]
-        assert [t[0] for t in swarm.theta] == [i / 10.0 for i in rows]
+        assert ranked_rows(health[2]) == [*range(keep), *range(size - keep)]
 
 
 def test_clones_are_independent_copies():
-    params = BfaParams(pop_size=2)
-    swarm = small_swarm([(0.5,) * 4, (0.6,) * 4], params)
-    swarm.health[0] = 1.0
-    reproduce(swarm)
-    swarm.theta[0, 0] = 0.123
-    assert swarm.theta[1, 0] != 0.123
+    swarm = small_batch([[(0.5,) * 4, (0.6,) * 4, (0.7,) * 4]] * 3)
+    swarm.health = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    _reproduce(swarm)
+    assert swarm.theta[:, :, 0].tolist() == [[0.5, 0.6, 0.5], [0.6, 0.5, 0.6], [0.7, 0.5, 0.7]]
+    swarm.theta[:, 0, 0] = 0.123
+    swarm.f_plain[0][0] = swarm.health[0][0] = 0.123
+    assert swarm.theta[:, 2, 0].tolist() == [0.5, 0.6, 0.7]
+    assert swarm.f_plain[0][2] != 0.123
+    assert [row[0] for row in swarm.health[1:]] == [0.0, 0.0]
 
 
 # -- elimination-dispersal ---------------------------------------------------------
@@ -690,10 +710,10 @@ def test_clones_are_independent_copies():
 def test_dispersal_probability_zero_is_a_no_op():
     params = BfaParams(pop_size=5, p_elim=0.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    theta, (swarm,) = _initialize([engine], params, sphere)
+    swarm = _initialize([engine], params, sphere)
     before = swarm.theta.copy()
-    evals, draws = swarm.evaluations, engine.draws
-    _disperse(theta, [swarm], [engine], sphere, params)
+    evals, draws = list(swarm.evaluations), engine.draws
+    _disperse(swarm, [engine], sphere, params)
     assert np.array_equal(before, swarm.theta)
     assert swarm.evaluations == evals
     assert engine.draws == draws + 5  # one decision draw per bacterium
@@ -702,23 +722,23 @@ def test_dispersal_probability_zero_is_a_no_op():
 def test_dispersal_probability_one_redraws_everyone():
     params = BfaParams(pop_size=5, p_elim=1.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    theta, (swarm,) = _initialize([engine], params, sphere)
+    swarm = _initialize([engine], params, sphere)
     before = swarm.theta.copy()
-    evals, draws = swarm.evaluations, engine.draws
-    _disperse(theta, [swarm], [engine], sphere, params)
-    assert swarm.size == 5
-    assert swarm.evaluations == evals + 5
+    (evals,), draws = swarm.evaluations, engine.draws
+    _disperse(swarm, [engine], sphere, params)
+    assert swarm.theta.shape == (1, 5, 4)
+    assert swarm.evaluations == [evals + 5]
     assert engine.draws == draws + 5 * 5  # a decision draw, then four position draws
-    assert all(not np.array_equal(a, t) for a, t in zip(before, swarm.theta))
+    assert all(not np.array_equal(a, t) for a, t in zip(before[0], swarm.theta[0]))
 
 
 def test_dispersal_never_erases_the_archive():
     params = BfaParams(pop_size=5, p_elim=1.0, h_att=0.0, h_rep=0.0)
     engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    theta, (swarm,) = _initialize([engine], params, sphere)
-    best_before = swarm.best_f
-    _disperse(theta, [swarm], [engine], sphere, params)
-    assert swarm.best_f >= best_before
+    swarm = _initialize([engine], params, sphere)
+    (best_before,) = swarm.best_f
+    _disperse(swarm, [engine], sphere, params)
+    assert swarm.best_f[0] >= best_before
 
 
 # -- full runs ----------------------------------------------------------------------
@@ -751,19 +771,21 @@ def test_best_result_consistency():
 
 
 def test_population_and_feasibility_invariants_throughout_a_run():
-    sizes, thetas_ok = [], []
+    params = BfaParams(n_total=30, pop_size=9)
+    sizes, thetas_ok, swim_ok = [], [], []
 
     def watch(_, swarm):
-        sizes.append((swarm.size, *(len(a) for a in (swarm.f_plain, swarm.cost, swarm.health))))
-        thetas_ok.append(all(
-            float(t.min()) >= 0.0 and float(t.max()) <= 1.0
-            for t in swarm.theta
-        ))
+        sizes.append((swarm.theta.shape, swarm.best_theta.shape,
+                      *([len(row) for row in rows] for rows in (swarm.f_plain, swarm.health,
+                                                                swarm.moves))))
+        thetas_ok.append(float(swarm.theta.min()) >= 0.0 and float(swarm.theta.max()) <= 1.0)
+        swim_ok.append(all(1 <= m <= params.n_swim + 1 for row in swarm.moves for m in row))
 
-    run_bfa(WEIGHTS, BfaParams(n_total=30, pop_size=9),
-            EngineConfig(kind=EngineKind.WEIBULL, seed=55), observer=watch)
-    assert sizes == [(9, 9, 9, 9)] * 30
-    assert all(thetas_ok)
+    run_batch(unit_block_scorer([WEIGHTS] * 3), params,
+              [EngineConfig(kind=EngineKind.WEIBULL, seed=55 + b) for b in range(3)],
+              observer=watch)
+    assert sizes == [((3, 9, 4), (3, 4), [9] * 3, [9] * 3, [9] * 3)] * 30
+    assert all(thetas_ok) and all(swim_ok)
 
 
 def test_engine_draws_replay_exactly():
@@ -771,23 +793,26 @@ def test_engine_draws_replay_exactly():
     counts = []
     for _ in range(2):
         engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=17))
-        theta, (swarm,) = _initialize([engine], params, sphere)
+        swarm = _initialize([engine], params, sphere)
         for _ in range(12):
-            _generation(theta, [swarm], [engine], sphere, params)
-        _disperse(theta, [swarm], [engine], sphere, params)
+            _generation(swarm, [engine], sphere, params)
+        _disperse(swarm, [engine], sphere, params)
         counts.append(engine.draws)
     assert counts[0] == counts[1]
 
 
 def test_swarming_disabled_means_cost_equals_plain_objective():
-    costs_match = []
-
-    def watch(_, swarm):
-        costs_match.append(bool(np.all(swarm.cost == swarm.f_plain)))
-
-    run_bfa(WEIGHTS, BfaParams(n_total=10, pop_size=6, h_att=0.0, h_rep=0.0),
-            EngineConfig(kind=EngineKind.GAUSSIAN, seed=10), observer=watch)
-    assert all(costs_match)
+    # the term is zero everywhere, and f - 0.0 is f for every float
+    params = BfaParams(n_total=10, pop_size=6, h_att=0.0, h_rep=0.0)
+    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=10))
+    score = unit_block_scorer([WEIGHTS])
+    swarm = _initialize([engine], params, score)
+    costs, plains = [], []
+    for _ in range(params.n_total):
+        for i, direction in enumerate(_directions([engine], params.pop_size)[0]):
+            costs.append(chemotaxis_move(i, direction, swarm, score, params))
+            plains.append(swarm.f_plain[0][i])
+    assert np.array_equal(bits(costs), bits(plains))
 
 
 def test_archive_equals_trace_even_when_dispersal_lands_on_the_budget_boundary():
@@ -907,20 +932,21 @@ def test_lockstep_observer_sees_each_run_as_alone():
     runs = [(WeightVector(0.1, 0.1, 0.1, 0.7), EngineConfig(kind=kind, seed=3)) for kind in EngineKind]
 
     def recorder(log):
-        return lambda generation, swarm: log.append(
-            (generation, swarm.theta.tolist(), swarm.health.tolist(), swarm.best_f,
-             swarm.evaluations, list(swarm.last_moves)))
+        return lambda generation, swarm: log.append((generation, [
+            (swarm.theta[b].tolist(), list(swarm.f_plain[b]), list(swarm.health[b]),
+             swarm.best_f[b], swarm.evaluations[b], list(swarm.moves[b]))
+            for b in range(len(swarm.theta))]))
 
     together = []
     run_batch(unit_block_scorer([w for w, _ in runs]), params, [c for _, c in runs],
               observer=recorder(together))
-    alone = []
-    for w, config in runs:
-        log = []
-        run_bfa(w, params, config, observer=recorder(log))
-        alone.append(log)
-    # the batch reports every run after each generation, in batch order
-    assert together == [entry for step in zip(*alone) for entry in step]
+    # the batch reports once per generation, every run in its own row
+    assert [generation for generation, _ in together] == list(range(1, params.n_total + 1))
+    for b, (w, config) in enumerate(runs):
+        alone = []
+        run_bfa(w, params, config, observer=recorder(alone))
+        assert [(generation, rows[0]) for generation, rows in alone] == \
+            [(generation, rows[b]) for generation, rows in together]
 
 
 def test_batch_needs_one_engine_config_per_weight_vector():

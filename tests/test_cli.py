@@ -724,6 +724,19 @@ def test_compare_rejects_two_inputs_of_one_engine(sweep_outputs, capsys, tmp_pat
     assert out == ""
 
 
+def test_compare_out_without_plot_is_usage_error(sweep_outputs, capsys, tmp_path):
+    # --out holds only the plot stubs, so without --plot it would write nothing
+    out_dir = tmp_path / "plots"
+    code, out, err = run_cli(capsys, "compare",
+                             "--input", str(sweep_outputs / "frontier_gaussian.csv"),
+                             "--input", str(sweep_outputs / "frontier_chaotic.csv"),
+                             "--out", str(out_dir))
+    assert code == 1
+    assert "--out requires --plot" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_sweep_plot_without_out_is_usage_error(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--seed", "1", "--plot",
                          "--weight-step", "0.5", "--weight-min", "0.0",
