@@ -61,7 +61,6 @@ from .problem import (
     aggregate,
     evaluate,
     to_physical,
-    unit_scorer,
 )
 
 __version__ = "0.1.0"

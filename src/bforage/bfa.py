@@ -301,11 +301,9 @@ def _initialize(
 
     Returns the batch's state. Draw order is fixed: all positions first,
     bacterium by bacterium, one unit draw per component, as one
-    ``sample_units`` block of ``4 * S`` draws per run; then every run
-    evaluates its costs bacterium by bacterium, taking the indices in turn
-    across the batch, every value from one ``score`` call. A placement
-    swim writes back the position it already holds, so every cost is
-    against the complete initial swarm.
+    ``sample_units`` block of ``4 * S`` draws per run. Every bacterium is
+    then placed where it already stands, so every cost is against the
+    complete initial swarm.
     """
     batch, size = len(engines), params.pop_size
     theta = np.array([engine.sample_units(N_DIMENSIONS * size) for engine in engines])
@@ -315,13 +313,31 @@ def _initialize(
                        health=[[0.0] * size for _ in engines], moves=[[0] * size for _ in engines],
                        best_f=[-math.inf] * batch, evaluations=[0] * batch,
                        trace=[[] for _ in engines])
-    values = _scores(score, theta[:, :, None])
-    term = _swarming_term(params, theta[:, :, None], theta)
-    for i in range(size):
-        potentials = term(i).tolist()
-        for b in range(batch):
-            _swim(b, i, theta[b, i : i + 1], values[b][i], potentials[b], math.inf, swarm)
+    _place(swarm, theta, np.ones((batch, size), dtype=bool), score, params)
     return swarm
+
+
+def _place(
+    swarm: SwarmState, positions: np.ndarray, moved: np.ndarray,
+    score: Callable[[np.ndarray], np.ndarray], params: BfaParams,
+) -> None:
+    """Put bacterium ``i`` of run ``b`` at ``positions[b, i]`` (B, S, 4) where
+    ``moved[b, i]`` (B, S) holds, and evaluate it there.
+
+    Every value comes from one ``score`` call over the (B, S, 1, 4) block.
+    Each placement commits as a one-point swim, taking the indices in turn
+    across the batch, so the swarming term at index ``i`` is against each
+    run's swarm as it stands then: the bacteria before ``i`` at their new
+    positions, the rest where they were. The term puts bacterium ``i`` at
+    its point, so ``theta`` takes the position only when its swim commits.
+    """
+    points = positions[:, :, None]
+    values = _scores(score, points)
+    term = _swarming_term(params, points, swarm.theta)
+    for i in np.flatnonzero(moved.any(axis=0)).tolist():
+        potentials = term(i).tolist()
+        for b in np.flatnonzero(moved[:, i]).tolist():
+            _swim(b, i, positions[b, i : i + 1], values[b][i], potentials[b], math.inf, swarm)
 
 
 def _swim_path(start: np.ndarray, direction: np.ndarray, params: BfaParams) -> np.ndarray:
@@ -443,25 +459,21 @@ def _disperse(
 ) -> None:
     """Independently disperse each bacterium of every run with probability ``p_elim``.
 
-    One unit draw per bacterium decides; a dispersed bacterium then takes
-    a block of four unit draws for a fresh position and is re-evaluated. The
-    best-so-far archive is never erased.
+    Each run draws all its decisions and positions first, bacterium by
+    bacterium: one unit draw decides, and a dispersed bacterium takes a
+    block of four unit draws for a fresh position. The dispersed bacteria
+    are then placed and re-evaluated in one score call; a dispersal that
+    moves nobody makes none. The best-so-far archive is never erased.
     """
-    theta = swarm.theta
-    term = _swarming_term(params, theta[:, :, None], theta)
-    for i in range(theta.shape[1]):
-        moved = []
-        for b, engine in enumerate(engines):
+    positions = swarm.theta.copy()
+    moved = np.zeros(positions.shape[:2], dtype=bool)
+    for b, engine in enumerate(engines):
+        for i in range(positions.shape[1]):
             if engine.sample_unit() < params.p_elim:
-                theta[b, i] = engine.sample_units(N_DIMENSIONS)
-                moved.append(b)
-        if moved:
-            # bacteria after i have not moved yet: each run's term is against
-            # its swarm as it stands at this index
-            potentials = term(i).tolist()
-            values = _scores(score, theta[:, i : i + 1, None])
-            for b in moved:
-                _swim(b, i, theta[b, i : i + 1], values[b][0], potentials[b], math.inf, swarm)
+                positions[b, i] = engine.sample_units(N_DIMENSIONS)
+                moved[b, i] = True
+    if moved.any():
+        _place(swarm, positions, moved, score, params)
 
 
 def _run_floats(params: BfaParams) -> int:

@@ -377,7 +377,7 @@ def _cmd_weights(args) -> int:
     else:
         print(",".join(xp.WEIGHTS_HEADER))
         for w in weights:
-            print(",".join(repr(v) for v in w.as_tuple()))
+            print(",".join(repr(v) for v in w))
     return 0
 
 
@@ -504,7 +504,7 @@ def dispatch(argv) -> int:
     except (ConfigError, InfeasibleError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, ReferencePointError, DegenerateTraceError, ZeroDivisionError) as exc:
+    except (DomainError, ReferencePointError, DegenerateTraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -26,7 +26,7 @@ class InfeasibleError(BforageError):
 
 
 class DomainError(BforageError):
-    """An argument lies outside the support of the distribution."""
+    """An argument or a computed value lies outside a function's domain."""
 
 
 class ReferencePointError(BforageError):

@@ -231,7 +231,7 @@ def _sweep_task(batch) -> _BatchResult:
             except Exception as exc:
                 engine_config, weights, _, _, run_id = task
                 context = (f"engine={engine_config.kind.value} "
-                           f"weights={weights.as_tuple()} run={run_id}")
+                           f"weights={tuple(weights)} run={run_id}")
                 try:
                     wrapped = type(exc)(f"{context}: {exc}")
                 except TypeError:  # exception type with a non-string constructor
@@ -331,7 +331,7 @@ def compare(reports: Sequence[FrontierReport]) -> dict:
     """
     if not reports:
         raise ConfigError("nothing to compare")
-    weight_sets = {tuple(s.weights.as_tuple() for s in r.solutions) for r in reports}
+    weight_sets = {tuple(s.weights for s in r.solutions) for r in reports}
     if len(weight_sets) > 1:
         raise ConfigError("reports cover different weight sets and cannot be compared")
 
@@ -438,14 +438,14 @@ def _read_csv(path, header: Sequence[str], parse_columns) -> list:
 
     Blank rows are skipped. ``parse_columns(columns, count)`` gets the
     rows' fields a column at a time, one sequence per header field, and the
-    number of rows before them, and returns one value per row. It gets all
-    rows at once; if that raises a ``ValueError`` or ``ConfigError``, it
-    gets them again one row at a time, and the first row that raises
-    becomes a :class:`SchemaError` at the line the row starts on, as does a
+    number of rows before them, and returns one value per row. Plain text
+    (see :func:`_plain_columns`) is split with ``str.split`` and gets all
+    its rows at once. Other text, and plain text whose batch raises a
+    ``ValueError`` or ``ConfigError``, is read with ``csv.reader`` and gets
+    its rows one at a time, and the first row that raises becomes a
+    :class:`SchemaError` at the line the row starts on, as does a
     ``csv.Error``, such as a field over its size limit. Every
     :class:`SchemaError` names the file, so a bad input among several is known.
-    Plain text (see :func:`_plain_columns`) is split with ``str.split``, and
-    goes through ``csv.reader`` only when its audit fails.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -470,12 +470,6 @@ def _read_csv(path, header: Sequence[str], parse_columns) -> list:
         if missing:
             raise SchemaError(f"missing column {missing[0]!r}", line=1, path=path)
         raise SchemaError(f"unexpected header {first!r}", line=1, path=path)
-    data = [row for row in rows[1:] if row]
-    if columns is None and fault is None and all(len(row) == len(header) for row in data):
-        try:
-            return parse_columns(list(zip(*data)), 0) if data else []
-        except (ValueError, ConfigError):
-            pass
     parsed = []
     for line_no, row in zip(starts[1:], rows[1:]):
         if not row:
@@ -493,7 +487,7 @@ def _read_csv(path, header: Sequence[str], parse_columns) -> list:
 
 def _record_fields(r: SolutionRecord) -> list:
     """A record's values in ``FRONTIER_HEADER`` order."""
-    return [r.engine.value, *r.weights.as_tuple(), r.run_id, r.seed,
+    return [r.engine.value, *r.weights, r.run_id, r.seed,
             *r.decision, *r.objectives, r.F, r.aer]
 
 
@@ -583,7 +577,7 @@ def read_trace_csv(path) -> list[float]:
 
 
 def write_weights_csv(weights: Sequence[WeightVector], path) -> None:
-    _write_csv(path, WEIGHTS_HEADER, (w.as_tuple() for w in weights))
+    _write_csv(path, WEIGHTS_HEADER, weights)
 
 
 def _weight_vectors(columns: list[Sequence[str]], _count: int) -> list[WeightVector]:

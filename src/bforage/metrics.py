@@ -41,6 +41,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateTraceError,
+    DomainError,
     ReferencePointError,
 )
 
@@ -238,5 +239,5 @@ def aer(trace: Sequence[float], threshold: float) -> float:
 def hvi_percent_gap(hv_a: float, hv_b: float) -> float:
     """Relative dominance gap of ``hv_a`` over ``hv_b``, in percent."""
     if hv_b == 0.0:
-        raise ZeroDivisionError("reference hypervolume is zero")
+        raise DomainError("reference hypervolume is zero")
     return 100.0 * (hv_a - hv_b) / hv_b

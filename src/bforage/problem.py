@@ -28,7 +28,6 @@ __all__ = [
     "evaluate",
     "aggregate",
     "to_physical",
-    "unit_scorer",
     "unit_block_scorer",
 ]
 
@@ -159,7 +158,7 @@ def _unit_quadratic(w: WeightVector) -> tuple[float, np.ndarray, np.ndarray]:
     ``c = p0 + (b + Q @ L / 2) @ L``, ``g = S * (b + Q @ L)`` and
     ``H = S Q S``.
     """
-    p = np.array(w.as_tuple()) @ COEFFICIENTS
+    p = np.array(w) @ COEFFICIENTS
     b = p[1:5]
     q = np.diag(2.0 * p[5:9])
     q[_CROSS_ROWS, _CROSS_COLS] = q[_CROSS_COLS, _CROSS_ROWS] = p[9:]
@@ -180,10 +179,11 @@ def _unit_polynomial(c, g0, g1, g2, g3, h00, h11, h22, h33, h01, h02, h03, h12, 
     the first variable of each term (``h_ii = H_ii / 2``, ``h_ij = H_ij`` for
     ``i < j``) and summed left to right.
 
-    Written once for both callers: on Python floats for :func:`unit_scorer`,
-    on arrays for :func:`unit_block_scorer`. Each ``+`` and ``*`` is one
-    correctly rounded float64 operation either way, taken in the same order,
-    so an array element has the bits of the scalar call at its point.
+    No bounds check: the model is a polynomial defined everywhere. On
+    arrays, as :func:`unit_block_scorer` calls it, each ``+`` and ``*`` is
+    one correctly rounded float64 operation, taken in the same order as on
+    Python floats, so an array element has the bits of the scalar call at
+    its point.
     """
     return (c + u0 * (g0 + h00 * u0 + h01 * u1 + h02 * u2 + h03 * u3)
             + u1 * (g1 + h11 * u1 + h12 * u2 + h13 * u3)
@@ -191,42 +191,18 @@ def _unit_polynomial(c, g0, g1, g2, g3, h00, h11, h22, h33, h01, h02, h03, h12, 
             + u3 * (g3 + h33 * u3))
 
 
-def unit_scorer(w: WeightVector) -> Callable[[np.ndarray], float]:
-    """The weighted objective at a unit-cube point, as a function of the point.
-
-    The score is :func:`_unit_polynomial`, one straight-line expression in
-    plain floats over the quadratic of :func:`_unit_quadratic`::
-
-        c + u0*(g0 + h00*u0 + h01*u1 + h02*u2 + h03*u3)
-          + u1*(g1 + h11*u1 + h12*u2 + h13*u3)
-          + u2*(g2 + h22*u2 + h23*u3)
-          + u3*(g3 + h33*u3)
-
-    left to right, with no bounds check, since the model is a polynomial
-    defined everywhere. It agrees with ``aggregate(evaluate(to_physical(u)),
-    w)`` to 1e-12 relative on [0, 1]⁴, but not bit for bit: the two sum in
-    different orders. It equals :func:`unit_block_scorer` at every point, bit
-    for bit. ``u`` must be a float array of shape (4,); the result is a
-    Python ``float``.
-    """
-    coefficients = _unit_coefficients(w)
-
-    def score(u: np.ndarray) -> float:
-        return _unit_polynomial(*coefficients, *u.tolist())
-
-    return score
-
-
 def unit_block_scorer(weights: Sequence[WeightVector]) -> Callable[[np.ndarray], np.ndarray]:
     """The weighted objective of each of B weight vectors over a block of points.
 
     The returned function maps a float array ``points`` of shape
     (B, ..., 4) to the (B, ...) array whose entries ``[b, ...]`` are
-    ``unit_scorer(weights[b])(points[b, ...])``, bit for bit: the same
-    :func:`_unit_polynomial`, with run ``b``'s coefficients broadcast over its
-    points. The coefficients are derived once, here; a lone run keeps them
-    as Python floats, which numpy applies to an array faster than it
-    broadcasts (1, 1, 1) arrays, with the same bits. Each call copies the
+    :func:`_unit_polynomial` at ``points[b, ...]`` with the coefficients of
+    ``weights[b]``, bit for bit the scalar call on Python floats. That agrees
+    with ``aggregate(evaluate(to_physical(u)), w)`` to 1e-12 relative on
+    [0, 1]⁴, but not bit for bit: the two sum in different orders. The
+    coefficients are derived once, here; a lone run keeps them as Python
+    floats, which numpy applies to an array faster than it broadcasts
+    (1, 1, 1) arrays, with the same bits. Each call copies the
     points into four contiguous coordinate arrays, which cuts the cost of
     the polynomial's 28 operations by about a third at B = 16.
     """

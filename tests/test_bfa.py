@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 import tracemalloc
@@ -707,29 +708,57 @@ def test_clones_are_independent_copies():
 # -- elimination-dispersal ---------------------------------------------------------
 
 
+def dispersal_batch(p_elim):
+    """A swarming batch of one run per engine kind, placed, with a score that logs its blocks."""
+    params = BfaParams(pop_size=5, p_elim=p_elim)
+    engines = [StochasticEngine(EngineConfig(kind=kind, seed=21)) for kind in EngineKind]
+    shapes = []
+
+    def score(points):
+        shapes.append(points.shape)
+        return sphere(points)
+
+    swarm = _initialize(engines, params, score)
+    shapes.clear()
+    return params, engines, score, shapes, swarm
+
+
+def state(swarm):
+    """Every field of ``swarm`` as plain values, compared exactly by ``==``."""
+    return (swarm.theta.tolist(), swarm.best_theta.tolist(), swarm.f_plain, swarm.health,
+            swarm.moves, swarm.best_f, swarm.evaluations, swarm.trace)
+
+
 def test_dispersal_probability_zero_is_a_no_op():
-    params = BfaParams(pop_size=5, p_elim=0.0, h_att=0.0, h_rep=0.0)
-    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    swarm = _initialize([engine], params, sphere)
-    before = swarm.theta.copy()
-    evals, draws = list(swarm.evaluations), engine.draws
-    _disperse(swarm, [engine], sphere, params)
-    assert np.array_equal(before, swarm.theta)
-    assert swarm.evaluations == evals
-    assert engine.draws == draws + 5  # one decision draw per bacterium
+    params, engines, score, shapes, swarm = dispersal_batch(0.0)
+    before = copy.deepcopy(state(swarm))
+    draws = [engine.draws for engine in engines]
+    _disperse(swarm, engines, score, params)
+    assert shapes == []  # a dispersal that moves nobody scores nothing
+    assert [engine.draws for engine in engines] == [n + 5 for n in draws]  # one decision each
+    assert state(swarm) == before
 
 
 def test_dispersal_probability_one_redraws_everyone():
-    params = BfaParams(pop_size=5, p_elim=1.0, h_att=0.0, h_rep=0.0)
-    engine = StochasticEngine(EngineConfig(kind=EngineKind.GAUSSIAN, seed=21))
-    swarm = _initialize([engine], params, sphere)
-    before = swarm.theta.copy()
-    (evals,), draws = swarm.evaluations, engine.draws
-    _disperse(swarm, [engine], sphere, params)
-    assert swarm.theta.shape == (1, 5, 4)
-    assert swarm.evaluations == [evals + 5]
-    assert engine.draws == draws + 5 * 5  # a decision draw, then four position draws
-    assert all(not np.array_equal(a, t) for a, t in zip(before[0], swarm.theta[0]))
+    params, engines, score, shapes, swarm = dispersal_batch(1.0)
+    before = copy.deepcopy(swarm)
+    draws = [engine.draws for engine in engines]
+    _disperse(swarm, engines, score, params)
+    assert shapes == [(4, 5, 1, 4)]  # one block for the whole dispersal
+    # a decision draw, then four position draws, per bacterium
+    assert [engine.draws for engine in engines] == [n + 5 * 5 for n in draws]
+    assert swarm.theta.shape == (4, 5, 4)
+    assert swarm.evaluations == [n + 5 for n in before.evaluations]
+    for b in range(4):
+        for i in range(5):
+            assert not np.array_equal(before.theta[b, i], swarm.theta[b, i])
+            # one cost, against the run's swarm as it stands at index i: the
+            # bacteria before i dispersed, the rest not yet
+            standing = np.concatenate([swarm.theta[b, : i + 1], before.theta[b, i + 1 :]])[None]
+            potential = _swarming_term(params, standing[:, :, None], standing)(i)[0, 0]
+            assert swarm.f_plain[b][i] == sphere_score(swarm.theta[b, i])
+            cost = swarm.f_plain[b][i] - potential
+            assert bits(swarm.health[b][i]) == bits(before.health[b][i] + cost)
 
 
 def test_dispersal_never_erases_the_archive():
@@ -856,8 +885,8 @@ def test_every_run_of_a_lockstep_batch_equals_the_run_alone(size, heights, pop):
 
 def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypatch):
     # one block call for the whole batch at the initial placement, one per
-    # generation, and one per bacterium index at which the dispersal after
-    # generation 4 moves any run
+    # generation, and one (B, S, 1, 4) block for the dispersal after
+    # generation 4, which moves some bacteria
     params = BfaParams(n_total=5, pop_size=6, n_chemo=2, n_repro=2)
     shapes, decisions = [], []
     sample_unit = StochasticEngine.sample_unit
@@ -880,14 +909,11 @@ def test_a_model_batch_scores_each_placement_and_generation_in_one_call(monkeypa
     weights = [WEIGHTS, WeightVector(0.4, 0.3, 0.2, 0.1), WeightVector(0.1, 0.1, 0.1, 0.7)]
     configs = [EngineConfig(kind=kind, seed=5) for kind in list(EngineKind)[:3]]
     run_batch(bfa.unit_block_scorer(weights), params, configs)
-    # the only single draws are the dispersal decisions, each index's runs in batch order
+    # the only single draws are the dispersal decisions
     assert len(decisions) == 3 * params.pop_size
-    dispersing = [i for i in range(params.pop_size)
-                  if min(decisions[3 * i : 3 * i + 3]) < params.p_elim]
-    assert 0 < len(dispersing) < params.pop_size
+    assert 0 < sum(u < params.p_elim for u in decisions) < 3 * params.pop_size
     generation = (3, 6, params.n_swim + 1, 4)
-    assert shapes == ([(3, 6, 1, 4)] + [generation] * 4 + [(3, 1, 1, 4)] * len(dispersing)
-                      + [generation])
+    assert shapes == [(3, 6, 1, 4)] + [generation] * 4 + [(3, 6, 1, 4)] + [generation]
 
 
 def test_run_batch_on_the_model_block_scorer_equals_run_bfa():
@@ -898,12 +924,12 @@ def test_run_batch_on_the_model_block_scorer_equals_run_bfa():
                              best_objectives=None)
 
 
-def test_a_custom_score_gets_one_block_per_placement_generation_and_dispersing_index(
-        monkeypatch):
+def test_a_custom_score_gets_one_block_per_placement_generation_and_dispersal(monkeypatch):
     # a custom scorer sees float64 arrays of unit points whose last axis is
     # 4: one call at the placement, one per generation, and one per
-    # bacterium index at which the dispersal after generation 4 moves a bacterium
-    params = BfaParams(n_total=5, pop_size=6, n_chemo=2, n_repro=2, p_elim=0.5)
+    # dispersal that moves a bacterium; the dispersals after generations 4,
+    # 8 and 12 move some bacteria and none
+    params = BfaParams(n_total=13, pop_size=6, n_chemo=2, n_repro=2, p_elim=0.1)
     shapes, decisions = [], []
     sample_unit = StochasticEngine.sample_unit
 
@@ -919,12 +945,17 @@ def test_a_custom_score_gets_one_block_per_placement_generation_and_dispersing_i
 
     monkeypatch.setattr(StochasticEngine, "sample_unit", recording_sample_unit)
     run_batch(score, params, [EngineConfig(kind=EngineKind.CHAOTIC, seed=3)])
-    # the only single draws are the dispersal decisions
-    assert len(decisions) == params.pop_size
-    dispersing = sum(u < params.p_elim for u in decisions)
-    assert 0 < dispersing < params.pop_size
+    # the only single draws are the dispersal decisions, one per bacterium
+    assert len(decisions) == 3 * params.pop_size
+    moving = [min(decisions[k : k + 6]) < params.p_elim for k in range(0, len(decisions), 6)]
+    assert True in moving and False in moving
     generation = (1, 6, params.n_swim + 1, 4)
-    assert shapes == [(1, 6, 1, 4)] + [generation] * 4 + [(1, 1, 1, 4)] * dispersing + [generation]
+    want = [(1, 6, 1, 4)]
+    for g in range(1, params.n_total + 1):
+        want.append(generation)
+        if g % 4 == 0 and moving[g // 4 - 1]:
+            want.append((1, 6, 1, 4))
+    assert shapes == want
 
 
 def test_lockstep_observer_sees_each_run_as_alone():

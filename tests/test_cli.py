@@ -9,7 +9,7 @@ import pytest
 
 from bforage.bfa import BfaParams
 from bforage.cli import _BFA_KEYS, _ENGINE_PARAM_KEYS, _RUN_KEYS, _SWEEP_KEYS, dispatch
-from bforage.engines import EngineConfig
+from bforage.engines import EngineConfig, EngineKind
 from bforage.experiment import read_frontier_csv, read_trace_csv, write_frontier_csv, write_trace_csv
 from bforage.metrics import hvi_exact
 from bforage.problem import WeightVector, aggregate, evaluate
@@ -693,6 +693,20 @@ def test_compare_command_on_sweep_outputs(sweep_outputs, capsys):
     assert set(table) == {"hvi_ranking", "leader", "leader_gaps_percent", "aer_ranking"}
     assert len(table["hvi_ranking"]) == 2
     assert len(table["leader_gaps_percent"]) == 1
+
+
+def test_compare_against_a_zero_volume_frontier_exits_3(capsys, tmp_path):
+    # the leader's gap over a frontier of no volume has no value; a metric error
+    from test_experiment import make_record
+
+    zero, positive = tmp_path / "zero.csv", tmp_path / "positive.csv"
+    write_frontier_csv([make_record((0.0, 700.0, 300.0, 400.0))], zero)
+    write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0), engine=EngineKind.CHAOTIC)],
+                       positive)
+    code, out, err = run_cli(capsys, "compare", "--input", str(zero), "--input", str(positive))
+    assert code == 3
+    assert err == "error: reference hypervolume is zero\n"
+    assert out == ""
 
 
 def test_sweep_rejects_a_repeated_engine_before_any_run(capsys, tmp_path, monkeypatch):

@@ -721,6 +721,24 @@ def test_a_valid_frontier_is_audited_in_one_call_and_a_faulty_one_replayed_row_b
     assert calls == [(3, 0), (1, 0), (1, 1), (1, 2)]
 
 
+def test_a_quoted_frontier_goes_straight_to_the_row_by_row_audit(tmp_path, monkeypatch):
+    # text that is not plain is read with csv.reader and parsed one row at a
+    # time, with no whole-file attempt first
+    calls = []
+
+    def recorded(columns, count):
+        calls.append((len(columns[0]), count))
+        return audit(columns, count)
+
+    audit = experiment._frontier_records
+    monkeypatch.setattr(experiment, "_frontier_records", recorded)
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv(_AUDIT_ROWS, path)
+    path.write_text(path.read_text().replace("gaussian", '"gaussian"'))
+    assert read_frontier_csv(path) == _AUDIT_ROWS
+    assert calls == [(1, 0), (1, 1), (1, 2)]
+
+
 @pytest.mark.parametrize("read,text,line,message", [
     # the whole file fails first on the later row's float; the replay names the earlier fault
     (read_trace_csv, "generation,best_F\n2,5.0\n1,x\n", 2, "generations must run 1..N, got 2"),

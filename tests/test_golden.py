@@ -14,7 +14,7 @@ digests moved.
 
 The run, run-file and sweep-file digests were re-recorded once when the
 model score became the unit-coordinate quadratic of
-``problem.unit_scorer``: every run took the same path, and only ``best_f``,
+``problem.unit_block_scorer``: every run took the same path, and only ``best_f``,
 the trace and the ``F`` column moved, in their last bits. The engine
 streams and the custom-score digests, whose score is the checked model
 path, did not move.

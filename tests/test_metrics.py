@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bforage.errors import ConfigError, DegenerateTraceError, ReferencePointError
+from bforage.errors import ConfigError, DegenerateTraceError, DomainError, ReferencePointError
 from bforage.metrics import (
     _MC_CHUNK,
     _PARETO_BLOCK,
@@ -355,5 +355,5 @@ def test_hvi_percent_gap():
     assert hvi_percent_gap(110.0, 100.0) == pytest.approx(10.0)
     assert hvi_percent_gap(100.0, 100.0) == 0.0
     assert hvi_percent_gap(50.0, 100.0) == -50.0
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(DomainError, match="reference hypervolume is zero"):
         hvi_percent_gap(1.0, 0.0)

@@ -1,6 +1,8 @@
 """The benchmark's span tracer patches the program from outside; a rename or
 removal of a name it reaches for breaks ``perfbench/run.py --trace 1``."""
 
+import ast
+import importlib
 from pathlib import Path
 
 import bforage
@@ -8,6 +10,37 @@ from bforage import bfa, cli, engines, experiment, metrics, problem
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = (bforage, bfa, cli, engines, experiment, metrics, problem)
+# what the tracer reaches by a string or on an instance, which the scan cannot see
+INDIRECT = [(engines.StochasticEngine, "sample_unit"), (experiment, "_sweep_task"),
+            (experiment, "ProcessPoolExecutor"), (problem.WeightVector, "as_tuple")]
+
+
+def benchmark_names() -> set[tuple[str, str]]:
+    """Each ``(module, name)`` that ``perfbench/*.py`` reads as ``module.name`` on a
+    bforage module, or imports with ``from bforage... import name``."""
+    modules = {module.__name__.rsplit(".", 1)[-1] for module in MODULES}
+    names = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                module = "bforage" if node.value.id == "bforage" else f"bforage.{node.value.id}"
+                names.add((module, node.attr))
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bforage":
+                names.update((node.module, alias.name) for alias in node.names)
+    return names
+
+
+def test_every_name_the_benchmark_reaches_exists():
+    # perfbench/ is the benchmark's own code and does not change with the
+    # package: a name it reads must outlive any refactor of the package
+    names = benchmark_names()
+    assert {("bforage.bfa", "run_bfa"), ("bforage.bfa", "chemotaxis_move"),
+            ("bforage.problem", "WeightVector")} <= names
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(module), name)]
+    missing += [f"{owner.__name__}.{name}" for owner, name in INDIRECT if not hasattr(owner, name)]
+    assert missing == []
 
 
 def test_tracer_installs_and_restores_every_attribute(monkeypatch):

@@ -20,9 +20,8 @@ from bforage.problem import (
     evaluate,
     to_physical,
     unit_block_scorer,
-    unit_scorer,
 )
-from bforage.problem import _unit_quadratic
+from bforage.problem import _unit_coefficients, _unit_polynomial, _unit_quadratic
 from polynomial_oracle import oracle_objectives
 
 # Two previously reported best solutions for this model. The frozen
@@ -117,6 +116,12 @@ def test_physical_points_from_unit_cube_are_always_feasible():
 
 SCORER_WEIGHTS = [WeightVector(0.25, 0.25, 0.25, 0.25), WeightVector(0.7, 0.1, 0.1, 0.1)] + [
     WeightVector(*(1.0 if j == i else 0.0 for j in range(4))) for i in range(4)]
+
+
+def unit_scorer(w: WeightVector):
+    """The model score at one (4,) unit point, on Python floats: the block scorer's bit reference."""
+    coefficients = _unit_coefficients(w)
+    return lambda u: _unit_polynomial(*coefficients, *u.tolist())
 
 
 def test_unit_scorer_agrees_with_the_model_to_1e_12():
