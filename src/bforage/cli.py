@@ -98,6 +98,7 @@ def _default(cls, field: str):
 
 
 _AER_THRESHOLD_DEFAULT = _default(xp.ExperimentConfig, "aer_threshold")
+_MC_SAMPLES = 1_000_000  # hvi --samples under --method mc
 
 # the keys of ``run`` and ``sweep`` besides the two tables above:
 # config key -> (parser, default, help text); the flag is the key with "-"
@@ -337,6 +338,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hvi(args) -> int:
+    if args.method == "exact":
+        for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"{flag} requires --method mc")
     records = xp.read_frontier_csv(args.input)
     if not records:
         raise ConfigError(f"{args.input}: no records")
@@ -347,14 +352,15 @@ def _cmd_hvi(args) -> int:
     else:
         if args.seed is None:
             raise UsageError("--seed is required with --method mc")
-        value = hvi_monte_carlo(points, ref, args.samples, args.seed)
+        samples = _MC_SAMPLES if args.samples is None else args.samples
+        value = hvi_monte_carlo(points, ref, samples, args.seed)
     print(repr(value))
     print(f"hvi={value!r}")
     print(f"method={args.method}")
     print(f"n_points={len(points)}")
     print("ref=" + ",".join(repr(v) for v in ref))
     if args.method == "mc":
-        print(f"samples={args.samples}")
+        print(f"samples={samples}")
         print(f"seed={args.seed}")
     return 0
 
@@ -461,8 +467,8 @@ def build_parser() -> _Parser:
     p.add_argument("--ref", default="0,0,0,0", help="reference point r1,r2,r3,r4 (default: %(default)s)")
     p.add_argument("--method", choices=("exact", "mc"), default="exact",
                    help="exact sweep or Monte Carlo estimate (default: %(default)s)")
-    p.add_argument("--samples", type=_parse_int_exact, default=1_000_000,
-                   help="Monte Carlo sample count (default: %(default)s)")
+    p.add_argument("--samples", type=_parse_int_exact,
+                   help=f"Monte Carlo sample count (default: {_MC_SAMPLES})")
     p.add_argument("--seed", type=_parse_seed, help="Monte Carlo seed; required with --method mc")
     p.set_defaults(handler=_cmd_hvi)
 

@@ -19,13 +19,19 @@
   volume. Fewer objectives are padded with unit sides, so one path serves
   1 to 4. Cost: n insertions over an n x n grid, O(n^3) at worst; an
   insertion touches only the cells still below its f3, so nondominated
-  4-D fronts of 84, 200, 455 and 1000 points take about 2 ms, 9 ms,
-  45 ms and 0.21 s of CPU on a 2-core x86 host.
+  4-D fronts of 84, 200, 455 and 1000 points take about 1.2 ms, 3.5 ms,
+  16 ms and 90 ms of CPU on a 2-core x86 host.
 * :func:`hvi_monte_carlo` -- seeded sampling estimate of the same volume,
-  kept as an independent cross-check of the exact routine. Samples are
-  drawn and tested in chunks of 2^16, so memory stays bounded (under 9 MB
-  traced at 10^6 samples), and the estimate is bit-identical to drawing
-  them in one block; 10^6 samples take about 0.16 s on 84 points.
+  kept as an independent cross-check of the exact routine: every sample
+  is decided by direct comparisons with the points. Samples are drawn
+  and tested in chunks of 2^15, whose draws and transposed columns (1 MB
+  each in 4-D) fit in a 2 MB L2 cache; the buffers are made once per
+  call, so 10^6 samples trace about 3.4 MB. Points are tested largest box
+  first, and after the 2nd, 8th and 32nd point the covered samples leave
+  the chunk. The estimate is bit-identical to drawing every sample in one
+  block and testing every point. 10^6 samples take about 0.07 s on 84
+  points covering 69 % of the box and 0.10 s on 84 covering 20 %, and
+  0.49 s and 0.69 s on 1000 points covering 71 % and 26 %.
 * :func:`aer` -- average explorative rate of a best-so-far trace: the
   fraction of iterations whose relative improvement clears a threshold.
 """
@@ -54,7 +60,8 @@ __all__ = [
 ]
 
 _MAX_DIMENSION = 4
-_MC_CHUNK = 1 << 16  # Monte Carlo samples drawn and tested at a time
+_MC_CHUNK = 1 << 15  # Monte Carlo samples drawn and tested at a time
+_MC_CHECKPOINTS = (2, 8, 32)  # points tested before covered samples leave a chunk
 _PARETO_BLOCK = 256  # rows the Pareto mask compares with every point at a time
 
 
@@ -191,22 +198,53 @@ def hvi_monte_carlo(points, reference, samples: int, seed: int) -> float:
     box_volume = float(np.prod(upper - ref))
     if box_volume == 0.0:
         return 0.0
-    # only maximal points matter for the union
+    # only maximal points matter for the union; largest boxes first, so the
+    # first checkpoints drop most covered samples. A covered count does not
+    # depend on the order the points are tested in, so neither does the estimate
     pts = pts[_nondominated_mask(pts)]
+    pts = pts[np.argsort(-np.prod(pts - ref, axis=1), kind="stable")]
+    stages = [stage for stage in np.split(pts, _MC_CHECKPOINTS) if len(stage)]
+    span = upper - ref
+    dim = pts.shape[1]
+    size = min(_MC_CHUNK, samples)
+    # two flat buffers take turns: the draws land in one and are transposed
+    # into the other, and each checkpoint compresses the uncovered samples
+    # into whichever one does not hold them
+    spare = np.empty(dim * size)
+    held = np.empty(dim * size)
+    below_buffer = np.empty(dim * size, dtype=bool)
+    inside_buffer = np.empty(size, dtype=bool)
+    covered_buffer = np.empty(size, dtype=bool)
     rng = np.random.Generator(np.random.PCG64(seed))
     hits = 0
     for start in range(0, samples, _MC_CHUNK):
-        count = min(_MC_CHUNK, samples - start)
-        # PCG64 yields the same doubles in chunks as in one block
-        draws = rng.random((count, pts.shape[1])) * (upper - ref) + ref
-        columns = np.ascontiguousarray(draws.T)
-        covered = np.zeros(count, dtype=bool)
-        for p in pts:
-            inside = columns[0] <= p[0]
-            for column, bound in zip(columns[1:], p[1:]):
-                inside &= column <= bound
-            covered |= inside
-        hits += int(np.count_nonzero(covered))
+        left = min(_MC_CHUNK, samples - start)
+        # PCG64 yields the same doubles in chunks as in one block, and scaling
+        # in place gives the bits of draws * (upper - ref) + ref
+        draws = rng.random(out=spare[: left * dim].reshape(left, dim))
+        draws *= span
+        draws += ref
+        columns = held[: dim * left].reshape(dim, left)
+        columns[...] = draws.T
+        for number, stage in enumerate(stages):
+            below = below_buffer[: dim * left].reshape(dim, left)
+            inside = inside_buffer[:left]
+            covered = covered_buffer[:left]
+            covered[...] = False
+            for p in stage:
+                np.less_equal(columns, p[:, None], out=below)
+                np.logical_and.reduce(below, axis=0, out=inside)
+                covered |= inside
+            stage_hits = int(np.count_nonzero(covered))
+            hits += stage_hits
+            left -= stage_hits
+            if left == 0 or number + 1 == len(stages):
+                break
+            # only the uncovered samples go on to the next stage
+            uncovered = np.logical_not(covered, out=covered)
+            columns = np.compress(uncovered, columns, axis=1,
+                                  out=spare[: dim * left].reshape(dim, left))
+            spare, held = held, spare
     return box_volume * (hits / samples)
 
 

@@ -529,6 +529,22 @@ def test_hvi_monte_carlo_requires_seed(capsys, tmp_path):
     assert "samples=1000" in out
 
 
+def test_hvi_exact_rejects_the_monte_carlo_flags(capsys, tmp_path):
+    # an exact volume ignores them, so passing one is a usage mistake
+    from test_experiment import make_record
+
+    path = tmp_path / "frontier.csv"
+    write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
+    for flags, named in ((["--seed", "5"], "--seed"), (["--samples", "10"], "--samples"),
+                         (["--seed", "5", "--samples", "10"], "--samples")):
+        for method in ([], ["--method", "exact"]):
+            code, out, err = run_cli(capsys, "hvi", "--input", str(path), *method, *flags)
+            assert code == 1 and out == ""
+            assert f"{named} requires --method mc" in err
+    code, out, _ = run_cli(capsys, "hvi", "--input", str(path), "--method", "mc", "--seed", "5")
+    assert code == 0 and "samples=1000000" in out.splitlines()
+
+
 def test_hvi_seed_parses_like_the_run_seed(capsys, tmp_path):
     from test_experiment import make_record
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bforage.errors import ConfigError, DegenerateTraceError, DomainError, ReferencePointError
 from bforage.metrics import (
+    _MC_CHECKPOINTS,
     _MC_CHUNK,
     _PARETO_BLOCK,
     _nondominated_mask,
@@ -273,13 +274,24 @@ def test_monte_carlo_validates_inputs():
     assert hvi_monte_carlo([(1.0, 1.0)], (0.0, 0.0), samples=np.int64(10), seed=np.uint64(1)) == 1.0
 
 
-@pytest.mark.parametrize("samples", [1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 3 * _MC_CHUNK + 7])
+@pytest.mark.parametrize("samples", [1, _MC_CHUNK - 1, _MC_CHUNK, _MC_CHUNK + 1, 2 * _MC_CHUNK - 1,
+                                     2 * _MC_CHUNK, 2 * _MC_CHUNK + 1, 6 * _MC_CHUNK + 7, 1_000_000])
 def test_monte_carlo_chunks_match_unchunked_reference(samples):
-    assert _MC_CHUNK == 2**16
-    for dim, seed in ((4, samples), (2, samples + 1)):
-        pts = sphere_front(seed, 30, dim)
+    assert _MC_CHUNK == 2**15
+    assert _MC_CHECKPOINTS == (2, 8, 32)
+    # fronts of 1 to 40 points end their sampling before, at and after each
+    # checkpoint, in 1 to 4 dimensions; the CLI default of 10^6 samples runs
+    # on one 84-point front
+    if samples == 1_000_000:
+        fronts = [(4, 84)]
+    else:
+        fronts = itertools.product(range(1, 5), (1, 2, 3, 8, 9, 32, 40))
+    for dim, n in fronts:
+        seed = samples + 100 * dim + n
+        pts = sphere_front(seed, n, dim)
         ref = np.full(dim, 50.0)
-        assert hvi_monte_carlo(pts, ref, samples, seed) == unchunked_monte_carlo(pts, ref, samples, seed)
+        estimate = hvi_monte_carlo(pts, ref, samples, seed)
+        assert estimate == unchunked_monte_carlo(pts, ref, samples, seed), (dim, n)
 
 
 def test_monte_carlo_memory_is_bounded():
@@ -290,7 +302,7 @@ def test_monte_carlo_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < 4 * 2**20
 
 
 # -- average explorative rate ----------------------------------------------------
