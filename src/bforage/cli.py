@@ -254,14 +254,12 @@ def _write_gnuplot_stubs(out_dir: Path, reports) -> None:
 
 def _cmd_evaluate(args) -> int:
     objectives = evaluate((args.a, args.b, args.c, args.d))
-    header = ["f1", "f2", "f3", "f4"]
-    row = [repr(v) for v in objectives]
+    header, row = ["f1", "f2", "f3", "f4"], list(objectives)
     if args.weights is not None:
         weights = WeightVector(*_parse_floats(args.weights, 4, "--weights"))
         header.append("F")
-        row.append(repr(aggregate(objectives, weights)))
-    print(",".join(header))
-    print(",".join(row))
+        row.append(aggregate(objectives, weights))
+    print(xp._csv_text(header, [row]), end="")
     return 0
 
 
@@ -280,8 +278,7 @@ def _cmd_run(args) -> int:
     _echo_config(values)
     result = run_bfa(weights, params, engine_config)
     record = xp._solution_record(kind, weights, 0, result, threshold)
-    print(",".join(xp.FRONTIER_HEADER))
-    print(xp.frontier_row(record))
+    print(xp._csv_text(xp.FRONTIER_HEADER, [xp._record_fields(record)]), end="")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -381,9 +378,7 @@ def _cmd_weights(args) -> int:
         xp.write_weights_csv(weights, args.out)
         print(f"wrote {len(weights)} weight vectors to {args.out}", file=sys.stderr)
     else:
-        print(",".join(xp.WEIGHTS_HEADER))
-        for w in weights:
-            print(",".join(repr(v) for v in w))
+        print(xp._csv_text(xp.WEIGHTS_HEADER, weights), end="")
     return 0
 
 

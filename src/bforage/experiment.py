@@ -10,10 +10,8 @@ reduces deterministically, so serial and parallel sweeps are identical.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
@@ -52,7 +50,6 @@ __all__ = [
     "run_sweep",
     "compare",
     "FRONTIER_HEADER",
-    "frontier_row",
     "write_frontier_csv",
     "read_frontier_csv",
     "write_trace_csv",
@@ -327,7 +324,8 @@ def compare(reports: Sequence[FrontierReport]) -> dict:
 
     Returns a JSON-ready mapping with the hypervolume ranking (ties
     flagged, stable input order preserved), the leader's percentage gap
-    over every other engine, and the mean-AER ranking.
+    over every other engine (``None`` over an engine whose volume is 0),
+    and the mean-AER ranking.
     """
     if not reports:
         raise ConfigError("nothing to compare")
@@ -350,7 +348,9 @@ def compare(reports: Sequence[FrontierReport]) -> dict:
     gaps = [
         {
             "engine": reports[idx].engine.value,
-            "percent": hvi_percent_gap(leader.hvi, reports[idx].hvi),
+            # a frontier of no volume has no relative gap
+            "percent": (None if reports[idx].hvi == 0.0
+                        else hvi_percent_gap(leader.hvi, reports[idx].hvi)),
         }
         for idx in by_hvi[1:]
     ]
@@ -386,65 +386,32 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _format_row(values: Iterable) -> str:
-    # float() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
-    return ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in values)
+def _csv_text(header: Sequence[str], rows: Iterable[Iterable]) -> str:
+    """The CSV text of ``header`` and ``rows``, in the one dialect bforage reads.
 
-
-def _write_csv(path, header: Sequence[str], rows: Iterable[Iterable]) -> None:
-    lines = [",".join(header)]
-    lines.extend(_format_row(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def _split_rows(text: str, path) -> tuple[list[int], list[list[str]], SchemaError | None]:
-    """``csv.reader``'s rows of ``text``, the line each starts on, and its error, if any."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    starts, rows, start = [], [], 1
-    try:
-        for row in reader:  # a quoted field may span lines: a row starts after the last one read
-            starts.append(start)
-            rows.append(row)
-            start = reader.line_num + 1
-    except csv.Error as exc:
-        return starts, rows, SchemaError(f"unreadable CSV ({exc})", line=reader.line_num, path=path)
-    return starts, rows, None
-
-
-def _plain_columns(text: str, header: Sequence[str]) -> Sequence[Sequence[str]] | None:
-    """The data columns of ``text`` if it is a plain CSV with first line ``header``, else None.
-
-    Plain text has no quote, CR or NUL, no line over ``csv.field_size_limit()``,
-    and ``len(header)`` fields on each non-blank data line, so splitting its
-    lines at commas gives ``csv.reader``'s rows, which one ``zip`` turns into
-    columns. (One split of the joined lines, sliced into columns, took about
-    a quarter longer, as each line's commas must be counted first.)
+    UTF-8, ``\\n`` line ends, fields joined by commas with nothing quoted:
+    floats as their ``repr``, at round-trip precision, everything else as its ``str``.
     """
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    lines = text.removesuffix("\n").split("\n")
-    if lines[0] != ",".join(header) or max(map(len, lines)) > csv.field_size_limit():
-        return None
-    rows = list(map(str.split, filter(None, lines[1:]), repeat(",")))  # blank lines hold no row
-    if not rows:
-        return [()] * len(header)
-    if set(map(len, rows)) != {len(header)}:
-        return None
-    return list(zip(*rows))
+    # float() first: numpy 2 spells repr(np.float64(x)) as "np.float64(x)"
+    lines = [",".join(header)]
+    lines.extend(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def _read_csv(path, header: Sequence[str], parse_columns) -> list:
     """Parse every data row of a CSV whose first line must be ``header``.
 
-    Blank rows are skipped. ``parse_columns(columns, count)`` gets the
-    rows' fields a column at a time, one sequence per header field, and the
-    number of rows before them, and returns one value per row. Plain text
-    (see :func:`_plain_columns`) is split with ``str.split`` and gets all
-    its rows at once. Other text, and plain text whose batch raises a
-    ``ValueError`` or ``ConfigError``, is read with ``csv.reader`` and gets
-    its rows one at a time, and the first row that raises becomes a
-    :class:`SchemaError` at the line the row starts on, as does a
-    ``csv.Error``, such as a field over its size limit. Every
+    The text read is the text :func:`_csv_text` writes: each row is one
+    physical line, split at every comma, and a quote is part of its field.
+    A carriage return anywhere is rejected at its line, as is a UTF-8
+    byte-order mark at line 1. Blank lines are skipped.
+    ``parse_columns(columns, count)`` gets the rows' fields a column at a
+    time, one sequence per header field, and the number of rows before
+    them, and returns one value per row. All rows go in one call; when a
+    row has the wrong number of fields, or the call raises a ``ValueError``
+    or ``ConfigError``, the lines are replayed one at a time, and the first
+    that fails becomes a :class:`SchemaError` at its line. Every
     :class:`SchemaError` names the file, so a bad input among several is known.
     """
     try:
@@ -452,36 +419,40 @@ def _read_csv(path, header: Sequence[str], parse_columns) -> list:
             text = fh.read()  # decoded whole, so a bad byte anywhere is reported before any row
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text ({exc.reason})", path=path) from None
+    if not text:
+        raise SchemaError("empty file", line=1, path=path)
     if text.startswith("\ufeff"):
         raise SchemaError("starts with a UTF-8 byte-order mark; save the file without one",
                           line=1, path=path)
-    columns = _plain_columns(text, header)
-    if columns is not None:
-        try:
-            return parse_columns(columns, 0) if columns[0] else []
-        except (ValueError, ConfigError):
-            pass  # the rows one at a time name the first fault and its line
-    starts, rows, fault = _split_rows(text, path)
-    if not rows:
-        raise fault or SchemaError("empty file", line=1, path=path)
-    first = rows[0]
-    if first != header:
+    if "\r" in text:
+        raise SchemaError("has a carriage return (CR); save the file with \\n line endings",
+                          line=text.count("\n", 0, text.index("\r")) + 1, path=path)
+    lines = text.removesuffix("\n").split("\n")
+    if lines[0] != ",".join(header):
+        first = lines[0].split(",")
         missing = [c for c in header if c not in first]
         if missing:
             raise SchemaError(f"missing column {missing[0]!r}", line=1, path=path)
         raise SchemaError(f"unexpected header {first!r}", line=1, path=path)
+    rows = list(map(str.split, filter(None, lines[1:]), repeat(",")))  # blank lines hold no row
+    if not rows:
+        return []
+    if set(map(len, rows)) == {len(header)}:
+        try:
+            return parse_columns(list(zip(*rows)), 0)
+        except (ValueError, ConfigError):
+            pass  # the lines one at a time name the first fault and its line
     parsed = []
-    for line_no, row in zip(starts[1:], rows[1:]):
-        if not row:
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
             continue
+        row = line.split(",")
         if len(row) != len(header):
             raise SchemaError(f"expected {len(header)} fields, got {len(row)}", line=line_no, path=path)
         try:
             parsed += parse_columns(list(zip(row)), len(parsed))
         except (ValueError, ConfigError) as exc:
             raise SchemaError(str(exc), line=line_no, path=path) from exc
-    if fault is not None:
-        raise fault
     return parsed
 
 
@@ -491,14 +462,9 @@ def _record_fields(r: SolutionRecord) -> list:
             *r.decision, *r.objectives, r.F, r.aer]
 
 
-def frontier_row(r: SolutionRecord) -> str:
-    """One CSV data line for a record, floats at round-trip precision."""
-    return _format_row(_record_fields(r))
-
-
 def write_frontier_csv(records: Sequence[SolutionRecord], path) -> None:
     """Persist records; floats keep full round-trip precision."""
-    _write_csv(path, FRONTIER_HEADER, map(_record_fields, records))
+    atomic_write_text(path, _csv_text(FRONTIER_HEADER, map(_record_fields, records)))
 
 
 _ENGINES = {kind.value: kind for kind in EngineKind}
@@ -561,7 +527,7 @@ def read_frontier_csv(path) -> list[SolutionRecord]:
 
 
 def write_trace_csv(trace: Sequence[float], path) -> None:
-    _write_csv(path, TRACE_HEADER, enumerate(trace, start=1))
+    atomic_write_text(path, _csv_text(TRACE_HEADER, enumerate(trace, start=1)))
 
 
 def _trace_values(columns: list[Sequence[str]], count: int) -> list[float]:
@@ -577,7 +543,7 @@ def read_trace_csv(path) -> list[float]:
 
 
 def write_weights_csv(weights: Sequence[WeightVector], path) -> None:
-    _write_csv(path, WEIGHTS_HEADER, weights)
+    atomic_write_text(path, _csv_text(WEIGHTS_HEADER, weights))
 
 
 def _weight_vectors(columns: list[Sequence[str]], _count: int) -> list[WeightVector]:

@@ -1,12 +1,15 @@
 """Reference frontier reader that the tests compare ``bforage.experiment`` against.
 
-``read_frontier_csv`` here is the package's reader before it split plain
-text with ``str.split`` and audited whole columns: every file goes through
+``read_frontier_csv`` here is the package's reader before it split text
+with ``str.split`` and audited whole columns: every file goes through
 ``csv.reader``, and every row through one audit that parses its fields in
-header order and then checks them. Rows are numbered by the line they start
-on, which is the later reader's numbering too. It raises :class:`OracleError`
-with the message and line that the package's ``SchemaError`` must carry.
-The record types come from the package, so the records compare with ``==``.
+header order and then checks them. It raises :class:`OracleError` with the
+message and line that the package's ``SchemaError`` must carry. The
+package reads only the dialect it writes (``\\n`` line ends, nothing
+quoted, no CR), where ``csv.reader``'s rows are the physical lines split
+at commas, so the two agree only on such text, and the tests give them
+no other. The record types come from the package, so the records compare
+with ``==``.
 """
 
 from __future__ import annotations

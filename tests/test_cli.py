@@ -454,15 +454,42 @@ def test_removed_settings_are_rejected(capsys, tmp_path, argv, config, code):
 
 
 def test_a_field_over_the_csv_size_limit_exits_2_naming_its_file(capsys, tmp_path):
+    # no field size limit: the field is judged as a header like any other
     path = tmp_path / "huge.csv"
     path.write_text("9" * 131_073 + "\n")
     code, out, err = run_cli(capsys, "hvi", "--input", str(path))
     assert code == 2
-    assert err == f"error: {path}: line 1: unreadable CSV (field larger than field limit (131072))\n"
+    assert err == f"error: {path}: line 1: missing column 'engine'\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("text,line,message", [
+    ("generation,best_F\r\n1,5.0\r\n", 1, "has a carriage return (CR); save the file with \\n line endings"),
+    ('generation,best_F\n1,5.0\n"2",6.0\n', 3, "invalid literal for int() with base 10: '\"2\"'"),
+    ('generation,best_F\n"1\n",5.0\n', 2, "expected 2 fields, got 1"),
+], ids=["crlf", "quoted-field", "quoted-newline"])
+def test_another_csv_dialect_exits_2_naming_file_and_line(capsys, tmp_path, text, line, message):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode())
+    code, out, err = run_cli(capsys, "aer", "--input", str(path))
+    assert code == 2
+    assert err == f"error: {path}: line {line}: {message}\n"
     assert out == ""
 
 
 # -- weights ------------------------------------------------------------------------
+
+
+def test_run_and_weights_print_the_files_they_write(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "run", "--seed", "5", "--nt", "3", "--pop", "4",
+                           "--engine", "gamma", "--out", str(tmp_path / "run"))
+    assert code == 0
+    assert out == (tmp_path / "run" / "solution.csv").read_text()
+    code, out, _ = run_cli(capsys, "weights", "--step", "0.1", "--min", "0")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "weights", "--step", "0.1", "--min", "0", "--out", str(tmp_path / "w.csv"))
+    assert code == 0
+    assert out == (tmp_path / "w.csv").read_text() and out.count("\n") == 287
 
 
 def test_weights_stdout_lattice(capsys):
@@ -711,18 +738,30 @@ def test_compare_command_on_sweep_outputs(sweep_outputs, capsys):
     assert len(table["leader_gaps_percent"]) == 1
 
 
-def test_compare_against_a_zero_volume_frontier_exits_3(capsys, tmp_path):
-    # the leader's gap over a frontier of no volume has no value; a metric error
+def test_compare_gives_a_zero_volume_frontier_a_null_gap(capsys, tmp_path):
+    # the leader's gap over a frontier of no volume has no value, whether the
+    # leader's volume is positive or zero too
     from test_experiment import make_record
 
-    zero, positive = tmp_path / "zero.csv", tmp_path / "positive.csv"
-    write_frontier_csv([make_record((0.0, 700.0, 300.0, 400.0))], zero)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("f1_zero", "f2_zero", "positive")}
+    write_frontier_csv([make_record((0.0, 700.0, 300.0, 400.0))], paths["f1_zero"])
+    write_frontier_csv([make_record((500.0, 0.0, 300.0, 400.0), engine=EngineKind.WEIBULL)],
+                       paths["f2_zero"])
     write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0), engine=EngineKind.CHAOTIC)],
-                       positive)
-    code, out, err = run_cli(capsys, "compare", "--input", str(zero), "--input", str(positive))
-    assert code == 3
-    assert err == "error: reference hypervolume is zero\n"
-    assert out == ""
+                       paths["positive"])
+    for inputs, leader, ranked in [
+        (("f1_zero", "f2_zero"), "gaussian", [("gaussian", 0.0, False), ("weibull", 0.0, True)]),
+        (("f2_zero", "positive"), "chaotic", [("chaotic", 500.0 * 700.0 * 300.0 * 400.0, False),
+                                              ("weibull", 0.0, False)]),
+    ]:
+        code, out, err = run_cli(capsys, "compare", *[arg for name in inputs
+                                                       for arg in ("--input", str(paths[name]))])
+        assert code == 0 and err == ""
+        table = json.loads(out)
+        assert table["leader"] == leader
+        assert [(row["engine"], row["hvi"], row["tied_with_previous"])
+                for row in table["hvi_ranking"]] == ranked
+        assert table["leader_gaps_percent"] == [{"engine": ranked[1][0], "percent": None}]
 
 
 def test_sweep_rejects_a_repeated_engine_before_any_run(capsys, tmp_path, monkeypatch):
