@@ -50,7 +50,7 @@ from .experiment import (
     write_trace_csv,
     write_weights_csv,
 )
-from .metrics import aer, hvi_exact, hvi_monte_carlo, hvi_percent_gap, pareto_filter
+from .metrics import aer, hvi_exact, hvi_monte_carlo, pareto_filter
 from .problem import (
     COEFFICIENTS,
     DecisionVector,

@@ -23,9 +23,7 @@ from .errors import (
     ConfigError,
     DegenerateTraceError,
     DomainError,
-    InfeasibleError,
     ReferencePointError,
-    SchemaError,
     UsageError,
 )
 from .metrics import aer as compute_aer
@@ -34,30 +32,6 @@ from .problem import WeightVector, aggregate, evaluate
 
 __all__ = ["dispatch", "main", "read_config_file"]
 
-# config key -> (dataclass field, parser, help text); each field's default
-# is read from its dataclass, and int fields accept any integral number
-_BFA_KEYS = {
-    "nt": ("n_total", int, "chemotactic-generation budget"),
-    "pop": ("pop_size", int, "population size"),
-    "ns": ("n_swim", int, "swim-loop limit"),
-    "nc": ("n_chemo", int, "generations per reproduction"),
-    "nr": ("n_repro", int, "reproductions per dispersal"),
-    "step": ("step_size", float, "chemotactic step, normalized units"),
-    "ped": ("p_elim", float, "per-bacterium dispersal probability"),
-    "wrep": ("w_rep", float, "repellent signal width"),
-    "watt": ("w_att", float, "attractant signal width"),
-    "hrep": ("h_rep", float, "repellent signal height"),
-    "hatt": ("h_att", float, "attractant signal height; hatt = hrep = 0 turns swarming off"),
-}
-
-_ENGINE_PARAM_KEYS = {
-    "k": ("k", float, "weibull shape"),
-    "alpha": ("alpha", int, "gamma shape, integral"),
-    "psi0": ("psi0", float, "chaotic initial state"),
-    "r0": ("r0", float, "chaotic initial growth rate"),
-    "dr": ("dr", float, "chaotic per-step rate increment"),
-    "warmup": ("warmup", int, "chaotic iterates discarded at start"),
-}
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through :class:`UsageError`."""
@@ -89,8 +63,34 @@ def _parse_seed(text: str) -> int:
 _parse_seed.__name__ = "int"
 
 
-# how a table type reads a config-file or --engine-param value
-_TEXT_PARSERS = {int: _parse_int_exact, float: float}
+# config key -> (dataclass field, parser, help text); the flag is "--" and
+# the key, each field's default is read from its dataclass, and int fields
+# accept any integral number
+_BFA_KEYS = {
+    "nt": ("n_total", _parse_int_exact, "chemotactic-generation budget"),
+    "pop": ("pop_size", _parse_int_exact, "population size"),
+    "ns": ("n_swim", _parse_int_exact, "swim-loop limit"),
+    "nc": ("n_chemo", _parse_int_exact, "generations per reproduction"),
+    "nr": ("n_repro", _parse_int_exact, "reproductions per dispersal"),
+    "step": ("step_size", float, "chemotactic step, normalized units"),
+    "ped": ("p_elim", float, "per-bacterium dispersal probability"),
+    "wrep": ("w_rep", float, "repellent signal width"),
+    "watt": ("w_att", float, "attractant signal width"),
+    "hrep": ("h_rep", float, "repellent signal height"),
+    "hatt": ("h_att", float, "attractant signal height; hatt = hrep = 0 turns swarming off"),
+}
+
+_ENGINE_PARAM_KEYS = {
+    "k": ("k", float, "weibull shape"),
+    "alpha": ("alpha", _parse_int_exact, "gamma shape, integral"),
+    "psi0": ("psi0", float, "chaotic initial state"),
+    "r0": ("r0", float, "chaotic initial growth rate"),
+    "dr": ("dr", float, "chaotic per-step rate increment"),
+    "warmup": ("warmup", _parse_int_exact, "chaotic iterates discarded at start"),
+}
+
+# each field table with the dataclass that holds its defaults, in echo order
+_FIELD_TABLES = ((_BFA_KEYS, BfaParams), (_ENGINE_PARAM_KEYS, EngineConfig))
 
 
 def _default(cls, field: str):
@@ -163,22 +163,6 @@ def read_config_file(path) -> dict[str, tuple[str, int]]:
     return entries
 
 
-def _engine_param_overrides(pairs) -> dict:
-    overrides = {}
-    for raw in pairs or []:
-        key, sep, value = raw.partition("=")
-        key = key.strip().lower()
-        if not sep or key not in _ENGINE_PARAM_KEYS:
-            valid = ", ".join(_ENGINE_PARAM_KEYS)
-            raise UsageError(f"--engine-param expects key=value with key in: {valid}")
-        _, parse, _ = _ENGINE_PARAM_KEYS[key]
-        try:
-            overrides[key] = _TEXT_PARSERS[parse](value)
-        except ValueError:
-            raise UsageError(f"--engine-param {key}: bad value {value!r}") from None
-    return overrides
-
-
 def _resolve(args, keys: dict) -> dict:
     """The value of every key of ``keys``, ``_BFA_KEYS`` and ``_ENGINE_PARAM_KEYS``.
 
@@ -187,11 +171,11 @@ def _resolve(args, keys: dict) -> dict:
     file key is a :class:`ConfigError`, a missing seed a :class:`UsageError`.
     """
     entries = read_config_file(args.config) if args.config else {}
-    flags = {**vars(args), **_engine_param_overrides(args.engine_param)}
+    flags = vars(args)
     rows = {key: (parse, default) for key, (parse, default, _) in keys.items()}
-    for table, cls in ((_BFA_KEYS, BfaParams), (_ENGINE_PARAM_KEYS, EngineConfig)):
+    for table, cls in _FIELD_TABLES:
         for key, (field, parse, _) in table.items():
-            rows[key] = (_TEXT_PARSERS[parse], _default(cls, field))
+            rows[key] = (parse, _default(cls, field))
     values = {}
     for key, (parse, default) in rows.items():
         text, line_no = entries.pop(key, (None, None))
@@ -413,22 +397,17 @@ def _cmd_compare(args) -> int:
 
 
 def _add_run_flags(parser, keys: dict) -> None:
-    """A flag for every key of ``keys``, then ``--config``, ``--engine-param``
-    and the BFA flags; each help text ends with the key's default."""
+    """A flag for every key of ``keys``, then ``--config``, then one for every
+    key of ``_BFA_KEYS`` and ``_ENGINE_PARAM_KEYS``; each help text ends with
+    the key's default."""
     for key, (parse, default, text) in keys.items():
         if key != "seed":  # required, so it has no default
             text += f" (default: {'none' if default is None else default})"
         parser.add_argument(f"--{key.replace('_', '-')}", type=parse, help=text)
     parser.add_argument("--config", help="key = value config file (flags win; default: none)")
-    engine_keys = ", ".join(
-        f"{key}={_default(EngineConfig, field)} ({text})"
-        for key, (field, _, text) in _ENGINE_PARAM_KEYS.items()
-    )
-    parser.add_argument("--engine-param", action="append", metavar="KEY=VALUE",
-                        help=f"distribution parameter, repeatable; keys with defaults: {engine_keys}")
-    for key, (field, parse, text) in _BFA_KEYS.items():
-        parser.add_argument(f"--{key}", type=_TEXT_PARSERS[parse],
-                            help=f"{text} (default: {_default(BfaParams, field)})")
+    for table, cls in _FIELD_TABLES:
+        for key, (field, parse, text) in table.items():
+            parser.add_argument(f"--{key}", type=parse, help=f"{text} (default: {_default(cls, field)})")
 
 
 def build_parser() -> _Parser:
@@ -502,9 +481,6 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, InfeasibleError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (DomainError, ReferencePointError, DegenerateTraceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .bfa import BfaParams, RunResult, _batch_limit, run_batch
 from .engines import EngineConfig, EngineKind
 from .errors import ConfigError, LatticeError, SchemaError
-from .metrics import aer, hvi_exact, hvi_percent_gap
+from .metrics import aer, hvi_exact
 from .problem import (
     DecisionVector,
     LOWER_BOUNDS,
@@ -329,7 +329,8 @@ def compare(reports: Sequence[FrontierReport]) -> dict:
     """
     if not reports:
         raise ConfigError("nothing to compare")
-    weight_sets = {tuple(s.weights for s in r.solutions) for r in reports}
+    # row order carries no meaning, but a repeated vector counts once per row
+    weight_sets = {tuple(sorted(s.weights for s in r.solutions)) for r in reports}
     if len(weight_sets) > 1:
         raise ConfigError("reports cover different weight sets and cannot be compared")
 
@@ -350,7 +351,7 @@ def compare(reports: Sequence[FrontierReport]) -> dict:
             "engine": reports[idx].engine.value,
             # a frontier of no volume has no relative gap
             "percent": (None if reports[idx].hvi == 0.0
-                        else hvi_percent_gap(leader.hvi, reports[idx].hvi)),
+                        else 100.0 * (leader.hvi - reports[idx].hvi) / reports[idx].hvi),
         }
         for idx in by_hvi[1:]
     ]

@@ -47,7 +47,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     DegenerateTraceError,
-    DomainError,
     ReferencePointError,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "hvi_exact",
     "hvi_monte_carlo",
     "aer",
-    "hvi_percent_gap",
 ]
 
 _MAX_DIMENSION = 4
@@ -272,10 +270,3 @@ def aer(trace: Sequence[float], threshold: float) -> float:
         if deviation >= threshold:
             hits += 1
     return hits / steps
-
-
-def hvi_percent_gap(hv_a: float, hv_b: float) -> float:
-    """Relative dominance gap of ``hv_a`` over ``hv_b``, in percent."""
-    if hv_b == 0.0:
-        raise DomainError("reference hypervolume is zero")
-    return 100.0 * (hv_a - hv_b) / hv_b

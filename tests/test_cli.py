@@ -95,7 +95,7 @@ def test_help_lists_flags_and_defaults(capsys, monkeypatch):
     for verb, expected_flags in [
         ("run", ["--nt", "--pop", "--ns", "--nc", "--nr", "--step", "--ped",
                  "--wrep", "--watt", "--hrep", "--hatt",
-                 "--engine-param", "--seed", "--weights", "--config", "--out"]),
+                 "--seed", "--weights", "--config", "--out"]),
         ("sweep", ["--engines", "--runs", "--weights-file", "--weight-step",
                    "--weight-min", "--jobs", "--plot"]),
         ("hvi", ["--input", "--ref", "--method", "--samples", "--seed"]),
@@ -116,20 +116,19 @@ def test_help_lists_flags_and_defaults(capsys, monkeypatch):
                                   (EngineConfig, _ENGINE_PARAM_KEYS, ("kind", "seed"))]:
         fields = [f.name for f in dataclasses.fields(cls) if f.name not in own_flags]
         assert sorted(field for field, *_ in table.values()) == sorted(fields)
-    for verb in ("run", "sweep"):
+    for verb, keys, own_flags in [("run", _RUN_KEYS, {"--out"}),
+                                  ("sweep", _SWEEP_KEYS, {"--out", "--plot"})]:
         _, out, _ = run_cli(capsys, verb, "--help")
         lines = [line.strip() for line in out.splitlines()]
-        for key, (field, parse, _) in _BFA_KEYS.items():
-            default = getattr(BfaParams(), field)
-            if parse is bool:
-                line = next(l for l in lines if l.startswith(f"--no-{key} "))
-                assert line.endswith(f"(default: {key} = {str(default).lower()})"), line
-            else:
+        # one flag per key, and no other way to set one
+        tables = {f"--{key.replace('_', '-')}" for key in [*keys, *_BFA_KEYS, *_ENGINE_PARAM_KEYS]}
+        flags = {line.split()[0] for line in lines if line.startswith("--")}
+        assert flags == tables | own_flags | {"--config"}
+        for table, instance in [(_BFA_KEYS, BfaParams()),
+                                (_ENGINE_PARAM_KEYS, EngineConfig(kind="gaussian", seed=0))]:
+            for key, (field, _, _) in table.items():
                 line = next(l for l in lines if l.startswith(f"--{key} "))
-                assert line.endswith(f"(default: {default})"), line
-        for key, (field, _, _) in _ENGINE_PARAM_KEYS.items():
-            default = getattr(EngineConfig(kind="gaussian", seed=0), field)
-            assert f" {key}={default} (" in out, key
+                assert line.endswith(f"(default: {getattr(instance, field)})"), line
 
 
 # -- run ---------------------------------------------------------------------------
@@ -159,6 +158,26 @@ def test_run_is_reproducible_across_invocations(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_engine_keys_are_flags_with_the_echo_and_output_they_always_had(capsys):
+    # recorded when engine parameters were given as --engine-param key=value
+    code, out, err = run_cli(capsys, "run", "--engine", "chaotic", "--seed", "1", "--nt", "4",
+                             "--pop", "3", "--r0", "3.7", "--warmup", "4")
+    assert code == 0
+    assert err == (
+        "# resolved configuration\n"
+        "engine = chaotic\nseed = 1\nweights = 0.25,0.25,0.25,0.25\naer_threshold = 0.01\n"
+        "nt = 4\npop = 3\nns = 5\nnc = 10\nnr = 5\nstep = 0.05\nped = 0.25\n"
+        "wrep = 10.0\nwatt = 0.2\nhrep = 0.1\nhatt = 0.1\n"
+        "k = 1.0\nalpha = 2\npsi0 = 0.3\nr0 = 3.7\ndr = 0.01\nwarmup = 4\n"
+    )
+    assert out == (
+        "engine,w1,w2,w3,w4,run_id,seed,A,B,C,D,f1,f2,f3,f4,F,aer\n"
+        "chaotic,0.25,0.25,0.25,0.25,0,1,2.1406112740324357,50.0,4.272555765429307,"
+        "90.83304460050206,610.9630984060232,1476.90347435496,997.6006186425809,"
+        "323.3717322240865,852.2097309069126,0.6666666666666666\n"
+    )
 
 
 def test_config_file_supplies_values_and_flags_override(capsys, tmp_path):
@@ -205,7 +224,7 @@ def test_a_chaotic_warm_up_over_the_cap_is_rejected_before_any_engine_is_built(c
     monkeypatch.setattr("bforage.bfa.StochasticEngine", no_engine)
     sweep = ["--engines", "gaussian,chaotic", "--runs", "1", "--weight-step", "0.5", "--weight-min", "0.0"]
     for argv in (["run", "--engine", "chaotic"], ["sweep", *sweep]):
-        code, _, err = run_cli(capsys, *argv, "--seed", "1", "--engine-param", "warmup=1e9")
+        code, _, err = run_cli(capsys, *argv, "--seed", "1", "--warmup", "1e9")
         assert code == 2
         assert "warmup must be at most 1000000 for the chaotic engine, got 1000000000" in err
 
@@ -242,7 +261,7 @@ def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
     # a flag parses exactly as its file key does, and a non-integral value
     # is still a usage error
     code, _, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3.0", "--pop", "4e0",
-                           "--engine-param", "alpha=2.0")
+                           "--alpha", "2.0")
     assert code == 0
     assert {"nt = 3", "pop = 4", "alpha = 2"} <= set(err.splitlines())
     sweep = ["sweep", "--seed", "1", "--engines", "gaussian", "--weight-step", "0.5",
@@ -260,6 +279,7 @@ def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
     assert {"samples=1000", "seed=1"} <= set(out.splitlines())
     for argv in (["run", "--seed", "1", "--nt", "2.5"], ["run", "--seed", "1", "--pop", "inf"],
                  [*sweep, "--runs", "1.5"], [*sweep, "--jobs", "2.5"],
+                 ["run", "--seed", "1", "--alpha", "2.5"], ["run", "--seed", "1", "--warmup", "2.5"],
                  [*hvi, "--samples", "1.5", "--seed", "1"], [*hvi, "--samples", "1e3", "--seed", "1.5"]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
@@ -267,11 +287,11 @@ def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv,code", [
-    (["--engine-param", "alpha=inf"], 1),
-    (["--engine-param", "warmup=nan"], 1),
+    (["--alpha", "inf"], 1),
+    (["--warmup", "nan"], 1),
     (["--weights", "nan,0.3,0.3,0.4"], 2),
-    (["--engine-param", "k=nan"], 2),
-    (["--engine-param", "dr=inf"], 2),
+    (["--k", "nan"], 2),
+    (["--dr", "inf"], 2),
     (["--wrep", "nan"], 2),
     (["--step", "inf"], 2),
 ])
@@ -286,7 +306,7 @@ def test_run_rejects_a_step_whose_swim_path_overflows(capsys):
 
 
 @pytest.mark.parametrize("argv,field", [
-    (["--engine", "weibull", "--engine-param", "k=0.001"], "k="),
+    (["--engine", "weibull", "--k", "0.001"], "k="),
 ])
 def test_run_rejects_engine_params_whose_variates_overflow(capsys, argv, field):
     code, _, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--pop", "4", *argv)
@@ -297,7 +317,7 @@ def test_run_rejects_engine_params_whose_variates_overflow(capsys, argv, field):
 @pytest.mark.parametrize("alpha,code", [(155, 0), (156, 2), (800, 2)])
 def test_run_rejects_a_gamma_shape_whose_cdf_overflows(capsys, alpha, code):
     code_seen, _, err = run_cli(capsys, "run", "--seed", "1", "--nt", "3", "--pop", "4",
-                                "--engine", "gamma", "--engine-param", f"alpha={alpha}")
+                                "--engine", "gamma", "--alpha", str(alpha))
     assert code_seen == code
     if code:
         assert f"alpha={alpha}" in err and "A=nan" not in err
@@ -337,7 +357,7 @@ def test_config_file_malformed_line_reports_line(capsys, tmp_path):
 
 def test_echoed_config_round_trips(capsys, tmp_path):
     code, _, err1 = run_cli(capsys, "run", "--seed", "3", "--nt", "4", "--pop", "4",
-                            "--engine", "gamma", "--engine-param", "alpha=3")
+                            "--engine", "gamma", "--alpha", "3")
     assert code == 0
     echo_lines = [l for l in err1.splitlines() if "=" in l and not l.startswith("#")]
     config = tmp_path / "echo.conf"
@@ -350,7 +370,7 @@ def test_echoed_config_round_trips(capsys, tmp_path):
 
 @pytest.mark.parametrize("verb,argv", [
     ("run", ["--seed", "3", "--nt", "4", "--pop", "4", "--engine", " Gamma",
-             "--engine-param", "alpha=3", "--aer-threshold", "0.02"]),
+             "--alpha", "3", "--aer-threshold", "0.02"]),
     ("sweep", ["--seed", "77", "--engines", "gaussian, chaotic", "--runs", "2",
                "--weight-step", "0.5", "--weight-min", "0.0", "--nt", "3", "--pop", "3"]),
     ("sweep", ["--seed", "5", "--engines", "weibull", "--runs", "2", "--weights-file", "WEIGHTS",
@@ -434,14 +454,16 @@ def test_a_csv_schema_error_names_its_file(capsys, tmp_path, argv, column):
 
 
 @pytest.mark.parametrize("argv,config,code", [
-    (["--engine-param", "sigma=2"], None, 1),
+    (["--sigma", "2"], None, 1),
     ([], "sigma = 2", 2),
     (["--no-swarming"], None, 1),
     ([], "swarming = false", 2),
-], ids=["sigma-flag", "sigma-key", "no-swarming-flag", "swarming-key"])
+    (["--engine-param", "k=2"], None, 1),
+], ids=["sigma-flag", "sigma-key", "no-swarming-flag", "swarming-key", "engine-param-flag"])
 def test_removed_settings_are_rejected(capsys, tmp_path, argv, config, code):
     # location, scale and rate cancel in every unit draw, and swarming is
-    # off exactly when both signal heights are zero, so none is a setting
+    # off exactly when both signal heights are zero, so none is a setting;
+    # each engine parameter is its own flag, so --engine-param is gone
     if config is not None:
         path = tmp_path / "run.conf"
         path.write_text(config + "\n")

@@ -424,6 +424,24 @@ def test_compare_rejects_mismatched_weight_sets():
         compare([a, b])
 
 
+def test_compare_reads_weight_sets_in_any_row_order_but_counts_repeats():
+    even, skewed = WeightVector(0.25, 0.25, 0.25, 0.25), WeightVector(0.7, 0.1, 0.1, 0.1)
+
+    def report(engine, weights):
+        return experiment._build_report(engine, [
+            make_record((100.0 + i, 200.0 + i, 300.0, 400.0), weights=w, engine=engine)
+            for i, w in enumerate(weights)
+        ])
+
+    gaussian = report(EngineKind.GAUSSIAN, [even, skewed])
+    chaotic = report(EngineKind.CHAOTIC, [even, skewed])
+    reversed_chaotic = dataclasses.replace(chaotic, solutions=chaotic.solutions[::-1])
+    assert compare([gaussian, reversed_chaotic]) == compare([gaussian, chaotic])
+    with pytest.raises(ConfigError, match="different weight sets"):
+        compare([report(EngineKind.GAUSSIAN, [even, even, skewed]),
+                 report(EngineKind.CHAOTIC, [even, skewed, skewed])])
+
+
 # -- persistence --------------------------------------------------------------------
 
 

@@ -81,9 +81,9 @@ RUN_CASE_IDS = [
 
 RUN_ARGV = {
     "gaussian": [],
-    "weibull": ["--engine-param", "k=2"],
-    "gamma": ["--engine-param", "alpha=3"],
-    "chaotic": ["--engine-param", "r0=3.7", "--engine-param", "warmup=4", "--hatt", "0", "--hrep", "0"],
+    "weibull": ["--k", "2"],
+    "gamma": ["--alpha", "3"],
+    "chaotic": ["--r0", "3.7", "--warmup", "4", "--hatt", "0", "--hrep", "0"],
 }
 
 # the engine fields RUN_ARGV sets, none at its default; the gaussian engine has none

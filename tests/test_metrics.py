@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bforage.errors import ConfigError, DegenerateTraceError, DomainError, ReferencePointError
+from bforage.errors import ConfigError, DegenerateTraceError, ReferencePointError
 from bforage.metrics import (
     _MC_CHECKPOINTS,
     _MC_CHUNK,
@@ -16,7 +16,6 @@ from bforage.metrics import (
     aer,
     hvi_exact,
     hvi_monte_carlo,
-    hvi_percent_gap,
     pareto_filter,
 )
 from hypervolume_oracle import nondominated_mask, recursive_sweep_volume, unchunked_monte_carlo
@@ -358,14 +357,3 @@ def test_aer_scale_invariance_exact_for_binary_scales(increments, exponent):
     scale = 2.0 ** exponent  # power of two: rescaling is exact in binary
     scaled = [scale * v for v in trace]
     assert aer(scaled, 0.01) == aer(trace, 0.01)
-
-
-# -- percentage gap ---------------------------------------------------------------
-
-
-def test_hvi_percent_gap():
-    assert hvi_percent_gap(110.0, 100.0) == pytest.approx(10.0)
-    assert hvi_percent_gap(100.0, 100.0) == 0.0
-    assert hvi_percent_gap(50.0, 100.0) == -50.0
-    with pytest.raises(DomainError, match="reference hypervolume is zero"):
-        hvi_percent_gap(1.0, 0.0)
