@@ -209,39 +209,62 @@ def _swarming_term(
     signals and their sums, so a term holds 1.25 times its (4, B, K, S)
     largest array.
 
+    At B = 1 a call costs numpy's fixed cost per call more than its
+    arithmetic, so a call adds as little to its nine numpy calls as it
+    can: bacterium ``i`` is the leading index of a view made here
+    (``coordinates[i]``, ``own[i]``), the ufuncs are locals with ``out``
+    passed by position, and every step after the subtraction runs on a
+    flat view of its buffer: the square on the 1-D squares, the coordinate
+    sum over the 4 rows of ``rows`` (4, B·K·S), the widths, ``exp`` and
+    heights on the 2 rows of ``signals`` (2, B·K·S), the point sums over
+    ``runs`` (2, B·K, S), and the final add on two (B·K) rows. A flat view
+    of a contiguous buffer holds the same elements in the same order, so
+    each element meets the same operations, in the same order, as it
+    would in the 4-D array.
+
     The result is bit-identical to scoring each point of each run alone:
-    the squared distances are summed over the leading axis of a
-    (4, B, K, S) array, which adds the coordinates in order,
-    ``((d0 + d1) + d2) + d3``, as ``np.sum(..., axis=1)`` does over four
-    columns; each point's S terms are summed along the last, contiguous
-    axis, whatever the axes before it; and numpy's ``exp`` gives the same
-    value for an element whatever the shape of the array around it.
+    the squared distances are summed over the leading axis of ``rows``,
+    which adds the coordinates in order, ``((d0 + d1) + d2) + d3``, as
+    ``np.sum(..., axis=1)`` does over four columns; each point's S terms
+    are one sum along the last, contiguous axis of ``runs``, whatever the
+    axes before it; and numpy's ``exp`` gives the same value for an
+    element whatever the shape of the array around it.
     """
     batch, size = theta.shape[:2]
     count = points.shape[2]
     if not params.swarming:
         zeros = np.zeros((batch, count))
         return lambda i: zeros
+    cells = batch * count
     squares = np.empty((N_DIMENSIONS, batch, count, size))
     distances = np.empty((batch, count, size))
-    signals = squares[:2]
-    sums = squares[2:].reshape(-1)[: 2 * batch * count].reshape(2, batch, count)
+    flat_squares = squares.reshape(-1)
+    rows = squares.reshape(N_DIMENSIONS, -1)  # (4, B·K·S)
+    flat_distances = distances.reshape(-1)
+    own = distances.transpose(2, 0, 1)  # (S, B, K): bacterium i's distances at [i]
+    signals = rows[:2]  # (2, B·K·S)
+    flat_signals = signals.reshape(-1)
+    runs = signals.reshape(2, cells, size)
+    sums = flat_squares[2 * cells * size : 2 * cells * (size + 1)].reshape(2, cells)
     attract, repel = sums
-    widths = np.reshape((-params.w_att, -params.w_rep), (2, 1, 1, 1))
-    heights = np.reshape((-params.h_att, params.h_rep), (2, 1, 1, 1))
-    coordinates = points.transpose(3, 0, 1, 2)[..., None]  # (4, B, S, K, 1)
+    result = attract.reshape(batch, count)
+    widths = np.reshape((-params.w_att, -params.w_rep), (2, 1))
+    heights = np.reshape((-params.h_att, params.h_rep), (2, 1))
+    coordinates = points.transpose(1, 3, 0, 2)[..., None]  # (S, 4, B, K, 1)
     swarm = theta.transpose(2, 0, 1)[:, :, None]  # (4, B, 1, S)
+    subtract, multiply, add, exp, reduce = np.subtract, np.multiply, np.add, np.exp, np.add.reduce
 
     def term(i: int) -> np.ndarray:
-        np.subtract(swarm, coordinates[:, :, i], out=squares)
-        np.multiply(squares, squares, out=squares)
-        np.add.reduce(squares, axis=0, out=distances)
-        distances[:, :, i] = 0.0
-        np.multiply(widths, distances, out=signals)
-        np.exp(signals, out=signals)
-        np.multiply(signals, heights, out=signals)  # attractant wells, repellent hills
-        np.add.reduce(signals, axis=3, out=sums)
-        return np.add(attract, repel, out=attract)
+        subtract(swarm, coordinates[i], squares)
+        multiply(flat_squares, flat_squares, flat_squares)
+        reduce(rows, 0, None, flat_distances)
+        own[i] = 0.0
+        multiply(widths, flat_distances, signals)
+        exp(flat_signals, flat_signals)
+        multiply(signals, heights, signals)  # attractant wells, repellent hills
+        reduce(runs, 2, None, sums)
+        add(attract, repel, attract)
+        return result
 
     return term
 

@@ -5,13 +5,18 @@ Verbs: ``evaluate``, ``run``, ``sweep``, ``hvi``, ``aer``, ``weights``,
 configuration echo go to standard error, so outputs are pipeable.
 
 Exit codes: 0 success, 1 usage error, 2 configuration or infeasible
-input, 3 numeric or metric error, 4 I/O error.
+input, 3 numeric or metric error, 4 I/O error. A reader that closes the
+standard output early, such as ``head``, ends the command quietly with
+exit 0: it has what it asked for, and every ``--out`` file is written
+before standard output is. A closed standard error is an I/O error, exit
+4, with nothing printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -31,6 +36,10 @@ from .metrics import hvi_exact, hvi_monte_carlo
 from .problem import WeightVector, aggregate, evaluate
 
 __all__ = ["dispatch", "main", "read_config_file"]
+
+
+class _StderrClosed(Exception):
+    """Standard error is closed, so not even the error can be reported."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -115,7 +124,7 @@ _SWEEP_KEYS = {
     "seed": (_parse_seed, None, "master seed, unsigned 64-bit; required"),
     "runs": (_parse_int_exact, _default(xp.ExperimentConfig, "runs_per_weight"),
              "independent runs per weight vector"),
-    "jobs": (_parse_int_exact, 1, "worker processes"),
+    "jobs": (_parse_int_exact, 1, "worker processes, at most the usable CPUs"),
     "aer_threshold": (float, _AER_THRESHOLD_DEFAULT, "AER deviation threshold"),
     "weights_file": (str, None, "CSV of weight vectors; overrides the lattice"),
     "weight_step": (float, 0.1, "lattice step"),
@@ -200,10 +209,18 @@ def _fields(table: dict, values: dict) -> dict:
     return {field: values[key] for key, (field, *_) in table.items()}
 
 
+def _note(text: str) -> None:
+    """One diagnostic line to standard error."""
+    try:
+        print(text, file=sys.stderr)
+    except BrokenPipeError as exc:  # unlike a closed stdout, not a reader that is done
+        raise _StderrClosed from exc
+
+
 def _echo_config(values: dict) -> None:
-    print("# resolved configuration", file=sys.stderr)
+    _note("# resolved configuration")
     for key, value in values.items():
-        print(f"{key} = {value}", file=sys.stderr)  # str of a float is its repr
+        _note(f"{key} = {value}")  # str of a float is its repr
 
 
 def _write_gnuplot_stubs(out_dir: Path, reports) -> None:
@@ -306,7 +323,8 @@ def _cmd_sweep(args) -> int:
         aer_threshold=values["aer_threshold"],
     )
     reports = xp.run_sweep(config, jobs=values["jobs"])
-    print(json.dumps([xp.report_to_dict(r) for r in reports], indent=2))
+    # the files first, so a reader that closes stdout early cuts off only
+    # what is already saved
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -315,6 +333,7 @@ def _cmd_sweep(args) -> int:
         xp.write_report_json(reports, out_dir / "report.json")
         if args.plot:
             _write_gnuplot_stubs(out_dir, reports)
+    print(json.dumps([xp.report_to_dict(r) for r in reports], indent=2))
     return 0
 
 
@@ -360,7 +379,7 @@ def _cmd_weights(args) -> int:
     weights = xp.generate_weights(args.step, args.min)
     if args.out:
         xp.write_weights_csv(weights, args.out)
-        print(f"wrote {len(weights)} weight vectors to {args.out}", file=sys.stderr)
+        _note(f"wrote {len(weights)} weight vectors to {args.out}")
     else:
         print(xp._csv_text(xp.WEIGHTS_HEADER, weights), end="")
     return 0
@@ -385,11 +404,11 @@ def _cmd_compare(args) -> int:
         paths[engine] = path
         reports.append(xp._build_report(engine, records))
     table = xp.compare(reports)
-    print(json.dumps(table, indent=2))
-    if args.plot:
+    if args.plot:  # the stubs first, as in sweep
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_gnuplot_stubs(out_dir, reports)
+    print(json.dumps(table, indent=2))
     return 0
 
 
@@ -470,14 +489,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor, if it has one, at the null device, so
+    that the interpreter's final flush of what is left cannot raise again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # no descriptor: nothing flushes to a pipe
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def dispatch(argv) -> int:
     """Parse and execute one command; returns the process exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
+        return code
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except BrokenPipeError:  # the reader has closed stdout; it needs no more
+        _discard_stdout()
+        return 0
+    except _StderrClosed:
+        return 4
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

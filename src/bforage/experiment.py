@@ -247,19 +247,29 @@ def _task_list(config: ExperimentConfig):
     return tasks
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[FrontierReport]:
     """Execute the full protocol and build one report per engine.
 
     The runs go out in contiguous batches of the task list, each advanced in
     lockstep; ``jobs`` > 1 maps the batches over at most ``jobs`` worker
-    processes, never more than there are batches. A run's result does not
-    depend on its batch, and the reduce is by task index, so the result is
-    identical to a serial sweep.
+    processes, never more than there are batches or usable CPUs. A run's
+    result does not depend on its batch, and the reduce is by task index, so
+    the result is identical to a serial sweep.
     """
     tasks = _task_list(config)
+    # a fork pool starts all its workers at its first submit, and workers
+    # beyond the usable CPUs would only take turns on them
+    jobs = max(1, min(jobs, _usable_cpus()))
     # a batch stays under the memory limit of one array; a run too large
     # even alone fails in its batch of one
-    size = max(1, min(_MAX_BATCH, math.ceil(len(tasks) / max(jobs, 1)), _batch_limit(config.bfa)))
+    size = max(1, min(_MAX_BATCH, math.ceil(len(tasks) / jobs), _batch_limit(config.bfa)))
     batches = [tasks[k : k + size] for k in range(0, len(tasks), size)]
     workers = min(jobs, len(batches))
     if workers > 1:

@@ -219,7 +219,9 @@ def desk_sweep(tmp_path_factory):
     outputs = {}
     for jobs, name in ((1, "serial"), (8, "parallel")):
         out_dir = root / name
-        with redirect_stdout(io.StringIO()):  # report JSON goes to --out anyway
+        # eight usable CPUs, so the parallel sweep runs in eight workers on any host
+        with pytest.MonkeyPatch.context() as patch, redirect_stdout(io.StringIO()):
+            patch.setattr("bforage.experiment._usable_cpus", lambda: 8)
             code = dispatch([
                 "sweep", "--engines", "gaussian,weibull,gamma,chaotic",
                 "--seed", "4242", "--runs", "3", "--weights-file", str(weights_path),

@@ -446,6 +446,24 @@ def test_buffered_potentials_equal_the_unbuffered_reference_bit_for_bit(batch, s
                 assert np.array_equal(bits(term(i)), expected), (heights, count, i)
 
 
+@pytest.mark.parametrize("heights", [(0.0, 0.0), (0.1, 0.1), (-0.3, 2.5)],
+                         ids=["off", "equal", "unequal"])
+def test_a_term_on_strided_and_broadcast_inputs_equals_the_reference_bit_for_bit(heights):
+    # the term reads flat and transposed views of its inputs; theta here is
+    # every other bacterium of a larger swarm, and the points are either one
+    # path per run broadcast to every bacterium or theta itself
+    params = BfaParams(pop_size=9, h_att=heights[0], h_rep=heights[1])
+    rng = np.random.default_rng(32)
+    theta = rng.random((3, 18, 4))[:, ::2]
+    assert not theta.flags.c_contiguous
+    paths = np.broadcast_to(rng.random((3, 1, 7, 4)), (3, 9, 7, 4))
+    for points in (paths, theta[:, :, None]):
+        term = _swarming_term(params, points, theta)
+        for i in [0, 4, 8]:
+            expected = bits(reference_potentials(points[:, i], theta, params, i))
+            assert np.array_equal(bits(term(i)), expected), (points.shape, i)
+
+
 @pytest.mark.parametrize("heights", [(0.1, 0.1), (-0.3, 2.5)])
 def test_a_term_follows_writes_to_theta_and_points_between_calls(heights):
     # a generation's swims write theta between calls, and a dispersal writes

@@ -1,7 +1,10 @@
 import dataclasses
+import io
 import json
 import math
+import os
 import re
+import sys
 import time
 from pathlib import Path
 
@@ -546,6 +549,73 @@ def test_a_lattice_too_large_for_memory_exits_2_at_once(capsys, argv):
 def test_hvi_missing_input_is_io_error(capsys):
     code, _, _ = run_cli(capsys, "hvi", "--input", "does-not-exist.csv")
     assert code == 4
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: ``write`` or ``flush`` raises ``BrokenPipeError``."""
+
+    def __init__(self, at, fd=None):
+        self.at, self.fd = at, fd
+
+    def write(self, text):
+        if self.at == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.at == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        if self.fd is None:
+            raise io.UnsupportedOperation("fileno")
+        return self.fd
+
+
+@pytest.mark.parametrize("at", ["write", "flush"])
+def test_a_closed_stdout_ends_the_command_quietly(capsys, monkeypatch, at):
+    # a reader such as head closes the pipe once it has its lines; what is
+    # left raises at a write, or at the flush after the command
+    monkeypatch.setattr(sys, "stdout", ClosedPipe(at))
+    assert dispatch(["weights", "--step", "0.5", "--min", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_closed_stdout_is_pointed_at_the_null_device(monkeypatch, tmp_path):
+    # so the interpreter's final flush of what is left cannot raise again
+    with open(tmp_path / "out", "wb") as file:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe("write", file.fileno()))
+        assert dispatch(["weights", "--step", "0.5", "--min", "0"]) == 0
+        now, null = os.fstat(file.fileno()), os.stat(os.devnull)
+    assert (now.st_dev, now.st_ino) == (null.st_dev, null.st_ino)
+
+
+def test_a_closed_stdout_cuts_off_no_out_file(capsys, monkeypatch, tmp_path):
+    # sweep writes --out before the report JSON, compare its --plot stubs
+    # before the table, so the files are there when stdout is found closed
+    sweep = ["sweep", "--seed", "1", "--engines", "gaussian,chaotic", "--weight-step", "0.5",
+             "--weight-min", "0.25", "--pop", "2", "--nt", "2", "--runs", "1"]
+    monkeypatch.setattr(sys, "stdout", ClosedPipe("write"))
+    assert dispatch([*sweep, "--out", str(tmp_path / "sweep"), "--plot"]) == 0
+    assert {path.name for path in (tmp_path / "sweep").iterdir()} == {
+        "report.json", "frontier_gaussian.csv", "frontier_chaotic.csv",
+        "frontier_gaussian.dat", "frontier_chaotic.dat", "metrics.dat",
+        "plot_frontiers.gp", "plot_metrics.gp"}
+    inputs = [arg for kind in ("gaussian", "chaotic")
+              for arg in ("--input", str(tmp_path / "sweep" / f"frontier_{kind}.csv"))]
+    assert dispatch(["compare", *inputs, "--out", str(tmp_path / "plot"), "--plot"]) == 0
+    assert (tmp_path / "plot" / "plot_frontiers.gp").exists()
+
+
+def test_a_closed_stderr_is_an_io_error(monkeypatch, tmp_path):
+    # unlike stdout, no reader has had what it asked for: the echo fails
+    # before any work, and not even the error can be reported
+    monkeypatch.setattr(sys, "stderr", ClosedPipe("write"))
+    out_dir = tmp_path / "out"
+    assert dispatch(["sweep", "--seed", "1", "--engines", "gaussian", "--weight-step", "0.5",
+                     "--weight-min", "0.25", "--pop", "2", "--nt", "2",
+                     "--out", str(out_dir)]) == 4
+    assert not out_dir.exists()
 
 
 def test_hvi_exact_from_csv(capsys, tmp_path):

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 
@@ -191,8 +192,8 @@ def test_sweep_is_deterministic():
 def test_sweep_serial_equals_parallel(monkeypatch, tmp_path):
     # 2 engines x 6 weights x 3 runs = 36 tasks. Batch caps 1, 8 and 16 cut
     # them into 36 batches of 1, 8 + 8 + 8 + 8 + 4 or 16 + 16 + 4, which
-    # run in this process at one job and in two workers at two; neither the
-    # reports nor the written bytes may notice
+    # run in this process at one job and in two workers at two, on any
+    # host; neither the reports nor the written bytes may notice
     config = tiny_config(
         engines=(EngineConfig(kind=EngineKind.GAUSSIAN, seed=0),
                  EngineConfig(kind=EngineKind.CHAOTIC, seed=0)),
@@ -202,6 +203,7 @@ def test_sweep_serial_equals_parallel(monkeypatch, tmp_path):
     argv = ["sweep", "--engines", "gaussian,chaotic", "--seed", "7", "--runs", "3",
             "--weight-step", "0.5", "--weight-min", "0.0", "--pop", "5", "--nc", "2",
             "--nr", "2", "--nt", "5"]
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 2)
     reports, files = [], []
     for cap in (1, 8, 16):
         monkeypatch.setattr(experiment, "_MAX_BATCH", cap)
@@ -225,6 +227,7 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
             super().__init__(max_workers)
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: 4)  # so 4 jobs are not capped
     # 2 tasks at 4 jobs go out as 2 batches of 1; 9 tasks as 3, 3 and 3
     for runs, workers in ((2, [2]), (9, [3])):
         config = tiny_config(runs_per_weight=runs)
@@ -235,6 +238,47 @@ def test_sweep_starts_no_more_workers_than_batches(monkeypatch):
     started.clear()
     run_sweep(tiny_config(), jobs=4)
     assert started == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_sweep_starts_no_more_workers_than_usable_cpus(monkeypatch, cpus):
+    # a fork pool starts every worker at its first submit, so a huge --jobs
+    # would fork one process per batch; this pool starts none and maps here
+    started, batches = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            batches.append([len(batch) for batch in items])
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiment, "_usable_cpus", lambda: cpus)
+    config = tiny_config(runs_per_weight=9)  # 9 tasks
+    assert run_sweep(config, jobs=10**6) == run_sweep(config, jobs=1)
+    # the batches are cut for the capped count: 9 in this process, 5 + 4 or 3 + 3 + 3
+    expected = {1: [], 2: [[5, 4]], 3: [[3, 3, 3]]}[cpus]
+    assert batches == expected
+    assert started == [cpus] * len(expected)
+
+
+def test_usable_cpus_are_the_affinity_set_else_the_cpu_count(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert experiment._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert experiment._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert experiment._usable_cpus() == 1
 
 
 def test_sweep_selects_the_best_of_r_runs():

@@ -288,9 +288,11 @@ def test_sweep_out_and_plot_files_match_golden(tmp_path):
     assert sweep_out_digests(tmp_path) == SWEEP_FILE_DIGESTS
 
 
-def test_sweep_files_do_not_depend_on_jobs(tmp_path):
+def test_sweep_files_do_not_depend_on_jobs(monkeypatch, tmp_path):
     # ten runs go out as one lockstep batch of 10 with one job, 5 + 5 with
-    # two and 4 + 4 + 2 with three; the written bytes must not notice
+    # two and 4 + 4 + 2 with three; the written bytes must not notice. Three
+    # usable CPUs, so the three-job split runs on any host
+    monkeypatch.setattr("bforage.experiment._usable_cpus", lambda: 3)
     argv = ["sweep", "--engines", "gaussian,chaotic", "--seed", "7", "--runs", "5",
             "--weight-step", "0.5", "--weight-min", "0.25", "--pop", "5", "--nc", "2",
             "--nr", "2", "--nt", "9"]
