@@ -5,11 +5,11 @@ Verbs: ``evaluate``, ``run``, ``sweep``, ``hvi``, ``aer``, ``weights``,
 configuration echo go to standard error, so outputs are pipeable.
 
 Exit codes: 0 success, 1 usage error, 2 configuration or infeasible
-input, 3 numeric or metric error, 4 I/O error. A reader that closes the
-standard output early, such as ``head``, ends the command quietly with
-exit 0: it has what it asked for, and every ``--out`` file is written
-before standard output is. A closed standard error is an I/O error, exit
-4, with nothing printed.
+input, 3 numeric or metric error, 4 I/O error. Every verb writes its
+files before its standard output, so a reader that closes the standard
+output early, such as ``head``, ends the command quietly with exit 0. A
+failure keeps its exit code when standard error cannot take its message;
+a closed standard error that stops the command is exit 4, printing nothing.
 """
 
 from __future__ import annotations
@@ -38,15 +38,19 @@ from .problem import WeightVector, aggregate, evaluate
 __all__ = ["dispatch", "main", "read_config_file"]
 
 
-class _StderrClosed(Exception):
-    """Standard error is closed, so not even the error can be reported."""
+class _Help(Exception):
+    """``--help`` was given; the help text is the command's output."""
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through :class:`UsageError`."""
+    """argparse that raises usage problems as :class:`UsageError`, and ``--help``
+    as :class:`_Help` for :func:`dispatch` to write."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _parse_int_exact(text: str) -> int:
@@ -147,13 +151,15 @@ def read_config_file(path) -> dict[str, tuple[str, int]]:
 
     Returns each value with its line number so later validation can point
     back at the offending line. A key given twice, or a file that is not
-    UTF-8 text, is an error.
+    UTF-8 text or starts with a byte-order mark, is an error.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if lines and lines[0].startswith("\ufeff"):
+        raise ConfigError(f"{path}:1: starts with a UTF-8 byte-order mark; save the file without one")
     entries: dict[str, tuple[str, int]] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -209,18 +215,10 @@ def _fields(table: dict, values: dict) -> dict:
     return {field: values[key] for key, (field, *_) in table.items()}
 
 
-def _note(text: str) -> None:
-    """One diagnostic line to standard error."""
-    try:
-        print(text, file=sys.stderr)
-    except BrokenPipeError as exc:  # unlike a closed stdout, not a reader that is done
-        raise _StderrClosed from exc
-
-
 def _echo_config(values: dict) -> None:
-    _note("# resolved configuration")
+    print("# resolved configuration", file=sys.stderr)
     for key, value in values.items():
-        _note(f"{key} = {value}")  # str of a float is its repr
+        print(f"{key} = {value}", file=sys.stderr)  # str of a float is its repr
 
 
 def _write_gnuplot_stubs(out_dir: Path, reports) -> None:
@@ -250,21 +248,20 @@ def _write_gnuplot_stubs(out_dir: Path, reports) -> None:
     ))
 
 
-# -- verb handlers -----------------------------------------------------------
+# -- verb handlers: each writes its files, then returns its stdout text -----
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> str:
     objectives = evaluate((args.a, args.b, args.c, args.d))
     header, row = ["f1", "f2", "f3", "f4"], list(objectives)
     if args.weights is not None:
         weights = WeightVector(*_parse_floats(args.weights, 4, "--weights"))
         header.append("F")
         row.append(aggregate(objectives, weights))
-    print(xp._csv_text(header, [row]), end="")
-    return 0
+    return xp._csv_text(header, [row])
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> str:
     values = _resolve(args, _RUN_KEYS)
     params = BfaParams(**_fields(_BFA_KEYS, values))
     kind = EngineKind.from_string(values["engine"])
@@ -279,22 +276,19 @@ def _cmd_run(args) -> int:
     _echo_config(values)
     result = run_bfa(weights, params, engine_config)
     record = xp._solution_record(kind, weights, 0, result, threshold)
-    print(xp._csv_text(xp.FRONTIER_HEADER, [xp._record_fields(record)]), end="")
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         xp.write_frontier_csv([record], out_dir / "solution.csv")
         xp.write_trace_csv(result.trace, out_dir / "trace.csv")
-    return 0
+    return xp._csv_text(xp.FRONTIER_HEADER, [xp._record_fields(record)])
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> str:
     if args.plot and not args.out:
         raise UsageError("--plot requires --out")
     values = _resolve(args, _SWEEP_KEYS)
     params = BfaParams(**_fields(_BFA_KEYS, values))
-    if values["jobs"] < 1:
-        raise UsageError(f"--jobs must be >= 1, got {values['jobs']}")
 
     kinds = [EngineKind.from_string(k) for k in values["engines"].split(",") if k.strip()]
     if not kinds:
@@ -323,8 +317,6 @@ def _cmd_sweep(args) -> int:
         aer_threshold=values["aer_threshold"],
     )
     reports = xp.run_sweep(config, jobs=values["jobs"])
-    # the files first, so a reader that closes stdout early cuts off only
-    # what is already saved
     if args.out:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,11 +325,10 @@ def _cmd_sweep(args) -> int:
         xp.write_report_json(reports, out_dir / "report.json")
         if args.plot:
             _write_gnuplot_stubs(out_dir, reports)
-    print(json.dumps([xp.report_to_dict(r) for r in reports], indent=2))
-    return 0
+    return json.dumps([xp.report_to_dict(r) for r in reports], indent=2) + "\n"
 
 
-def _cmd_hvi(args) -> int:
+def _cmd_hvi(args) -> str:
     if args.method == "exact":
         for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
             if value is not None:
@@ -354,38 +345,29 @@ def _cmd_hvi(args) -> int:
             raise UsageError("--seed is required with --method mc")
         samples = _MC_SAMPLES if args.samples is None else args.samples
         value = hvi_monte_carlo(points, ref, samples, args.seed)
-    print(repr(value))
-    print(f"hvi={value!r}")
-    print(f"method={args.method}")
-    print(f"n_points={len(points)}")
-    print("ref=" + ",".join(repr(v) for v in ref))
+    lines = [repr(value), f"hvi={value!r}", f"method={args.method}", f"n_points={len(points)}",
+             "ref=" + ",".join(repr(v) for v in ref)]
     if args.method == "mc":
-        print(f"samples={samples}")
-        print(f"seed={args.seed}")
-    return 0
+        lines += [f"samples={samples}", f"seed={args.seed}"]
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_aer(args) -> int:
+def _cmd_aer(args) -> str:
     values = xp.read_trace_csv(args.input)
     value = compute_aer(values, args.threshold)
-    print(repr(value))
-    print(f"aer={value!r}")
-    print(f"threshold={args.threshold!r}")
-    print(f"n_deviations={len(values) - 1}")
-    return 0
+    return f"{value!r}\naer={value!r}\nthreshold={args.threshold!r}\nn_deviations={len(values) - 1}\n"
 
 
-def _cmd_weights(args) -> int:
+def _cmd_weights(args) -> str:
     weights = xp.generate_weights(args.step, args.min)
-    if args.out:
-        xp.write_weights_csv(weights, args.out)
-        _note(f"wrote {len(weights)} weight vectors to {args.out}")
-    else:
-        print(xp._csv_text(xp.WEIGHTS_HEADER, weights), end="")
-    return 0
+    if not args.out:
+        return xp._csv_text(xp.WEIGHTS_HEADER, weights)
+    xp.write_weights_csv(weights, args.out)
+    print(f"wrote {len(weights)} weight vectors to {args.out}", file=sys.stderr)
+    return ""
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> str:
     if args.plot and not args.out:
         raise UsageError("--plot requires --out")
     if args.out and not args.plot:  # --out holds only the plot stubs
@@ -404,12 +386,11 @@ def _cmd_compare(args) -> int:
         paths[engine] = path
         reports.append(xp._build_report(engine, records))
     table = xp.compare(reports)
-    if args.plot:  # the stubs first, as in sweep
+    if args.plot:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_gnuplot_stubs(out_dir, reports)
-    print(json.dumps(table, indent=2))
-    return 0
+    return json.dumps(table, indent=2) + "\n"
 
 
 # -- parser ------------------------------------------------------------------
@@ -501,33 +482,47 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def dispatch(argv) -> int:
-    """Parse and execute one command; returns the process exit code."""
-    parser = build_parser()
+# (error classes, exit code, stderr prefix); the first row that matches wins
+_FAILURES = (
+    (UsageError, 1, "usage error"),
+    ((DomainError, ReferencePointError, DegenerateTraceError), 3, "error"),
+    (BforageError, 2, "error"),
+    (OSError, 4, "i/o error"),  # a closed stderr too, when the command writes to it
+)
+
+
+def _fail(exc) -> int:
+    """Print ``exc`` to stderr, unless that is closed, and return its exit code."""
+    code, prefix = next((code, prefix) for kinds, code, prefix in _FAILURES if isinstance(exc, kinds))
     try:
-        args = parser.parse_args(argv)
-        code = args.handler(args)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+    except OSError:
+        pass
+    return code
+
+
+def dispatch(argv) -> int:
+    """Parse and execute one command; returns the process exit code.
+
+    The one writer of stdout: every verb writes its files, then returns its
+    output text. A failure keeps its exit code when stderr cannot take its
+    message, and a closed stderr that stops the command is exit 4.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+        text = args.handler(args)
+    except _Help as exc:
+        text = str(exc)
+    except (BforageError, OSError) as exc:
+        return _fail(exc)
+    try:
+        sys.stdout.write(text)
         sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
-        return code
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
     except BrokenPipeError:  # the reader has closed stdout; it needs no more
         _discard_stdout()
-        return 0
-    except _StderrClosed:
-        return 4
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, ReferencePointError, DegenerateTraceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 4
-    except BforageError as exc:  # any library error not mapped above
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except OSError as exc:  # such as a full disk: the output is lost, not declined
+        return _fail(exc)
+    return 0
 
 
 def main() -> None:

@@ -263,10 +263,12 @@ def run_sweep(config: ExperimentConfig, jobs: int = 1) -> list[FrontierReport]:
     result does not depend on its batch, and the reduce is by task index, so
     the result is identical to a serial sweep.
     """
+    if not (isinstance(jobs, int) and jobs >= 1):
+        raise ConfigError(f"jobs must be an integer >= 1, got {jobs!r}")
     tasks = _task_list(config)
     # a fork pool starts all its workers at its first submit, and workers
     # beyond the usable CPUs would only take turns on them
-    jobs = max(1, min(jobs, _usable_cpus()))
+    jobs = min(jobs, _usable_cpus())
     # a batch stays under the memory limit of one array; a run too large
     # even alone fails in its batch of one
     size = max(1, min(_MAX_BATCH, math.ceil(len(tasks) / jobs), _batch_limit(config.bfa)))

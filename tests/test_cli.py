@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -350,6 +351,14 @@ def test_config_file_unknown_key_reports_line(capsys, tmp_path):
     assert ":2:" in err and "wibble" in err
 
 
+def test_config_file_with_a_byte_order_mark_reports_line_1(capsys, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("nt = 5\n", encoding="utf-8-sig")
+    code, _, err = run_cli(capsys, "run", "--config", str(config), "--seed", "1")
+    assert code == 2
+    assert err == f"error: {config}:1: starts with a UTF-8 byte-order mark; save the file without one\n"
+
+
 def test_config_file_malformed_line_reports_line(capsys, tmp_path):
     config = tmp_path / "run.conf"
     config.write_text("nt 5\n")
@@ -578,7 +587,19 @@ def test_a_closed_stdout_ends_the_command_quietly(capsys, monkeypatch, at):
     # left raises at a write, or at the flush after the command
     monkeypatch.setattr(sys, "stdout", ClosedPipe(at))
     assert dispatch(["weights", "--step", "0.5", "--min", "0"]) == 0
+    assert dispatch(["run", "--help"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_stdout_that_fails_otherwise_is_an_io_error(capsys, monkeypatch):
+    # a full disk, unlike a reader that is done, loses output that was asked for
+    class FullDisk(ClosedPipe):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(sys, "stdout", FullDisk("write"))
+    assert dispatch(["weights", "--step", "0.5", "--min", "0"]) == 4
+    assert capsys.readouterr().err == f"i/o error: [Errno {errno.ENOSPC}] No space left on device\n"
 
 
 def test_a_closed_stdout_is_pointed_at_the_null_device(monkeypatch, tmp_path):
@@ -591,11 +612,13 @@ def test_a_closed_stdout_is_pointed_at_the_null_device(monkeypatch, tmp_path):
 
 
 def test_a_closed_stdout_cuts_off_no_out_file(capsys, monkeypatch, tmp_path):
-    # sweep writes --out before the report JSON, compare its --plot stubs
-    # before the table, so the files are there when stdout is found closed
+    # every verb writes its files before its stdout, so the files are there
+    # when stdout is found closed
     sweep = ["sweep", "--seed", "1", "--engines", "gaussian,chaotic", "--weight-step", "0.5",
              "--weight-min", "0.25", "--pop", "2", "--nt", "2", "--runs", "1"]
     monkeypatch.setattr(sys, "stdout", ClosedPipe("write"))
+    assert dispatch(["run", "--seed", "1", "--nt", "3", "--pop", "3", "--out", str(tmp_path / "run")]) == 0
+    assert {path.name for path in (tmp_path / "run").iterdir()} == {"solution.csv", "trace.csv"}
     assert dispatch([*sweep, "--out", str(tmp_path / "sweep"), "--plot"]) == 0
     assert {path.name for path in (tmp_path / "sweep").iterdir()} == {
         "report.json", "frontier_gaussian.csv", "frontier_chaotic.csv",
@@ -616,6 +639,20 @@ def test_a_closed_stderr_is_an_io_error(monkeypatch, tmp_path):
                      "--weight-min", "0.25", "--pop", "2", "--nt", "2",
                      "--out", str(out_dir)]) == 4
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["run", "--seed", "1", "--bogus", "2"], 1),
+    (["run", "--seed", "1", "--nt", "1"], 2),
+    (["aer", "--input", "ZERO_TRACE"], 3),
+    (["hvi", "--input", "MISSING"], 4),
+], ids=["usage", "config", "metric", "io"])
+def test_a_closed_stderr_leaves_a_failure_its_exit_code(monkeypatch, tmp_path, argv, code):
+    # the message is lost, but the exit code still says what failed
+    write_trace_csv([0.0, 1.0], tmp_path / "zero.csv")
+    files = {"ZERO_TRACE": str(tmp_path / "zero.csv"), "MISSING": str(tmp_path / "missing.csv")}
+    monkeypatch.setattr(sys, "stderr", ClosedPipe("write"))
+    assert dispatch([files.get(arg, arg) for arg in argv]) == code
 
 
 def test_hvi_exact_from_csv(capsys, tmp_path):
@@ -894,6 +931,16 @@ def test_compare_out_without_plot_is_usage_error(sweep_outputs, capsys, tmp_path
                              "--out", str(out_dir))
     assert code == 1
     assert "--out requires --plot" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
+def test_sweep_jobs_below_one_is_config_error(capsys, tmp_path):
+    out_dir = tmp_path / "sweep"
+    code, out, err = run_cli(capsys, "sweep", "--seed", "1", "--jobs", "0", "--engines", "gaussian",
+                             "--out", str(out_dir))
+    assert code == 2
+    assert "error: jobs must be an integer >= 1, got 0" in err.splitlines()
     assert out == ""
     assert not out_dir.exists()
 

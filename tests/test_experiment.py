@@ -271,6 +271,16 @@ def test_sweep_starts_no_more_workers_than_usable_cpus(monkeypatch, cpus):
     assert started == [cpus] * len(expected)
 
 
+@pytest.mark.parametrize("jobs", [0, -1, 1.5, 2.0])
+def test_sweep_rejects_jobs_that_are_not_an_integer_of_at_least_1(monkeypatch, jobs):
+    def no_tasks(config):
+        raise AssertionError("the task list was built")
+
+    monkeypatch.setattr(experiment, "_task_list", no_tasks)
+    with pytest.raises(ConfigError, match=f"jobs must be an integer >= 1, got {jobs!r}"):
+        run_sweep(tiny_config(), jobs=jobs)
+
+
 def test_usable_cpus_are_the_affinity_set_else_the_cpu_count(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         assert experiment._usable_cpus() == len(os.sched_getaffinity(0))
