@@ -15,6 +15,7 @@ a closed standard error that stops the command is exit 4, printing nothing.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -111,7 +112,7 @@ def _default(cls, field: str):
 
 
 _AER_THRESHOLD_DEFAULT = _default(xp.ExperimentConfig, "aer_threshold")
-_MC_SAMPLES = 1_000_000  # hvi --samples under --method mc
+_MC_SAMPLES = 1_000_000  # hvi --samples with --seed
 
 # the keys of ``run`` and ``sweep`` besides the two tables above:
 # config key -> (parser, default, help text); the flag is the key with "-"
@@ -221,6 +222,19 @@ def _echo_config(values: dict) -> None:
         print(f"{key} = {value}", file=sys.stderr)  # str of a float is its repr
 
 
+def _out_dir(out) -> Path | None:
+    """The ``--out`` directory, checked before the work: the nearest of it and its
+    ancestors that exists must be a writable directory. It is made only later."""
+    if not out:
+        return None
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    if existing.is_dir() and os.access(existing, os.W_OK | os.X_OK):
+        return path
+    code = errno.EACCES if existing.is_dir() else errno.ENOTDIR
+    raise OSError(code, os.strerror(code), out)  # as the later mkdir would
+
+
 def _write_gnuplot_stubs(out_dir: Path, reports) -> None:
     for report in reports:
         rows = [
@@ -266,18 +280,14 @@ def _cmd_run(args) -> str:
     params = BfaParams(**_fields(_BFA_KEYS, values))
     kind = EngineKind.from_string(values["engine"])
     values["engine"] = kind.value
-    threshold = values["aer_threshold"]
-    if not threshold >= 0:  # NaN fails too; checked before the run, not after it
-        raise ConfigError(f"aer_threshold must be non-negative, got {threshold}")
-    if params.n_total < 2:
-        raise ConfigError(xp._N_TOTAL_FOR_AER.format(params.n_total))
+    xp._check_aer_settings(values["aer_threshold"], params.n_total)
     weights = WeightVector(*_parse_floats(values["weights"], 4, "--weights"))
     engine_config = EngineConfig(kind=kind, seed=values["seed"], **_fields(_ENGINE_PARAM_KEYS, values))
     _echo_config(values)
+    out_dir = _out_dir(args.out)
     result = run_bfa(weights, params, engine_config)
-    record = xp._solution_record(kind, weights, 0, result, threshold)
-    if args.out:
-        out_dir = Path(args.out)
+    record = xp._solution_record(kind, weights, 0, result, values["aer_threshold"])
+    if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         xp.write_frontier_csv([record], out_dir / "solution.csv")
         xp.write_trace_csv(result.trace, out_dir / "trace.csv")
@@ -316,9 +326,9 @@ def _cmd_sweep(args) -> str:
         runs_per_weight=values["runs"],
         aer_threshold=values["aer_threshold"],
     )
+    out_dir = _out_dir(args.out)
     reports = xp.run_sweep(config, jobs=values["jobs"])
-    if args.out:
-        out_dir = Path(args.out)
+    if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         for report in reports:
             xp.write_frontier_csv(report.solutions, out_dir / f"frontier_{report.engine.value}.csv")
@@ -329,25 +339,21 @@ def _cmd_sweep(args) -> str:
 
 
 def _cmd_hvi(args) -> str:
-    if args.method == "exact":
-        for flag, value in (("--samples", args.samples), ("--seed", args.seed)):
-            if value is not None:
-                raise UsageError(f"{flag} requires --method mc")
+    if args.samples is not None and args.seed is None:
+        raise UsageError("--samples requires --seed")  # the exact volume would ignore it
     records = xp.read_frontier_csv(args.input)
     if not records:
         raise ConfigError(f"{args.input}: no records")
     points = [r.objectives for r in records]
     ref = _parse_floats(args.ref, 4, "--ref")
-    if args.method == "exact":
-        value = hvi_exact(points, ref)
-    else:
-        if args.seed is None:
-            raise UsageError("--seed is required with --method mc")
+    if args.seed is None:
+        value, method = hvi_exact(points, ref), "exact"
+    else:  # seed 0 too
         samples = _MC_SAMPLES if args.samples is None else args.samples
-        value = hvi_monte_carlo(points, ref, samples, args.seed)
-    lines = [repr(value), f"hvi={value!r}", f"method={args.method}", f"n_points={len(points)}",
+        value, method = hvi_monte_carlo(points, ref, samples, args.seed), "mc"
+    lines = [repr(value), f"hvi={value!r}", f"method={method}", f"n_points={len(points)}",
              "ref=" + ",".join(repr(v) for v in ref)]
-    if args.method == "mc":
+    if method == "mc":
         lines += [f"samples={samples}", f"seed={args.seed}"]
     return "\n".join(lines) + "\n"
 
@@ -368,10 +374,7 @@ def _cmd_weights(args) -> str:
 
 
 def _cmd_compare(args) -> str:
-    if args.plot and not args.out:
-        raise UsageError("--plot requires --out")
-    if args.out and not args.plot:  # --out holds only the plot stubs
-        raise UsageError("--out requires --plot")
+    out_dir = _out_dir(args.out)
     reports, paths = [], {}
     for path in args.input:
         records = xp.read_frontier_csv(path)
@@ -386,8 +389,7 @@ def _cmd_compare(args) -> str:
         paths[engine] = path
         reports.append(xp._build_report(engine, records))
     table = xp.compare(reports)
-    if args.plot:
-        out_dir = Path(args.out)
+    if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_gnuplot_stubs(out_dir, reports)
     return json.dumps(table, indent=2) + "\n"
@@ -439,11 +441,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("hvi", help="hypervolume of a frontier CSV")
     p.add_argument("--input", required=True, help="frontier CSV path")
     p.add_argument("--ref", default="0,0,0,0", help="reference point r1,r2,r3,r4 (default: %(default)s)")
-    p.add_argument("--method", choices=("exact", "mc"), default="exact",
-                   help="exact sweep or Monte Carlo estimate (default: %(default)s)")
     p.add_argument("--samples", type=_parse_int_exact,
-                   help=f"Monte Carlo sample count (default: {_MC_SAMPLES})")
-    p.add_argument("--seed", type=_parse_seed, help="Monte Carlo seed; required with --method mc")
+                   help=f"Monte Carlo sample count; requires --seed (default: {_MC_SAMPLES})")
+    p.add_argument("--seed", type=_parse_seed, help="Monte Carlo seed; without it the volume is exact")
     p.set_defaults(handler=_cmd_hvi)
 
     p = sub.add_parser("aer", help="average explorative rate of a trace CSV")
@@ -464,8 +464,7 @@ def build_parser() -> _Parser:
                        help="rank engines from their frontier CSVs")
     p.add_argument("--input", action="append", required=True,
                    help="frontier CSV; repeat once per engine")
-    p.add_argument("--out", help="directory for plot stubs; requires --plot (default: none)")
-    p.add_argument("--plot", action="store_true", help="write gnuplot data and script stubs")
+    p.add_argument("--out", help="directory for gnuplot data and script stubs (default: none)")
     p.set_defaults(handler=_cmd_compare)
     return parser
 

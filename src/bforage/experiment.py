@@ -16,7 +16,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -71,8 +70,6 @@ FRONTIER_HEADER = [
     "A", "B", "C", "D", "f1", "f2", "f3", "f4", "F", "aer",
 ]
 
-_N_TOTAL_FOR_AER = "n_total must be >= 2, as the explorative rate needs two trace values, got {}"
-
 TRACE_HEADER = ["generation", "best_F"]
 WEIGHTS_HEADER = ["w1", "w2", "w3", "w4"]
 
@@ -113,10 +110,17 @@ class ExperimentConfig:
             raise ConfigError(f"runs_per_weight must be an integer >= 1, got {self.runs_per_weight!r}")
         if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2**64):
             raise ConfigError(f"master_seed must be an unsigned 64-bit integer, got {self.master_seed!r}")
-        if not self.aer_threshold >= 0:  # NaN fails too
-            raise ConfigError(f"aer_threshold must be non-negative, got {self.aer_threshold}")
-        if self.bfa.n_total < 2:
-            raise ConfigError(_N_TOTAL_FOR_AER.format(self.bfa.n_total))
+        _check_aer_settings(self.aer_threshold, self.bfa.n_total)
+
+
+def _check_aer_settings(threshold: float, n_total: int) -> None:
+    """Raise :class:`ConfigError` unless a run of ``n_total`` generations has
+    an explorative rate at ``threshold``; checked before any run, not after it."""
+    if not threshold >= 0:  # NaN fails too
+        raise ConfigError(f"aer_threshold must be non-negative, got {threshold}")
+    if n_total < 2:
+        raise ConfigError(f"n_total must be >= 2, as the explorative rate needs two trace values, "
+                          f"got {n_total}")
 
 
 @dataclass(frozen=True)
@@ -386,9 +390,12 @@ def compare(reports: Sequence[FrontierReport]) -> dict:
 def atomic_write_text(path, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a prefix."""
     path = Path(path)
-    handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # mkstemp would make the file 0600 whatever the umask; a random name
+    # created exclusively gets the mode of any other new file
+    tmp_name = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    handle = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(handle, "w", newline="") as fh:
+        with os.fdopen(handle, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp_name, path)
     except BaseException:

@@ -15,7 +15,7 @@ from bforage.bfa import BfaParams
 from bforage.cli import _BFA_KEYS, _ENGINE_PARAM_KEYS, _RUN_KEYS, _SWEEP_KEYS, dispatch
 from bforage.engines import EngineConfig, EngineKind
 from bforage.experiment import read_frontier_csv, read_trace_csv, write_frontier_csv, write_trace_csv
-from bforage.metrics import hvi_exact
+from bforage.metrics import hvi_exact, hvi_monte_carlo
 from bforage.problem import WeightVector, aggregate, evaluate
 
 
@@ -102,10 +102,10 @@ def test_help_lists_flags_and_defaults(capsys, monkeypatch):
                  "--seed", "--weights", "--config", "--out"]),
         ("sweep", ["--engines", "--runs", "--weights-file", "--weight-step",
                    "--weight-min", "--jobs", "--plot"]),
-        ("hvi", ["--input", "--ref", "--method", "--samples", "--seed"]),
+        ("hvi", ["--input", "--ref", "--samples", "--seed"]),
         ("aer", ["--input", "--threshold"]),
         ("weights", ["--step", "--min", "--out"]),
-        ("compare", ["--input", "--plot"]),
+        ("compare", ["--input", "--out"]),
         ("evaluate", ["--a", "--b", "--c", "--d", "--weights"]),
     ]:
         code, out, _ = run_cli(capsys, verb, "--help")
@@ -113,6 +113,10 @@ def test_help_lists_flags_and_defaults(capsys, monkeypatch):
         for flag in expected_flags:
             assert flag in out, f"{verb} --help must document {flag}"
         assert "default" in out
+    # a Monte Carlo estimate is chosen by --seed, a compare's stubs by --out
+    for verb, gone in [("hvi", "--method"), ("compare", "--plot")]:
+        _, out, _ = run_cli(capsys, verb, "--help")
+        assert gone not in out
 
     # the key tables are the only source: one key per dataclass field, and
     # every flag's help shows that field's dataclass default
@@ -277,7 +281,7 @@ def test_integer_keys_accept_integral_numbers(capsys, tmp_path):
 
     frontier = tmp_path / "frontier.csv"
     write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], frontier)
-    hvi = ["hvi", "--input", str(frontier), "--method", "mc"]
+    hvi = ["hvi", "--input", str(frontier)]
     code, out, _ = run_cli(capsys, *hvi, "--samples", "1e3", "--seed", "1.0")
     assert code == 0
     assert {"samples=1000", "seed=1"} <= set(out.splitlines())
@@ -626,7 +630,7 @@ def test_a_closed_stdout_cuts_off_no_out_file(capsys, monkeypatch, tmp_path):
         "plot_frontiers.gp", "plot_metrics.gp"}
     inputs = [arg for kind in ("gaussian", "chaotic")
               for arg in ("--input", str(tmp_path / "sweep" / f"frontier_{kind}.csv"))]
-    assert dispatch(["compare", *inputs, "--out", str(tmp_path / "plot"), "--plot"]) == 0
+    assert dispatch(["compare", *inputs, "--out", str(tmp_path / "plot")]) == 0
     assert (tmp_path / "plot" / "plot_frontiers.gp").exists()
 
 
@@ -677,28 +681,33 @@ def test_hvi_monte_carlo_requires_seed(capsys, tmp_path):
 
     path = tmp_path / "frontier.csv"
     write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
-    code, _, err = run_cli(capsys, "hvi", "--input", str(path), "--method", "mc")
-    assert code == 1 and "seed" in err
-    code, out, _ = run_cli(capsys, "hvi", "--input", str(path), "--method", "mc",
-                           "--samples", "1000", "--seed", "8")
+    # the exact volume would ignore a sample count, so one without a seed is
+    # a usage mistake, found before the file is read
+    code, out, err = run_cli(capsys, "hvi", "--input", str(tmp_path / "missing.csv"),
+                             "--samples", "1000")
+    assert code == 1 and out == ""
+    assert err == "usage error: --samples requires --seed\n"
+    code, out, _ = run_cli(capsys, "hvi", "--input", str(path), "--samples", "1000", "--seed", "8")
     assert code == 0
-    assert "samples=1000" in out
+    assert {"method=mc", "samples=1000", "seed=8"} <= set(out.splitlines())
 
 
-def test_hvi_exact_rejects_the_monte_carlo_flags(capsys, tmp_path):
-    # an exact volume ignores them, so passing one is a usage mistake
+def test_hvi_seed_selects_the_monte_carlo_estimate(capsys, tmp_path):
+    # seed 0 too; without a seed the volume is exact and names no samples
     from test_experiment import make_record
 
+    points = [(500.0, 700.0, 300.0, 400.0)]
     path = tmp_path / "frontier.csv"
-    write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
-    for flags, named in ((["--seed", "5"], "--seed"), (["--samples", "10"], "--samples"),
-                         (["--seed", "5", "--samples", "10"], "--samples")):
-        for method in ([], ["--method", "exact"]):
-            code, out, err = run_cli(capsys, "hvi", "--input", str(path), *method, *flags)
-            assert code == 1 and out == ""
-            assert f"{named} requires --method mc" in err
-    code, out, _ = run_cli(capsys, "hvi", "--input", str(path), "--method", "mc", "--seed", "5")
-    assert code == 0 and "samples=1000000" in out.splitlines()
+    write_frontier_csv([make_record(points[0])], path)
+    for seed in (0, 5):
+        code, out, _ = run_cli(capsys, "hvi", "--input", str(path), "--seed", str(seed))
+        assert code == 0
+        value = repr(hvi_monte_carlo(points, (0.0, 0.0, 0.0, 0.0), 1_000_000, seed))
+        assert out.splitlines() == [value, f"hvi={value}", "method=mc", "n_points=1",
+                                    "ref=0.0,0.0,0.0,0.0", "samples=1000000", f"seed={seed}"]
+    code, out, _ = run_cli(capsys, "hvi", "--input", str(path))
+    assert code == 0
+    assert out.splitlines()[2:] == ["method=exact", "n_points=1", "ref=0.0,0.0,0.0,0.0"]
 
 
 def test_hvi_seed_parses_like_the_run_seed(capsys, tmp_path):
@@ -708,15 +717,14 @@ def test_hvi_seed_parses_like_the_run_seed(capsys, tmp_path):
     write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
     estimates = []
     for seed in ("0x10", "16"):
-        code, out, _ = run_cli(capsys, "hvi", "--input", str(path), "--method", "mc",
-                               "--samples", "1000", "--seed", seed)
+        code, out, _ = run_cli(capsys, "hvi", "--input", str(path), "--samples", "1000",
+                               "--seed", seed)
         assert code == 0 and "seed=16" in out.splitlines()
         estimates.append(out.splitlines()[0])
     assert estimates[0] == estimates[1]
 
 
-@pytest.mark.parametrize("method", [["--method", "exact"], ["--method", "mc", "--seed", "1"]],
-                         ids=["exact", "mc"])
+@pytest.mark.parametrize("method", [[], ["--seed", "1"]], ids=["exact", "mc"])
 def test_hvi_of_a_header_only_frontier_is_config_error(capsys, tmp_path, method):
     # a volume of 0.0 from no data would read as an answer
     path = tmp_path / "frontier.csv"
@@ -741,11 +749,10 @@ def test_hvi_non_finite_reference_or_bad_seed_is_config_error(capsys, tmp_path):
     path = tmp_path / "frontier.csv"
     write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
     for ref in ("0,0,0,-inf", "0,nan,0,0", "inf,0,0,0"):
-        for method in (["--method", "exact"], ["--method", "mc", "--seed", "1"]):
+        for method in ([], ["--seed", "1"]):
             code, out, err = run_cli(capsys, "hvi", "--input", str(path), f"--ref={ref}", *method)
             assert code == 2 and out == "" and "finite" in err
-    code, out, err = run_cli(capsys, "hvi", "--input", str(path), "--method", "mc",
-                             "--seed", "-1")
+    code, out, err = run_cli(capsys, "hvi", "--input", str(path), "--seed", "-1")
     assert code == 2 and out == "" and "seed" in err
 
 
@@ -922,17 +929,41 @@ def test_compare_rejects_two_inputs_of_one_engine(sweep_outputs, capsys, tmp_pat
     assert out == ""
 
 
-def test_compare_out_without_plot_is_usage_error(sweep_outputs, capsys, tmp_path):
-    # --out holds only the plot stubs, so without --plot it would write nothing
+def test_compare_out_writes_the_sweeps_plot_stubs(sweep_outputs, capsys, tmp_path):
+    # the reports read back from the frontier files are the sweep's own, so
+    # their stubs are the bytes that sweep --plot wrote
     out_dir = tmp_path / "plots"
-    code, out, err = run_cli(capsys, "compare",
-                             "--input", str(sweep_outputs / "frontier_gaussian.csv"),
-                             "--input", str(sweep_outputs / "frontier_chaotic.csv"),
-                             "--out", str(out_dir))
-    assert code == 1
-    assert "--out requires --plot" in err
-    assert out == ""
-    assert not out_dir.exists()
+    code, out, _ = run_cli(capsys, "compare",
+                           "--input", str(sweep_outputs / "frontier_gaussian.csv"),
+                           "--input", str(sweep_outputs / "frontier_chaotic.csv"),
+                           "--out", str(out_dir))
+    assert code == 0 and json.loads(out)["leader"] in ("gaussian", "chaotic")
+    stubs = {"frontier_gaussian.dat", "frontier_chaotic.dat", "metrics.dat",
+             "plot_frontiers.gp", "plot_metrics.gp"}
+    assert {path.name for path in out_dir.iterdir()} == stubs
+    for name in stubs:
+        assert (out_dir / name).read_bytes() == (sweep_outputs / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_an_out_that_cannot_be_made_fails_before_any_run(capsys, monkeypatch, tmp_path, verb):
+    # a file where a directory must go would otherwise be found only when
+    # the results are written, after all the work
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("bforage.bfa.run_batch", no_run)
+    monkeypatch.setattr("bforage.experiment.run_batch", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {"run": ["run", "--seed", "1", "--nt", "3", "--pop", "3"],
+            "sweep": ["sweep", "--seed", "1", "--engines", "gaussian", "--weight-step", "0.5",
+                      "--weight-min", "0.25", "--pop", "2", "--nt", "2", "--runs", "1"]}[verb]
+    for out_dir in (blocker, blocker / "x", blocker / "x" / "y"):
+        code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+        assert code == 4 and out == ""
+        assert err.splitlines()[-1] == f"i/o error: [Errno {errno.ENOTDIR}] Not a directory: '{out_dir}'"
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 def test_sweep_jobs_below_one_is_config_error(capsys, tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -904,6 +905,19 @@ def test_atomic_writer_leaves_no_file_on_failure(tmp_path):
         atomic_write_text(path, 1234)  # type: ignore[arg-type]
     assert not path.exists()
     assert list(tmp_path.iterdir()) == []  # no stray temp files either
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, umask, mode):
+    # as any other new file does, not 0600 whatever the umask
+    path = tmp_path / "frontier.csv"
+    previous = os.umask(umask)
+    try:
+        write_frontier_csv([make_record((500.0, 700.0, 300.0, 400.0))], path)
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert [p.name for p in tmp_path.iterdir()] == ["frontier.csv"]
 
 
 def test_atomic_writer_replaces_existing_content(tmp_path):
